@@ -17,6 +17,7 @@ singularity, 4 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -31,7 +32,8 @@ from .network import AlgebraicLoop, DimensionMismatch, OutsideDomain, \
 from .slh import LinearComponent, validate
 from .stratcal import CayleySingular, StratonovichModel, ito_table_residuals, \
     ito_to_strat, strat_to_ito
-from .transfer import SIGMA_MIN, SingularAtS, eval_transfer, freq_response
+from .transfer import SIGMA_MIN, SingularAtS, axis_residual, eval_transfer, \
+    freq_response
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -92,7 +94,21 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"bad grid {spec!r}: {exc}") from exc
     if count < 1:
         raise UsageError("grid count must be >= 1")
-    return np.linspace(start, stop, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(start, stop, count)
+    if not np.all(np.isfinite(grid)):
+        raise UsageError(f"grid {spec!r} has non-finite points")
+    return grid
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_s(spec: str) -> complex:
@@ -166,7 +182,7 @@ def _cmd_freqresp(args) -> int:
                 for j in range(n):
                     cells.append(format_float(Xi[i, j].real))
                     cells.append(format_float(Xi[i, j].imag))
-            cells.append(format_float(matkit.max_abs(Xi @ Xi.conj().T - np.eye(n))))
+            cells.append(format_float(axis_residual(Xi)))
         rows.append(",".join(cells))
     _emit("\n".join(rows) + "\n", args.output)
     return EXIT_OK
@@ -264,7 +280,7 @@ def _build_parser() -> _ArgumentParser:
     p = add("freqresp", _cmd_freqresp, "CSV frequency response on a grid")
     p.add_argument("file")
     p.add_argument("--grid", required=True, help="omega grid as start:stop:count")
-    p.add_argument("--sigma", type=float, default=SIGMA_MIN,
+    p.add_argument("--sigma", type=_finite_float, default=SIGMA_MIN,
                    help="right-half-plane offset used for 0+ (default 1e-10)")
 
     p = add("series", _cmd_series, "series composition: first feeds second")

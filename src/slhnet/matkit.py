@@ -16,7 +16,7 @@ from scipy.linalg import LinAlgWarning
 STRUCT_TOL = 1e-9    # default tolerance for structural predicates
 SOLVE_TOL = 1e-10    # residual bound promised by solve()
 EIG_MERGE_GAP = 1e-9  # relative gap under which eigenvalues share a projector
-_PIVOT_REL = 1e-12   # rank-deficiency threshold relative to the max column norm
+PIVOT_REL = 1e-12    # rank-deficiency threshold relative to the max column norm
 
 
 class SingularMatrix(ValueError):
@@ -88,7 +88,7 @@ def solve(m, rhs) -> np.ndarray:
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(m)
     col_scale = float(np.max(np.linalg.norm(m, axis=0)))
-    if np.min(np.abs(np.diag(lu))) <= _PIVOT_REL * col_scale:
+    if np.min(np.abs(np.diag(lu))) <= PIVOT_REL * col_scale:
         raise SingularMatrix("matrix is singular to working precision")
     return lu_solve((lu, piv), rhs)
 

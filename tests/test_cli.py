@@ -6,7 +6,8 @@ import io
 import numpy as np
 import pytest
 
-from slhnet import matkit, parse
+from slhnet import (build_partitioned, check_unitary_on_axis, feedback_reduce, matkit,
+                    parse)
 from slhnet.cli import main
 from slhnet.netfile import parse_matrix_assignments
 
@@ -188,6 +189,26 @@ component pair {
     def test_bad_grid_usage(self, cavity_file):
         assert main(["freqresp", cavity_file, "--grid", "1:2"]) == 4
         assert main(["freqresp", cavity_file, "--grid", "1:2:0"]) == 4
+
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "-inf:0:1",
+                                      "-1e308:1e308:3"])
+    def test_non_finite_grid_usage(self, cavity_file, grid, capsys):
+        assert main(["freqresp", cavity_file, "--grid", grid]) == 4
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "abc"])
+    def test_bad_sigma_usage(self, cavity_file, sigma, capsys):
+        assert main(["freqresp", cavity_file, "--grid", "0:1:3", "--sigma", sigma]) == 4
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "--sigma" in captured.err
+        assert captured.out == ""
+
+    def test_residual_column_matches_axis_check(self, bsloop_file, capsys):
+        assert main(["freqresp", bsloop_file, "--grid", "-2:2:21"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        comp = feedback_reduce(build_partitioned(parse(BSLOOP)))
+        report = check_unitary_on_axis(comp, np.linspace(-2, 2, 21))
+        assert [float(r[-1]) for r in rows] == list(report.residuals)
 
 
 class TestCompose:

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from slhnet import (CommutingForm, LinearComponent, check_unitary_on_axis,
+from slhnet import (SIGMA_MIN, CommutingForm, LinearComponent, check_unitary_on_axis,
                     commuting_form, drift, eval_transfer, freq_response,
-                    make_cavity, matkit, poles_zeros_commuting)
+                    make_cavity, matkit, poles_zeros_commuting, series_product)
 from slhnet.transfer import NotCommuting, SingularAtS, ZeroModeAmbiguity
 
-from support import random_component
+from support import haar_unitary, random_component, random_hermitian
 
 
 def _cavity_xi(gamma, omega, phi, s):
@@ -67,11 +69,88 @@ class TestFreqResponse:
     def test_empty_grid(self):
         assert freq_response(make_cavity(1.0), []) == []
 
+    @pytest.mark.parametrize("grid,sigma", [([0.0, np.nan], SIGMA_MIN),
+                                            ([np.inf], SIGMA_MIN),
+                                            ([-np.inf, 1.0], 0.0),
+                                            ([0.0], np.nan),
+                                            ([0.0], np.inf),
+                                            ([], -np.inf)])
+    def test_non_finite_input_raises(self, grid, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            freq_response(make_cavity(1.0), grid, sigma=sigma)
+
     def test_unit_determinant_sweep(self):
         rng = np.random.default_rng(47)
         comp = random_component(rng, 3, 2)
         for p in freq_response(comp, np.linspace(-5, 5, 101)):
             assert abs(abs(np.linalg.det(p.evaluation.Xi)) - 1.0) <= 1e-8
+
+
+def _cascade(rng, n, units):
+    """Series chain of one-mode units: triangular, strongly non-normal drift."""
+    comp = random_component(rng, n, 1)
+    for _ in range(units - 1):
+        comp = series_product(random_component(rng, n, 1), comp)
+    return comp
+
+
+@st.composite
+def _sweep_cases(draw):
+    """(component, grid, sigma) over random, cascaded and mode-free components."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "cascade", "no_modes"]))
+    if kind == "random":
+        comp = random_component(rng, n, draw(st.integers(1, 8)))
+    elif kind == "cascade":
+        comp = _cascade(rng, n, draw(st.integers(2, 24)))
+    else:
+        comp = LinearComponent(haar_unitary(rng, n), np.zeros((n, 0)), np.zeros((0, 0)))
+    grid = draw(st.lists(st.floats(-20, 20), min_size=1, max_size=12))
+    sigma = draw(st.sampled_from([SIGMA_MIN, 0.0, 0.5, 3.0]))
+    return comp, grid, sigma
+
+
+class TestSweepProperties:
+    @given(_sweep_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pointwise_evaluation(self, case):
+        comp, grid, sigma = case
+        points = freq_response(comp, grid, sigma=sigma)
+        assert [p.omega for p in points] == grid
+        scale = max(1.0, np.linalg.norm(drift(comp), 2)) if comp.m_modes else 1.0
+        for p in points:
+            ev = eval_transfer(comp, sigma + 1j * p.omega)
+            assert not p.singular
+            assert p.evaluation.s == ev.s
+            assert matkit.max_abs(p.evaluation.Xi - ev.Xi) <= 1e-12 * scale
+            assert matkit.max_abs(p.evaluation.xi - ev.xi) <= 1e-12 * scale
+        assert freq_response(comp, [], sigma=sigma) == []
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), data=st.data(),
+           dark=st.lists(st.integers(-8, 8), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_singular_exactly_on_uncoupled_modes(self, seed, n, data, dark):
+        # coupled block with C†C positive definite (every mode damped) plus
+        # uncoupled modes at integer frequencies, mixed by a random unitary
+        rng = np.random.default_rng(seed)
+        coupled = data.draw(st.integers(1, n))
+        Cc = rng.standard_normal((n, coupled)) + 1j * rng.standard_normal((n, coupled))
+        assume(np.linalg.eigvalsh(Cc.conj().T @ Cc)[0] >= 0.05)
+        m = coupled + len(dark)
+        C = np.zeros((n, m), dtype=complex)
+        C[:, :coupled] = Cc
+        Omega = np.zeros((m, m), dtype=complex)
+        Omega[:coupled, :coupled] = random_hermitian(rng, coupled)
+        Omega[coupled:, coupled:] = np.diag(np.array(dark, dtype=float))
+        V = haar_unitary(rng, m) if data.draw(st.booleans()) else np.eye(m)
+        comp = LinearComponent(haar_unitary(rng, n), C @ V,
+                               matkit.herm_real(V.conj().T @ Omega @ V))
+        # quarter-spaced grid: a miss lies >= 0.25 from every uncoupled pole
+        grid = np.arange(-40, 41) / 4
+        points = freq_response(comp, grid, sigma=0.0)
+        # the uncoupled mode at frequency f has its pole at s = −i·f
+        assert [p.singular for p in points] == [-w in dark for w in grid]
 
 
 class TestUnitaryOnAxis:
