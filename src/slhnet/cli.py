@@ -25,8 +25,9 @@ import numpy as np
 
 from . import matkit
 from .netfile import (ParseError, build_partitioned, component_document,
-                      format_cnum, format_float, format_matrix_assignments,
-                      parse, parse_matrix_assignments, serialize)
+                      format_cnum, format_float, format_matrix,
+                      format_matrix_assignments, parse,
+                      parse_matrix_assignments, serialize)
 from .network import AlgebraicLoop, DimensionMismatch, OutsideDomain, \
     feedback_reduce, redheffer_star, series_product
 from .slh import LinearComponent, validate
@@ -142,11 +143,11 @@ def _cmd_reduce(args) -> int:
     reduced = _load_model(args.file)
     text = serialize(component_document("reduced", reduced))
     if reduced.C.size:
-        # coupling phases are gauge; report magnitudes for comparisons
-        mags = "[" + ",".join(
-            "[" + ",".join(format_float(abs(z)) for z in row) + "]"
-            for row in reduced.C) + "]"
-        text += f"# |C| = {mags}\n"
+        # coupling phases are gauge; report magnitudes for comparisons.
+        # np.hypot is libm's hypot, as Python's abs(complex) is; np.abs of
+        # a complex array differs from both in the last bit.
+        mags = np.hypot(reduced.C.real, reduced.C.imag)
+        text += f"# |C| = {format_matrix(mags)}\n"
     _emit(text, args.output)
     return EXIT_OK
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import PartitionedComponent
-from .slh import LinearComponent, concatenate
+from .slh import LinearComponent, block_diag
 
 
 class ParseError(Exception):
@@ -232,7 +232,7 @@ class _Parser:
 
     def expect_int(self, what: str) -> tuple[int, _Token]:
         tok = self.expect("NUMBER", what)
-        if tok.imag or tok.value != int(tok.value):
+        if tok.imag or not tok.value.is_integer():   # also rejects 1e400 (inf)
             self.error(tok, f"expected {what} to be a nonnegative integer")
         return int(tok.value), tok
 
@@ -478,22 +478,36 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# Canonical entry forms, indexed by _entry_form: real part only when the
+# imaginary part is zero, imaginary part only when the real part is zero,
+# both otherwise.  Each form consumes the (real, imag) pair; "%.0s" prints
+# the unused part as nothing.
+_ENTRY_FORMS = np.array(("%.17g%.0s", "%.0s%.17gi", "%.17g%+.17gi"), dtype=object)
+
+
+def _entry_form(z):
+    """Index into _ENTRY_FORMS for complex scalars or arrays."""
+    return np.where(z.imag == 0.0, 0, np.where(z.real == 0.0, 1, 2))
+
+
 def format_cnum(z: complex) -> str:
     z = complex(z)
-    if z.imag == 0.0:
-        return format_float(z.real)
-    if z.real == 0.0:
-        return format_float(z.imag) + "i"
-    sign = "+" if z.imag > 0 else "-"
-    return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
+    return _ENTRY_FORMS[_entry_form(z)] % (z.real, z.imag)
 
 
 def format_matrix(m: np.ndarray) -> str:
-    m = np.asarray(m)
+    """Canonical matrix literal, one row per ``%`` call.
+
+    Rows are converted to Python floats one at a time so the temporaries
+    stay the size of a row.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
     if m.size == 0:
         return "[]"
-    rows = ",".join("[" + ",".join(format_cnum(z) for z in row) + "]" for row in m)
-    return "[" + rows + "]"
+    pairs = m.view(np.float64)   # real and imaginary parts interleaved by row
+    rows = ["[" + ",".join(_ENTRY_FORMS[_entry_form(row)].tolist())
+            % tuple(pair.tolist()) + "]" for row, pair in zip(m, pairs)]
+    return "[" + ",".join(rows) + "]"
 
 
 def serialize(doc: NetDocument) -> str:
@@ -532,22 +546,36 @@ def component_document(name: str, comp: LinearComponent) -> NetDocument:
 def build_partitioned(doc: NetDocument) -> PartitionedComponent:
     """Assemble the instances into one component plus its port partition.
 
-    Instances are concatenated in declaration order; connected ports
-    become internal channels with a permutation adjacency built over
-    ascending global port indices.  External inputs are ordered by
-    declaration first, then remaining inputs ascending; external outputs
-    are inferred, ascending.
+    The component is the direct sum of the instances in declaration order.
+    One pass over the instances collects their blocks, labels and port
+    offsets; S, C and Omega are then allocated once and each instance's
+    blocks copied into place, so assembly costs O(P² + P·M + M²) for P
+    ports and M modes, the size of its output.  Connected ports become
+    internal channels with a permutation adjacency built over ascending
+    global port indices.  External inputs are ordered by declaration
+    first, then remaining inputs ascending; external outputs are
+    inferred, ascending.
     """
-    combined: LinearComponent | None = None
+    parts: list[LinearComponent] = []
     offsets: dict[str, int] = {}
-    total = 0
+    port_labels: list[str] = []
+    mode_labels: list[str] = []
     for inst, comp_name in doc.instances.items():
-        part = doc.components[comp_name].relabeled(inst)
-        offsets[inst] = total
-        total += part.n_ports
-        combined = part if combined is None else concatenate(combined, part)
-    if combined is None:
-        combined = LinearComponent(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
+        comp = doc.components[comp_name]
+        parts.append(comp)
+        offsets[inst] = len(port_labels)
+        port_labels.extend(f"{inst}.{p}" for p in comp.port_labels)
+        mode_labels.extend(f"{inst}.{q}" for q in comp.mode_labels)
+    total = len(port_labels)
+    declared = []
+    for ext in doc.externals:
+        g = offsets[ext.instance] + ext.port
+        port_labels[g] = ext.alias
+        declared.append(g)
+    combined = LinearComponent(block_diag(c.S for c in parts),
+                               block_diag(c.C for c in parts),
+                               block_diag(c.Omega for c in parts),
+                               tuple(port_labels), tuple(mode_labels))
 
     internal_out = sorted(offsets[e.src_instance] + e.src_port for e in doc.edges)
     internal_in = sorted(offsets[e.dst_instance] + e.dst_port for e in doc.edges)
@@ -558,19 +586,9 @@ def build_partitioned(doc: NetDocument) -> PartitionedComponent:
         eta[out_pos[offsets[e.src_instance] + e.src_port],
             in_pos[offsets[e.dst_instance] + e.dst_port]] = 1.0
 
-    labels = list(combined.port_labels)
-    declared = []
-    for ext in doc.externals:
-        g = offsets[ext.instance] + ext.port
-        labels[g] = ext.alias
-        declared.append(g)
-    combined = LinearComponent(combined.S, combined.C, combined.Omega,
-                               tuple(labels), combined.mode_labels)
-
-    internal_in_set = set(internal_in)
-    external_in = tuple(declared) + tuple(
-        g for g in range(total) if g not in internal_in_set and g not in set(declared))
-    external_out = tuple(g for g in range(total) if g not in set(internal_out))
+    taken_in = set(internal_in).union(declared)
+    external_in = tuple(declared) + tuple(g for g in range(total) if g not in taken_in)
+    external_out = tuple(g for g in range(total) if g not in out_pos)
     return PartitionedComponent(combined, internal_out=tuple(internal_out),
                                 internal_in=tuple(internal_in), eta=eta,
                                 external_out=external_out, external_in=external_in)

@@ -93,14 +93,16 @@ class PartitionedComponent:
             raise BadPartition("eta must be a permutation matrix over internal channels")
         e_out = self.external_out
         if e_out is None:
-            e_out = tuple(i for i in range(n) if i not in set(i_out))
+            internal = set(i_out)
+            e_out = tuple(i for i in range(n) if i not in internal)
         else:
             e_out = tuple(int(i) for i in e_out)
             if sorted(e_out + i_out) != list(range(n)):
                 raise BadPartition("external_out must be the complement of internal_out")
         e_in = self.external_in
         if e_in is None:
-            e_in = tuple(i for i in range(n) if i not in set(i_in))
+            internal = set(i_in)
+            e_in = tuple(i for i in range(n) if i not in internal)
         else:
             e_in = tuple(int(i) for i in e_in)
             if sorted(e_in + i_in) != list(range(n)):

@@ -166,10 +166,20 @@ def make_cavity(gamma: float, omega: float = 0.0, phi: float = 0.0) -> LinearCom
     return LinearComponent(S, C, Omega)
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[:a.shape[0], :a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
+def block_diag(blocks) -> np.ndarray:
+    """Complex block-diagonal matrix of ``blocks``, built in one allocation."""
+    blocks = list(blocks)
+    rows = cols = 0
+    for b in blocks:
+        rows += b.shape[0]
+        cols += b.shape[1]
+    out = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        p, q = b.shape
+        out[r:r + p, c:c + q] = b
+        r += p
+        c += q
     return out
 
 
@@ -191,8 +201,8 @@ def concatenate(a: LinearComponent, b: LinearComponent,
     if set(a.port_labels) & set(b.port_labels) or set(a.mode_labels) & set(b.mode_labels):
         raise ValueError("label sets still collide after prefixing")
     return LinearComponent(
-        _block_diag(a.S, b.S),
-        _block_diag(a.C, b.C),
-        _block_diag(a.Omega, b.Omega),
+        block_diag((a.S, b.S)),
+        block_diag((a.C, b.C)),
+        block_diag((a.Omega, b.Omega)),
         a.port_labels + b.port_labels,
         a.mode_labels + b.mode_labels)

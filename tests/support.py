@@ -6,6 +6,7 @@ import numpy as np
 
 from slhnet import (BeamSplitter, LinearComponent, PartitionedComponent,
                     concatenate, feedback_reduce)
+from slhnet.netfile import Edge, ExternalPort, NetDocument
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -95,3 +96,113 @@ def sequential_star(a: LinearComponent, b: LinearComponent,
     pc2 = PartitionedComponent(red, internal_out=(out_map.index(out2),),
                                internal_in=(in_map.index(in2),), eta=np.eye(1))
     return feedback_reduce(pc2)
+
+
+# ---------------------------------------------------------------------------
+# QNET networks and the reference assembly/serialization paths
+
+def random_network(rng: np.random.Generator, max_units: int = 8) -> NetDocument:
+    """Random valid network document built as a chain of units.
+
+    Unit kinds: a 1-port cavity, a 2-port component with modes (port 1
+    left open), a zero-mode splitter (port 1 left open) and a splitter
+    loop (splitter port 1 wired through a cavity and back).  Instances
+    are declared in shuffled order, unrelated to the wiring, and a random
+    subset of the open inputs is declared external in shuffled order.
+    """
+    components = {
+        "cav": random_component(rng, 1, 1),
+        "pair": random_component(rng, 2, int(rng.integers(1, 3))),
+        "bs": LinearComponent(haar_unitary(rng, 2), np.zeros((2, 0)), np.zeros((0, 0))),
+    }
+    instances: list[tuple[str, str]] = []
+    edges: list[Edge] = []
+    open_inputs: list[tuple[str, int]] = []
+    prev_out = None
+    for j in range(int(rng.integers(0, max_units + 1))):
+        kind = ("cav", "pair", "bs", "loop")[int(rng.integers(0, 4))]
+        if kind == "loop":
+            instances += [(f"b{j}", "bs"), (f"c{j}", "cav")]
+            edges += [Edge(f"b{j}", 1, f"c{j}", 0), Edge(f"c{j}", 0, f"b{j}", 1)]
+            head = f"b{j}"
+        else:
+            head = f"u{j}"
+            instances.append((head, kind))
+            if kind != "cav":
+                open_inputs.append((head, 1))
+        if prev_out is None:
+            open_inputs.append((head, 0))
+        else:
+            edges.append(Edge(prev_out, 0, head, 0))
+        prev_out = head
+    instances = [instances[i] for i in rng.permutation(len(instances))]
+    chosen = [open_inputs[i] for i in rng.permutation(len(open_inputs))]
+    chosen = chosen[:int(rng.integers(0, len(chosen) + 1))]
+    externals = tuple(ExternalPort(inst, port, f"x{i}")
+                      for i, (inst, port) in enumerate(chosen))
+    return NetDocument(components=components, instances=dict(instances),
+                       edges=tuple(edges), externals=externals)
+
+
+def fold_partitioned(doc: NetDocument) -> PartitionedComponent:
+    """Reference assembly: fold ``concatenate`` over the instances pairwise.
+
+    Every step relabels, copies and re-validates the growing component,
+    so this costs ~N³ for N instances; ``build_partitioned`` must return
+    exactly the same partition.
+    """
+    combined: LinearComponent | None = None
+    offsets: dict[str, int] = {}
+    total = 0
+    for inst, comp_name in doc.instances.items():
+        part = doc.components[comp_name].relabeled(inst)
+        offsets[inst] = total
+        total += part.n_ports
+        combined = part if combined is None else concatenate(combined, part)
+    if combined is None:
+        combined = LinearComponent(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
+
+    internal_out = sorted(offsets[e.src_instance] + e.src_port for e in doc.edges)
+    internal_in = sorted(offsets[e.dst_instance] + e.dst_port for e in doc.edges)
+    out_pos = {g: j for j, g in enumerate(internal_out)}
+    in_pos = {g: j for j, g in enumerate(internal_in)}
+    eta = np.zeros((len(internal_out), len(internal_in)))
+    for e in doc.edges:
+        eta[out_pos[offsets[e.src_instance] + e.src_port],
+            in_pos[offsets[e.dst_instance] + e.dst_port]] = 1.0
+
+    labels = list(combined.port_labels)
+    declared = []
+    for ext in doc.externals:
+        g = offsets[ext.instance] + ext.port
+        labels[g] = ext.alias
+        declared.append(g)
+    combined = LinearComponent(combined.S, combined.C, combined.Omega,
+                               tuple(labels), combined.mode_labels)
+
+    external_in = tuple(declared) + tuple(
+        g for g in range(total) if g not in set(internal_in) and g not in set(declared))
+    external_out = tuple(g for g in range(total) if g not in set(internal_out))
+    return PartitionedComponent(combined, internal_out=tuple(internal_out),
+                                internal_in=tuple(internal_in), eta=eta,
+                                external_out=external_out, external_in=external_in)
+
+
+def entrywise_format_cnum(z: complex) -> str:
+    """Reference canonical entry, one f-string per part."""
+    z = complex(z)
+    if z.imag == 0.0:
+        return f"{z.real:.17g}"
+    if z.real == 0.0:
+        return f"{z.imag:.17g}i"
+    sign = "+" if z.imag > 0 else "-"
+    return f"{z.real:.17g}{sign}{abs(z.imag):.17g}i"
+
+
+def entrywise_format_matrix(m) -> str:
+    """Reference matrix literal: the per-entry join of entrywise_format_cnum."""
+    m = np.asarray(m)
+    if m.size == 0:
+        return "[]"
+    return "[" + ",".join("[" + ",".join(entrywise_format_cnum(z) for z in row) + "]"
+                          for row in m) + "]"

@@ -6,10 +6,13 @@ import io
 import numpy as np
 import pytest
 
-from slhnet import (build_partitioned, check_unitary_on_axis, feedback_reduce, matkit,
-                    parse)
+from slhnet import (LinearComponent, build_partitioned, check_unitary_on_axis,
+                    feedback_reduce, matkit, parse)
 from slhnet.cli import main
-from slhnet.netfile import parse_matrix_assignments
+from slhnet.netfile import (component_document, format_float,
+                            parse_matrix_assignments, serialize)
+
+from support import haar_unitary
 
 CAVITY = """\
 component cavity {
@@ -83,6 +86,19 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "/nonexistent/nothing.qnet"]) == 4
 
+    @pytest.mark.parametrize("old, new", [
+        ("inputs = 1;", "inputs = 1e400;"),
+        ("modes = 1;", "modes = 1e400;"),
+        ("out[0]", "out[1e400]"),
+        ("in[0]", "in[1e400]"),
+    ])
+    def test_overflowing_integer_is_parse_error(self, tmp_path, capsys, old, new):
+        path = tmp_path / "overflow.qnet"
+        path.write_text(BSLOOP.replace(old, new, 1))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "nonnegative integer" in err and "Traceback" not in err
+
 
 class TestReduce:
     def test_bsloop_coupling_rate(self, bsloop_file, capsys):
@@ -109,6 +125,18 @@ network {
 }
 """)
         assert main(["reduce", str(path)]) == 3
+
+    def test_coupling_magnitudes_comment(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        C = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+        comp = LinearComponent(haar_unitary(rng, 2), C, np.zeros((40, 40)))
+        path = tmp_path / "dense.qnet"
+        path.write_text(serialize(component_document("dense", comp)))
+        assert main(["reduce", str(path)]) == 0
+        comment = capsys.readouterr().out.splitlines()[-1]
+        mags = ",".join("[" + ",".join(format_float(abs(z)) for z in row) + "]"
+                        for row in comp.C)
+        assert comment == f"# |C| = [{mags}]"
 
     def test_output_file(self, bsloop_file, tmp_path, capsys):
         target = tmp_path / "reduced.qnet"

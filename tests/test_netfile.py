@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slhnet import (LinearComponent, beamsplitter_loop, feedback_reduce,
                     make_cavity, matkit, mixing_splitter, series_product,
                     validate)
 from slhnet.netfile import (NetDocument, ParseError, build_partitioned,
-                            component_document, format_cnum,
+                            component_document, format_cnum, format_matrix,
                             format_matrix_assignments, parse,
                             parse_matrix_assignments, serialize)
+
+from support import (entrywise_format_cnum, entrywise_format_matrix,
+                     fold_partitioned, random_network)
 
 CAVITY = """\
 component cavity {
@@ -265,6 +271,26 @@ network {
             parse("component {")
         assert "line 1" in str(excinfo.value)
 
+    @pytest.mark.parametrize("old, new", [
+        ("inputs = 1;", "inputs = 1e400;"),
+        ("modes = 1;", "modes = 1e400;"),
+        ("connect a.out[0]", "connect a.out[1e400]"),
+        ("-> b.in[0]", "-> b.in[1e400]"),
+    ])
+    def test_overflowing_integer(self, old, new):
+        err = _assert_error_at(SERIES.replace(old, new), "1e400")
+        assert "nonnegative integer" in err.message
+
+    def test_overflowing_external_port(self):
+        src = CAVITY + """\
+network {
+  use a : cavity;
+  external a.in[1e400] as drive;
+}
+"""
+        err = _assert_error_at(src, "1e400")
+        assert "nonnegative integer" in err.message
+
 
 class TestRoundTrip:
     def test_cavity_round_trip(self):
@@ -361,6 +387,57 @@ network {
         assert pc.external_in == (1, 0)   # declared port first, then residual order
         red = feedback_reduce(pc)
         assert red.port_labels[0] == "tap"
+
+
+class TestAssemblyProperty:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pairwise_fold(self, seed):
+        # block copies do no arithmetic, so the one-pass assembly must
+        # reproduce the pairwise concatenate fold exactly
+        doc = random_network(np.random.default_rng(seed))
+        got, want = build_partitioned(doc), fold_partitioned(doc)
+        assert got.comp == want.comp
+        assert (got.internal_out, got.internal_in) == (want.internal_out, want.internal_in)
+        assert (got.external_out, got.external_in) == (want.external_out, want.external_in)
+        assert np.array_equal(got.eta, want.eta)
+        assert parse(serialize(doc)) == doc
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.1]
+_PARTS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_SHAPES = st.one_of(st.tuples(st.just(1), st.integers(0, 6)),
+                    st.tuples(st.integers(0, 6), st.just(1)),
+                    st.tuples(st.integers(0, 6), st.integers(0, 6)))
+
+
+def _matrices():
+    return _SHAPES.flatmap(lambda shape: arrays(complex, shape,
+                                                elements=st.builds(complex, _PARTS, _PARTS)))
+
+
+class TestSerializerProperty:
+    @given(_matrices())
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([[complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 5e-324)]]))
+    @example(np.array([[complex(5e-324, -1.7976931348623157e308)],
+                       [complex(-1.7976931348623157e308, 5e-324)]]))
+    @example(np.zeros((0, 3), dtype=complex))
+    @example(np.array([[0.5, 3.0], [-0.0, 0.1]]))   # real dtype, as for the |C| comment
+    def test_matches_entrywise_join(self, m):
+        assert format_matrix(m) == entrywise_format_matrix(m)
+        for z in m.ravel():
+            assert format_cnum(z) == entrywise_format_cnum(z)
+
+    @given(_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_component_round_trip(self, m):
+        n, k = m.shape
+        comp = LinearComponent(np.eye(n), m, np.zeros((k, k)))
+        doc = component_document("c", comp)
+        assert parse(serialize(doc)) == doc
 
 
 class TestMatrixAssignments:
