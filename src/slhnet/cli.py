@@ -25,7 +25,7 @@ import numpy as np
 
 from . import matkit
 from .netfile import (ParseError, build_partitioned, component_document,
-                      format_cnum, format_float, format_matrix,
+                      format_cnum, format_matrix,
                       format_matrix_assignments, parse,
                       parse_matrix_assignments, serialize)
 from .network import AlgebraicLoop, DimensionMismatch, OutsideDomain, \
@@ -33,8 +33,8 @@ from .network import AlgebraicLoop, DimensionMismatch, OutsideDomain, \
 from .slh import LinearComponent, validate
 from .stratcal import CayleySingular, StratonovichModel, ito_table_residuals, \
     ito_to_strat, strat_to_ito
-from .transfer import SIGMA_MIN, SingularAtS, axis_residual, eval_transfer, \
-    freq_response
+from .transfer import SIGMA_MIN, SingularAtS, axis_residual, axis_xi, \
+    eval_transfer, freq_response
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -173,18 +173,16 @@ def _cmd_freqresp(args) -> int:
     header.append("unitarity_residual")
     # labels contain commas, so header cells are CSV-quoted
     rows = [",".join(c if "," not in c else f'"{c}"' for c in header)]
-    for point in freq_response(comp, omegas, sigma=args.sigma):
-        cells = [format_float(point.omega)]
-        if point.evaluation is None:
-            cells.extend(["NA"] * (2 * n * n + 1))
-        else:
-            Xi = point.evaluation.Xi
-            for i in range(n):
-                for j in range(n):
-                    cells.append(format_float(Xi[i, j].real))
-                    cells.append(format_float(Xi[i, j].imag))
-            cells.append(format_float(axis_residual(Xi)))
-        rows.append(",".join(cells))
+    points = freq_response(comp, omegas, sigma=args.sigma)
+    Xi = axis_xi(points, n)
+    # per non-pole point: re/im of Xi in row order, then the residual
+    cells = iter(np.concatenate([Xi.view(np.float64).reshape(len(Xi), 2 * n * n),
+                                 axis_residual(Xi)[:, None]], axis=1).tolist())
+    row_form = ",".join(["%.17g"] * (2 * n * n + 2))   # netfile.format_float, per cell
+    pole_tail = ",NA" * (2 * n * n + 1)
+    for point in points:
+        rows.append("%.17g" % point.omega + pole_tail if point.singular
+                    else row_form % (point.omega, *next(cells)))
     _emit("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 

@@ -18,18 +18,29 @@ them together:
     }
 
 Matrix entries are floats with an optional imaginary part ("1.0",
-"0.5-0.25i", "2i").  A matrix with zero rows or zero columns is written
-"[]", its shape recovered from the declared inputs/modes.  Channels are
-point-to-point: every input is fed by at most one edge and every output
-feeds at most one edge; splitting a field needs an explicit beam-splitter
-component.  Comments run from "#" to end of line, port indices are
-0-based, and the canonical serialization (fixed key order, 17 significant
-digits, one declaration per line) round-trips exactly through the parser.
+"0.5-0.25i", "2i", ".5", "1e-3i"); a sign and its number are separate
+tokens.  A matrix with zero rows or zero columns is written "[]", its
+shape recovered from the declared inputs/modes, and a count larger than
+the file itself is rejected at its literal.  Channels are point-to-point:
+every input is fed by at most one edge and every output feeds at most one
+edge; splitting a field needs an explicit beam-splitter component.
+Whitespace and comments, from "#" to end of line, may stand between any
+two tokens.  Port indices are 0-based, and the canonical serialization
+(fixed key order, 17 significant digits, one declaration per line)
+round-trips exactly through the parser.
+
+The parser reads each matrix row and each network statement with one
+compiled pattern, so its cost is a few regex passes over the text plus
+one float() per number part.  Only a row or statement that its pattern
+rejects is walked token by token, to name the first offending token;
+errors carry the same line and column as a token-by-token parse would.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,110 +96,82 @@ class NetDocument:
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# scanner
 
-_PUNCT = {"{", "}", "[", "]", "=", ";", ",", ":", "."}
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789")
-_DIGITS = set("0123456789")
+# Token grammar.  A number is digits with an optional fraction, or a
+# fraction alone, then an optional exponent; a trailing "i" that no name
+# character follows makes it imaginary.  Whitespace and comments separate
+# tokens; a comment always runs to the end of its line, which the
+# lookahead in _SKIP enforces so that no match ends inside one.
+_WORD_END = r"(?![A-Za-z0-9_])"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+
+# Every character outside a comment starts or continues a token, except
+# ">" not preceded by "-"; a match ends at the first character that does not.
+# Each turn of the outer loop costs the matcher memory, so "-" sits in the
+# long runs, and only comments and ">" take a turn of their own.
+_LEXABLE = re.compile(r"(?:[ \t\r\n{}\[\]=;,:.+\-0-9A-Za-z_]+|(?<=-)>|#[^\n]*)*")
+_TOKEN = re.compile(rf"{_SKIP}(?:({_NUMBER}(?:i{_WORD_END})?)|({_NAME})|(->|[-+{{}}\[\]=;,:.]))?")
+_TOKEN_KINDS = (None, "NUMBER", "NAME", None)   # by group; punctuation is its own kind
+
+# One matrix row, "[" entries "]", plus the "," that may follow it.  No
+# name character can follow an entry's "i" there, so it needs no _WORD_END.
+# No two _SKIPs may stand side by side, so a sign owns the _SKIP after it:
+# a whitespace run that could split between two _SKIPs would make a
+# rejected row retry every split of every entry, exponential in its length.
+# _ENTRY reads the entries of a row _ROW accepted, one match per entry.
+_CNUM = rf"(?:[+-]{_SKIP})?{_NUMBER}(?:i|{_SKIP}[+-]{_SKIP}{_NUMBER}i)?"
+_ROW = re.compile(rf"{_SKIP}\[({_SKIP}{_CNUM}{_SKIP}(?:,{_SKIP}{_CNUM}{_SKIP})*)\]{_SKIP}(,?)")
+_ENTRY = re.compile(rf"{_SKIP}(?:([+-]){_SKIP})?({_NUMBER})"
+                    rf"(?:(i)|{_SKIP}([+-]){_SKIP}({_NUMBER})i)?{_SKIP},?")
+
+# Network statements, one step per token: a keyword, or the (kind, what)
+# of an expected token.  NAME and NUMBER steps are the statement's fields.
+_STATEMENTS = {
+    "use": ("use", ("NAME", "instance name"), (":", None), ("NAME", "component name"),
+            (";", None)),
+    "connect": ("connect", ("NAME", "instance name"), (".", None), "out", ("[", None),
+                ("NUMBER", "port index"), ("]", None), ("->", "'->'"),
+                ("NAME", "instance name"), (".", None), "in", ("[", None),
+                ("NUMBER", "port index"), ("]", None), (";", None)),
+    "external": ("external", ("NAME", "instance name"), (".", None), "in", ("[", None),
+                 ("NUMBER", "port index"), ("]", None), "as",
+                 ("NAME", "external port name"), (";", None)),
+}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str          # NAME, NUMBER, punctuation text, ->, +, -, EOF
-    text: str
-    line: int
-    col: int
-    value: float = 0.0
-    imag: bool = False
+def _statement_pattern(steps) -> re.Pattern:
+    parts = [step + _WORD_END if isinstance(step, str)
+             else f"({_NAME})" if step[0] == "NAME"
+             else f"({_NUMBER})" if step[0] == "NUMBER"
+             else re.escape(step[0]) for step in steps]
+    return re.compile(_SKIP.join(parts))
 
 
-def _scan_number(source: str, i: int) -> int:
-    """Return the end index of the numeric literal starting at i."""
-    n = len(source)
-    j = i
-    while j < n and source[j] in _DIGITS:
-        j += 1
-    if j < n and source[j] == ".":
-        j += 1
-        while j < n and source[j] in _DIGITS:
-            j += 1
-    if j < n and source[j] in "eE":
-        k = j + 1
-        if k < n and source[k] in "+-":
-            k += 1
-        if k < n and source[k] in _DIGITS:
-            j = k
-            while j < n and source[j] in _DIGITS:
-                j += 1
-    return j
+_STATEMENT_PATTERNS = {word: _statement_pattern(steps) for word, steps in _STATEMENTS.items()}
 
 
-def _tokenize(source: str, lines: list[str]) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
+class _Token(NamedTuple):
+    kind: str          # NAME, NUMBER, EOF or the punctuation itself
+    text: str          # an imaginary NUMBER keeps its "i"
+    start: int         # offsets into the source
+    end: int
 
-    def err(message: str):
-        snippet = lines[line - 1] if line <= len(lines) else ""
-        raise ParseError(line, col, message, snippet)
 
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == "-" and i + 1 < n and source[i + 1] == ">":
-            tokens.append(_Token("->", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-":
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
-            end = _scan_number(source, i)
-            text = source[i:end]
-            imag = False
-            if end < n and source[end] == "i" and (end + 1 >= n or source[end + 1] not in _NAME_CHARS):
-                imag = True
-                end += 1
-                text = source[i:end]
-            tokens.append(_Token("NUMBER", text, line, start_col,
-                                 value=float(text[:-1] if imag else text), imag=imag))
-            col += end - i
-            i = end
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _NAME_START:
-            end = i + 1
-            while end < n and source[end] in _NAME_CHARS:
-                end += 1
-            text = source[i:end]
-            tokens.append(_Token("NAME", text, line, start_col))
-            col += end - i
-            i = end
-            continue
-        err(f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+def _row_values(entries) -> list[float]:
+    """Interleaved (real, imag) parts of the _ENTRY matches of one row."""
+    out: list[float] = []
+    for sign, number, imag, imag_sign, imag_number in entries:
+        x = -float(number) if sign == "-" else float(number)
+        if imag:
+            out += (0.0, x)
+        elif imag_number:
+            out += (x, -float(imag_number) if imag_sign == "-" else float(imag_number))
+        else:
+            out += (x, 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,209 +181,205 @@ _COMPONENT_KEYS = ("inputs", "modes", "S", "C", "Omega")
 
 
 class _Parser:
+    """Recursive descent over tokens scanned on demand from an offset.
+
+    Matrix rows and network statements are matched whole by one pattern
+    each; when a pattern rejects one, walking its tokens finds the error.
+    """
+
     def __init__(self, source: str):
-        self.lines = source.split("\n")
-        self.tokens = _tokenize(source, self.lines)
+        self.source = source
         self.pos = 0
+        bad = _LEXABLE.match(source).end()
+        if bad < len(source):
+            self.fail(bad, f"unexpected character {source[bad]!r}")
 
     # -- token plumbing ----------------------------------------------------
 
+    def fail(self, offset: int, message: str):
+        src = self.source
+        start = src.rfind("\n", 0, offset) + 1
+        if offset == len(src) and "#" in src[start:]:
+            offset = src.index("#", start)    # end of file is placed before a last comment
+        end = src.find("\n", start)
+        raise ParseError(src.count("\n", 0, offset) + 1, offset - start + 1, message,
+                         src[start:] if end < 0 else src[start:end])
+
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def error(self, token: _Token, message: str):
-        snippet = self.lines[token.line - 1] if token.line <= len(self.lines) else ""
-        raise ParseError(token.line, token.col, message, snippet)
+        m = _TOKEN.match(self.source, self.pos)
+        group = m.lastindex
+        if group is None:
+            return _Token("EOF", "", m.end(), m.end())
+        text = m.group(group)
+        return _Token(_TOKEN_KINDS[group] or text, text, m.start(group), m.end())
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            self.error(tok, f"expected {what or kind!r}, found {tok.text or 'end of file'!r}")
-        return self.advance()
+            self.fail(tok.start, f"expected {what or kind!r}, found {tok.text or 'end of file'!r}")
+        self.pos = tok.end
+        return tok
 
     def expect_keyword(self, word: str) -> _Token:
         tok = self.peek()
         if tok.kind != "NAME" or tok.text != word:
-            self.error(tok, f"expected '{word}', found {tok.text or 'end of file'!r}")
-        return self.advance()
+            self.fail(tok.start, f"expected '{word}', found {tok.text or 'end of file'!r}")
+        self.pos = tok.end
+        return tok
+
+    def accept(self, *kinds: str) -> _Token | None:
+        """Consume the next token if it is of one of ``kinds``."""
+        tok = self.peek()
+        if tok.kind not in kinds:
+            return None
+        self.pos = tok.end
+        return tok
 
     def expect_int(self, what: str) -> tuple[int, _Token]:
         tok = self.expect("NUMBER", what)
-        if tok.imag or not tok.value.is_integer():   # also rejects 1e400 (inf)
-            self.error(tok, f"expected {what} to be a nonnegative integer")
-        return int(tok.value), tok
+        return self.to_int(tok.text, tok.start, what), tok
+
+    def to_int(self, text: str, offset: int, what: str) -> int:
+        if text[-1] == "i" or not float(text).is_integer():   # also rejects 1e400 (inf)
+            self.fail(offset, f"expected {what} to be a nonnegative integer")
+        return int(float(text))
 
     # -- grammar -----------------------------------------------------------
 
     def parse_document(self) -> NetDocument:
         raw_components: list[tuple[_Token, dict]] = []
         statements: list[tuple] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
+        while (tok := self.peek()).kind != "EOF":
             if tok.kind == "NAME" and tok.text == "component":
                 raw_components.append(self.parse_component())
             elif tok.kind == "NAME" and tok.text == "network":
                 statements.extend(self.parse_network())
             else:
-                self.error(tok, "expected 'component' or 'network'")
+                self.fail(tok.start, "expected 'component' or 'network'")
         return self.analyze(raw_components, statements)
 
     def parse_component(self) -> tuple[_Token, dict]:
         self.expect_keyword("component")
         name_tok = self.expect("NAME", "component name")
         self.expect("{")
-        entries: dict[str, tuple[_Token, object]] = {}
+        entries: dict[str, tuple[int, object]] = {}
         while self.peek().kind != "}":
-            key_tok = self.expect("NAME", "component key")
-            if key_tok.text not in _COMPONENT_KEYS:
-                self.error(key_tok, f"unknown key {key_tok.text!r} in component block")
-            if key_tok.text in entries:
-                self.error(key_tok, f"duplicate key {key_tok.text!r}")
+            key = self.expect("NAME", "component key")
+            if key.text not in _COMPONENT_KEYS:
+                self.fail(key.start, f"unknown key {key.text!r} in component block")
+            if key.text in entries:
+                self.fail(key.start, f"duplicate key {key.text!r}")
             self.expect("=")
-            if key_tok.text in ("inputs", "modes"):
-                value, _ = self.expect_int(key_tok.text)
+            if key.text in ("inputs", "modes"):
+                value, tok = self.expect_int(key.text)
+                # every counted row is written out, so no valid count exceeds the file
+                if value > len(self.source):
+                    self.fail(tok.start, f"expected {key.text} to be at most "
+                                         f"{len(self.source)}, the length of the file")
             else:
                 value = self.parse_matrix()
             self.expect(";")
-            entries[key_tok.text] = (key_tok, value)
+            entries[key.text] = (key.start, value)
         self.expect("}")
         return name_tok, entries
 
-    def parse_matrix(self) -> list[list[complex]]:
+    def parse_matrix(self) -> list[list[float]]:
+        """Rows of a matrix literal, each as interleaved (real, imag) parts."""
         self.expect("[", "matrix")
-        if self.peek().kind == "]":
-            self.advance()
+        if self.accept("]"):
             return []
-        rows = [self.parse_row()]
-        while self.peek().kind == ",":
-            self.advance()
-            rows.append(self.parse_row())
+        rows = []
+        more = True
+        while more:
+            m = _ROW.match(self.source, self.pos)
+            if m is None:
+                self.reject_row()
+            rows.append(_row_values(_ENTRY.findall(self.source, m.start(1), m.end(1))))
+            self.pos = m.end()
+            more = bool(m.group(2))
         self.expect("]")
         return rows
 
-    def parse_row(self) -> list[complex]:
+    def reject_row(self):
+        """Raise at the first token of a row that _ROW rejected."""
         self.expect("[", "matrix row")
-        entries = [self.parse_cnum()]
-        while self.peek().kind == ",":
-            self.advance()
-            entries.append(self.parse_cnum())
+        while True:
+            self.accept("+", "-")
+            first = self.expect("NUMBER", "number")
+            if first.text[-1] != "i" and self.accept("+", "-"):
+                second = self.expect("NUMBER", "imaginary part")
+                if second.text[-1] != "i":
+                    self.fail(second.start, "expected imaginary part with 'i' suffix")
+            if not self.accept(","):
+                break
         self.expect("]")
-        return entries
-
-    def parse_cnum(self) -> complex:
-        sign = 1.0
-        tok = self.peek()
-        if tok.kind in ("+", "-"):
-            self.advance()
-            sign = -1.0 if tok.kind == "-" else 1.0
-        first = self.expect("NUMBER", "number")
-        if first.imag:
-            return complex(0.0, sign * first.value)
-        value = complex(sign * first.value, 0.0)
-        nxt = self.peek()
-        if nxt.kind in ("+", "-"):
-            self.advance()
-            imag_sign = -1.0 if nxt.kind == "-" else 1.0
-            second = self.expect("NUMBER", "imaginary part")
-            if not second.imag:
-                self.error(second, "expected imaginary part with 'i' suffix")
-            return complex(value.real, imag_sign * second.value)
-        return value
+        raise AssertionError("the row pattern rejected a valid row")
 
     def parse_network(self) -> list[tuple]:
         self.expect_keyword("network")
         self.expect("{")
         statements: list[tuple] = []
-        while self.peek().kind != "}":
-            tok = self.peek()
-            if tok.kind != "NAME":
-                self.error(tok, "expected 'use', 'connect' or 'external'")
-            if tok.text == "use":
-                self.advance()
-                inst_tok = self.expect("NAME", "instance name")
-                self.expect(":")
-                comp_tok = self.expect("NAME", "component name")
-                self.expect(";")
-                statements.append(("use", inst_tok, comp_tok))
-            elif tok.text == "connect":
-                self.advance()
-                src_inst = self.expect("NAME", "instance name")
-                self.expect(".")
-                self.expect_keyword("out")
-                self.expect("[")
-                src_port, src_port_tok = self.expect_int("port index")
-                self.expect("]")
-                self.expect("->", "'->'")
-                dst_inst = self.expect("NAME", "instance name")
-                self.expect(".")
-                self.expect_keyword("in")
-                self.expect("[")
-                dst_port, dst_port_tok = self.expect_int("port index")
-                self.expect("]")
-                self.expect(";")
-                statements.append(("connect", src_inst, src_port, src_port_tok,
-                                   dst_inst, dst_port, dst_port_tok))
-            elif tok.text == "external":
-                self.advance()
-                inst_tok = self.expect("NAME", "instance name")
-                self.expect(".")
-                self.expect_keyword("in")
-                self.expect("[")
-                port, port_tok = self.expect_int("port index")
-                self.expect("]")
-                self.expect_keyword("as")
-                alias_tok = self.expect("NAME", "external port name")
-                self.expect(";")
-                statements.append(("external", inst_tok, port, port_tok, alias_tok))
-            else:
-                self.error(tok, "expected 'use', 'connect' or 'external'")
+        while (tok := self.peek()).kind != "}":
+            steps = _STATEMENTS.get(tok.text) if tok.kind == "NAME" else None
+            if steps is None:
+                self.fail(tok.start, "expected 'use', 'connect' or 'external'")
+            m = _STATEMENT_PATTERNS[tok.text].match(self.source, tok.start)
+            if m is None:
+                self.reject_statement(steps)
+            # (value, offset) per NAME or NUMBER step; only a number starts
+            # with a digit or "."
+            fields = [(self.to_int(text, m.start(g), "port index")
+                       if text[0] in "0123456789." else text, m.start(g))
+                      for g, text in enumerate(m.groups(), 1)]
+            statements.append((tok.text, *fields))
+            self.pos = m.end()
         self.expect("}")
         return statements
 
+    def reject_statement(self, steps):
+        """Raise at the first token of a statement its pattern rejected."""
+        for step in steps:
+            if isinstance(step, str):
+                self.expect_keyword(step)
+            elif step[0] == "NUMBER":
+                self.expect_int(step[1])
+            else:
+                self.expect(*step)
+        raise AssertionError("the statement pattern rejected a valid statement")
+
     # -- semantic pass -----------------------------------------------------
 
-    def _shape_matrix(self, key_tok: _Token, rows: list[list[complex]],
-                      shape: tuple[int, int], what: str) -> np.ndarray:
+    def check_shape(self, key_at: int, rows: list, shape: tuple[int, int], what: str):
         want_r, want_c = shape
         if not rows:
             if want_r * want_c != 0:
-                self.error(key_tok, f"{what} must be {want_r}x{want_c}, got empty matrix")
-            return np.zeros(shape, dtype=complex)
-        widths = {len(r) for r in rows}
+                self.fail(key_at, f"{what} must be {want_r}x{want_c}, got empty matrix")
+            return
+        widths = {len(r) // 2 for r in rows}
         if len(widths) != 1:
-            self.error(key_tok, f"{what} has rows of unequal length")
+            self.fail(key_at, f"{what} has rows of unequal length")
         got = (len(rows), widths.pop())
         if got != shape:
-            self.error(key_tok, f"{what} must be {want_r}x{want_c}, got {got[0]}x{got[1]}")
-        return np.array(rows, dtype=complex)
+            self.fail(key_at, f"{what} must be {want_r}x{want_c}, got {got[0]}x{got[1]}")
 
     def analyze(self, raw_components, statements) -> NetDocument:
         components: dict[str, LinearComponent] = {}
         for name_tok, entries in raw_components:
-            if name_tok.text in components:
-                self.error(name_tok, f"duplicate component name {name_tok.text!r}")
+            name = name_tok.text
+            if name in components:
+                self.fail(name_tok.start, f"duplicate component name {name!r}")
             for key in _COMPONENT_KEYS:
                 if key not in entries:
-                    self.error(name_tok,
-                               f"component {name_tok.text!r} is missing key {key!r}")
-            n = entries["inputs"][1]
-            m = entries["modes"][1]
-            S = self._shape_matrix(entries["S"][0], entries["S"][1], (n, n), "S")
-            C = self._shape_matrix(entries["C"][0], entries["C"][1], (n, m), "C")
-            Omega = self._shape_matrix(entries["Omega"][0], entries["Omega"][1],
-                                       (m, m), "Omega")
+                    self.fail(name_tok.start, f"component {name!r} is missing key {key!r}")
+            n, m = entries["inputs"][1], entries["modes"][1]
+            shapes = {"S": (n, n), "C": (n, m), "Omega": (m, m)}
+            for key, shape in shapes.items():     # every shape before any allocation
+                self.check_shape(entries[key][0], entries[key][1], shape, key)
+            S, C, Omega = (_to_array(entries[key][1], shape) for key, shape in shapes.items())
             try:
-                components[name_tok.text] = LinearComponent(S, C, Omega)
+                components[name] = LinearComponent(S, C, Omega)
             except ValueError as exc:
-                self.error(name_tok, f"invalid component {name_tok.text!r}: {exc}")
+                self.fail(name_tok.start, f"invalid component {name!r}: {exc}")
 
         instances: dict[str, str] = {}
         edges: list[Edge] = []
@@ -410,59 +389,60 @@ class _Parser:
         external_ports: set[tuple[str, int]] = set()
         aliases: set[str] = set()
 
-        def check_port(inst_tok: _Token, port: int, port_tok: _Token) -> str:
-            if inst_tok.text not in instances:
-                self.error(inst_tok, f"unknown instance {inst_tok.text!r}")
-            n_ports = components[instances[inst_tok.text]].n_ports
+        def check_port(inst: str, inst_at: int, port: int, port_at: int):
+            if inst not in instances:
+                self.fail(inst_at, f"unknown instance {inst!r}")
+            n_ports = components[instances[inst]].n_ports
             if port >= n_ports:
-                self.error(port_tok,
-                           f"port index {port} out of range for instance "
-                           f"{inst_tok.text!r} with {n_ports} ports")
-            return inst_tok.text
+                self.fail(port_at, f"port index {port} out of range for instance "
+                                   f"{inst!r} with {n_ports} ports")
 
-        for st in statements:
-            if st[0] == "use":
-                _, inst_tok, comp_tok = st
-                if inst_tok.text in instances:
-                    self.error(inst_tok, f"duplicate instance name {inst_tok.text!r}")
-                if comp_tok.text not in components:
-                    self.error(comp_tok, f"unknown component {comp_tok.text!r}")
-                instances[inst_tok.text] = comp_tok.text
-            elif st[0] == "connect":
-                _, src_inst, src_port, src_tok, dst_inst, dst_port, dst_tok = st
-                src = check_port(src_inst, src_port, src_tok)
-                dst = check_port(dst_inst, dst_port, dst_tok)
+        for kind, *fields in statements:
+            if kind == "use":
+                (inst, inst_at), (comp, comp_at) = fields
+                if inst in instances:
+                    self.fail(inst_at, f"duplicate instance name {inst!r}")
+                if comp not in components:
+                    self.fail(comp_at, f"unknown component {comp!r}")
+                instances[inst] = comp
+            elif kind == "connect":
+                ((src, src_inst_at), (src_port, src_at),
+                 (dst, dst_inst_at), (dst_port, dst_at)) = fields
+                check_port(src, src_inst_at, src_port, src_at)
+                check_port(dst, dst_inst_at, dst_port, dst_at)
                 if (src, src_port) in used_outputs:
-                    self.error(src_tok,
-                               f"output {src}.out[{src_port}] already feeds an edge")
+                    self.fail(src_at, f"output {src}.out[{src_port}] already feeds an edge")
                 if (dst, dst_port) in fed_inputs:
-                    self.error(dst_tok,
-                               f"input {dst}.in[{dst_port}] is already fed by an edge")
+                    self.fail(dst_at, f"input {dst}.in[{dst_port}] is already fed by an edge")
                 if (dst, dst_port) in external_ports:
-                    self.error(dst_tok,
-                               f"input {dst}.in[{dst_port}] is declared external and "
-                               "cannot be internally driven")
+                    self.fail(dst_at, f"input {dst}.in[{dst_port}] is declared external and "
+                                      "cannot be internally driven")
                 used_outputs.add((src, src_port))
                 fed_inputs.add((dst, dst_port))
                 edges.append(Edge(src, src_port, dst, dst_port))
             else:
-                _, inst_tok, port, port_tok, alias_tok = st
-                inst = check_port(inst_tok, port, port_tok)
+                (inst, inst_at), (port, port_at), (alias, alias_at) = fields
+                check_port(inst, inst_at, port, port_at)
                 if (inst, port) in fed_inputs:
-                    self.error(port_tok,
-                               f"input {inst}.in[{port}] is internally driven and "
-                               "cannot be external")
+                    self.fail(port_at, f"input {inst}.in[{port}] is internally driven and "
+                                       "cannot be external")
                 if (inst, port) in external_ports:
-                    self.error(port_tok,
-                               f"input {inst}.in[{port}] declared external twice")
-                if alias_tok.text in aliases:
-                    self.error(alias_tok, f"duplicate external name {alias_tok.text!r}")
+                    self.fail(port_at, f"input {inst}.in[{port}] declared external twice")
+                if alias in aliases:
+                    self.fail(alias_at, f"duplicate external name {alias!r}")
                 external_ports.add((inst, port))
-                aliases.add(alias_tok.text)
-                externals.append(ExternalPort(inst, port, alias_tok.text))
+                aliases.add(alias)
+                externals.append(ExternalPort(inst, port, alias))
 
         return NetDocument(components=components, instances=instances,
                            edges=tuple(edges), externals=tuple(externals))
+
+
+def _to_array(rows: list[list[float]], shape: tuple[int, int]) -> np.ndarray:
+    """Complex array of parsed rows; ``shape`` is used only when there are none."""
+    if not rows:
+        return np.zeros(shape, dtype=complex)
+    return np.array(rows, dtype=float).view(complex)
 
 
 def parse(source: str) -> NetDocument:
@@ -606,19 +586,15 @@ def parse_matrix_assignments(source: str) -> dict[str, np.ndarray]:
     parser = _Parser(source)
     result: dict[str, np.ndarray] = {}
     while parser.peek().kind != "EOF":
-        name_tok = parser.expect("NAME", "matrix name")
-        if name_tok.text in result:
-            parser.error(name_tok, f"duplicate matrix name {name_tok.text!r}")
+        name = parser.expect("NAME", "matrix name")
+        if name.text in result:
+            parser.fail(name.start, f"duplicate matrix name {name.text!r}")
         parser.expect("=")
         rows = parser.parse_matrix()
         parser.expect(";")
-        if not rows:
-            result[name_tok.text] = np.zeros((0, 0), dtype=complex)
-        else:
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                parser.error(name_tok, f"matrix {name_tok.text!r} has rows of unequal length")
-            result[name_tok.text] = np.array(rows, dtype=complex)
+        if len({len(r) for r in rows}) > 1:
+            parser.fail(name.start, f"matrix {name.text!r} has rows of unequal length")
+        result[name.text] = _to_array(rows, (0, 0))
     return result
 
 

@@ -146,9 +146,16 @@ def freq_response(comp: LinearComponent, omegas,
             for k in range(omegas.size)]
 
 
-def axis_residual(Xi: np.ndarray) -> float:
-    """‖Xi·Xi† − I‖_max, the departure of Xi from unitarity."""
-    return matkit.max_abs(Xi @ Xi.conj().T - np.eye(Xi.shape[0]))
+def axis_xi(points: list[FreqPoint], n: int) -> np.ndarray:
+    """The (G, n, n) stack of Xi at the points of a sweep that are not poles."""
+    stack = [p.evaluation.Xi for p in points if p.evaluation is not None]
+    return np.array(stack, dtype=complex).reshape(len(stack), n, n)
+
+
+def axis_residual(Xi: np.ndarray) -> np.ndarray:
+    """‖Xi·Xi† − I‖_max of each matrix of a (G, n, n) stack, shape (G,)."""
+    deviation = Xi @ Xi.conj().swapaxes(1, 2) - np.eye(Xi.shape[1])
+    return np.max(np.abs(deviation), axis=(1, 2), initial=0.0)
 
 
 def check_unitary_on_axis(comp: LinearComponent, omegas, tol: float = 1e-8,
@@ -158,9 +165,10 @@ def check_unitary_on_axis(comp: LinearComponent, omegas, tol: float = 1e-8,
     A pole on the grid counts as an infinite residual.
     """
     points = freq_response(comp, omegas, sigma=sigma)
-    residuals = tuple(float("inf") if p.evaluation is None
-                      else axis_residual(p.evaluation.Xi) for p in points)
-    return AxisUnitarityReport(tuple(p.omega for p in points), residuals, tol)
+    singular = np.array([p.singular for p in points], dtype=bool)
+    residuals = np.full(len(points), np.inf)
+    residuals[~singular] = axis_residual(axis_xi(points, comp.n_ports))
+    return AxisUnitarityReport(tuple(p.omega for p in points), tuple(residuals.tolist()), tol)
 
 
 @dataclass(frozen=True)

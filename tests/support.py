@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from slhnet import (BeamSplitter, LinearComponent, PartitionedComponent,
                     concatenate, feedback_reduce)
-from slhnet.netfile import Edge, ExternalPort, NetDocument
+from slhnet.netfile import Edge, ExternalPort, NetDocument, ParseError
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -23,6 +25,12 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (w + w.conj().T) / 2
 
 
+# Draws the resampling generators make before giving up.  The rarest size
+# the tests use, (n, m) = (1, 8), passes about one draw in 60, so it
+# fails about once in 10⁷ calls.
+MAX_DRAWS = 1000
+
+
 def random_component(rng: np.random.Generator, n: int, m: int,
                      min_damping: float = 0.1) -> LinearComponent:
     """Valid random component: Haar S, Gaussian C, hermitian Omega.
@@ -31,14 +39,17 @@ def random_component(rng: np.random.Generator, n: int, m: int,
     undamped modes put transfer-function poles within ~gamma of the
     imaginary axis, where the finite 1e-10 offset realizing 0+ costs
     ~8*sigma/gamma in axis-unitarity residual; bounding the damping keeps
-    the ensemble generic while staying far from that degeneracy.
+    the ensemble generic while staying far from that degeneracy.  Raises
+    ValueError after MAX_DRAWS draws, as for modes far outnumbering ports.
     """
     from slhnet import drift
-    while True:
+    for _ in range(MAX_DRAWS):
         C = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
         comp = LinearComponent(haar_unitary(rng, n), C, random_hermitian(rng, m))
         if m == 0 or np.min(-np.linalg.eigvals(drift(comp)).real) >= min_damping:
             return comp
+    raise ValueError(f"no random component with (n, m) = ({n}, {m}) damps every mode "
+                     f"at rate >= {min_damping} in {MAX_DRAWS} draws")
 
 
 def random_splitter(rng: np.random.Generator, n1: int, n2: int) -> BeamSplitter:
@@ -50,9 +61,10 @@ def random_partitioned(rng: np.random.Generator, n: int, m: int,
     """Random valid component with k internal channels and a random eta.
 
     Regenerates until (eta - S_ii) is comfortably nonsingular so that
-    reduction is well-posed for oracle comparisons.
+    reduction is well-posed for oracle comparisons; raises ValueError
+    after MAX_DRAWS draws.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         comp = random_component(rng, n, m)
         internal_out = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         internal_in = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
@@ -63,6 +75,8 @@ def random_partitioned(rng: np.random.Generator, n: int, m: int,
         S_ii = comp.S[np.ix_(list(internal_out), list(internal_in))]
         if k == 0 or np.linalg.cond(eta - S_ii) < 1e6:
             return pc
+    raise ValueError(f"no random partition with (n, m, k) = ({n}, {m}, {k}) has a "
+                     f"well-conditioned loop in {MAX_DRAWS} draws")
 
 
 def random_rhp_points(rng: np.random.Generator, count: int) -> list[complex]:
@@ -206,3 +220,451 @@ def entrywise_format_matrix(m) -> str:
         return "[]"
     return "[" + ",".join("[" + ",".join(entrywise_format_cnum(z) for z in row) + "]"
                           for row in m) + "]"
+
+
+# ---------------------------------------------------------------------------
+# QNET parsing: the character-loop lexer and token parser as the reference
+
+_PUNCT = {"{", "}", "[", "]", "=", ";", ",", ":", "."}
+_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NAME_CHARS = _NAME_START | set("0123456789")
+_DIGITS = set("0123456789")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str          # NAME, NUMBER, punctuation text, ->, +, -, EOF
+    text: str
+    line: int
+    col: int
+    value: float = 0.0
+    imag: bool = False
+
+
+def _scan_number(source: str, i: int) -> int:
+    """Return the end index of the numeric literal starting at i."""
+    n = len(source)
+    j = i
+    while j < n and source[j] in _DIGITS:
+        j += 1
+    if j < n and source[j] == ".":
+        j += 1
+        while j < n and source[j] in _DIGITS:
+            j += 1
+    if j < n and source[j] in "eE":
+        k = j + 1
+        if k < n and source[k] in "+-":
+            k += 1
+        if k < n and source[k] in _DIGITS:
+            j = k
+            while j < n and source[j] in _DIGITS:
+                j += 1
+    return j
+
+
+def _tokenize(source: str, lines: list[str]) -> list[_Token]:
+    tokens: list[_Token] = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+
+    def err(message: str):
+        snippet = lines[line - 1] if line <= len(lines) else ""
+        raise ParseError(line, col, message, snippet)
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch == "-" and i + 1 < n and source[i + 1] == ">":
+            tokens.append(_Token("->", "->", line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in "+-":
+            tokens.append(_Token(ch, ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
+            end = _scan_number(source, i)
+            text = source[i:end]
+            imag = False
+            if end < n and source[end] == "i" and (end + 1 >= n or source[end + 1] not in _NAME_CHARS):
+                imag = True
+                end += 1
+                text = source[i:end]
+            tokens.append(_Token("NUMBER", text, line, start_col,
+                                 value=float(text[:-1] if imag else text), imag=imag))
+            col += end - i
+            i = end
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(ch, ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch in _NAME_START:
+            end = i + 1
+            while end < n and source[end] in _NAME_CHARS:
+                end += 1
+            text = source[i:end]
+            tokens.append(_Token("NAME", text, line, start_col))
+            col += end - i
+            i = end
+            continue
+        err(f"unexpected character {ch!r}")
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens
+
+
+_COMPONENT_KEYS = ("inputs", "modes", "S", "C", "Omega")
+
+
+class _Parser:
+    def __init__(self, source: str):
+        self.source = source
+        self.lines = source.split("\n")
+        self.tokens = _tokenize(source, self.lines)
+        self.pos = 0
+
+    # -- token plumbing ----------------------------------------------------
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def error(self, token: _Token, message: str):
+        snippet = self.lines[token.line - 1] if token.line <= len(self.lines) else ""
+        raise ParseError(token.line, token.col, message, snippet)
+
+    def expect(self, kind: str, what: str | None = None) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            self.error(tok, f"expected {what or kind!r}, found {tok.text or 'end of file'!r}")
+        return self.advance()
+
+    def expect_keyword(self, word: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != "NAME" or tok.text != word:
+            self.error(tok, f"expected '{word}', found {tok.text or 'end of file'!r}")
+        return self.advance()
+
+    def expect_int(self, what: str) -> tuple[int, _Token]:
+        tok = self.expect("NUMBER", what)
+        if tok.imag or not tok.value.is_integer():   # also rejects 1e400 (inf)
+            self.error(tok, f"expected {what} to be a nonnegative integer")
+        return int(tok.value), tok
+
+    # -- grammar -----------------------------------------------------------
+
+    def parse_document(self) -> NetDocument:
+        raw_components: list[tuple[_Token, dict]] = []
+        statements: list[tuple] = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "EOF":
+                break
+            if tok.kind == "NAME" and tok.text == "component":
+                raw_components.append(self.parse_component())
+            elif tok.kind == "NAME" and tok.text == "network":
+                statements.extend(self.parse_network())
+            else:
+                self.error(tok, "expected 'component' or 'network'")
+        return self.analyze(raw_components, statements)
+
+    def parse_component(self) -> tuple[_Token, dict]:
+        self.expect_keyword("component")
+        name_tok = self.expect("NAME", "component name")
+        self.expect("{")
+        entries: dict[str, tuple[_Token, object]] = {}
+        while self.peek().kind != "}":
+            key_tok = self.expect("NAME", "component key")
+            if key_tok.text not in _COMPONENT_KEYS:
+                self.error(key_tok, f"unknown key {key_tok.text!r} in component block")
+            if key_tok.text in entries:
+                self.error(key_tok, f"duplicate key {key_tok.text!r}")
+            self.expect("=")
+            if key_tok.text in ("inputs", "modes"):
+                value, tok = self.expect_int(key_tok.text)
+                if value > len(self.source):
+                    self.error(tok, f"expected {key_tok.text} to be at most "
+                                    f"{len(self.source)}, the length of the file")
+            else:
+                value = self.parse_matrix()
+            self.expect(";")
+            entries[key_tok.text] = (key_tok, value)
+        self.expect("}")
+        return name_tok, entries
+
+    def parse_matrix(self) -> list[list[complex]]:
+        self.expect("[", "matrix")
+        if self.peek().kind == "]":
+            self.advance()
+            return []
+        rows = [self.parse_row()]
+        while self.peek().kind == ",":
+            self.advance()
+            rows.append(self.parse_row())
+        self.expect("]")
+        return rows
+
+    def parse_row(self) -> list[complex]:
+        self.expect("[", "matrix row")
+        entries = [self.parse_cnum()]
+        while self.peek().kind == ",":
+            self.advance()
+            entries.append(self.parse_cnum())
+        self.expect("]")
+        return entries
+
+    def parse_cnum(self) -> complex:
+        sign = 1.0
+        tok = self.peek()
+        if tok.kind in ("+", "-"):
+            self.advance()
+            sign = -1.0 if tok.kind == "-" else 1.0
+        first = self.expect("NUMBER", "number")
+        if first.imag:
+            return complex(0.0, sign * first.value)
+        value = complex(sign * first.value, 0.0)
+        nxt = self.peek()
+        if nxt.kind in ("+", "-"):
+            self.advance()
+            imag_sign = -1.0 if nxt.kind == "-" else 1.0
+            second = self.expect("NUMBER", "imaginary part")
+            if not second.imag:
+                self.error(second, "expected imaginary part with 'i' suffix")
+            return complex(value.real, imag_sign * second.value)
+        return value
+
+    def parse_network(self) -> list[tuple]:
+        self.expect_keyword("network")
+        self.expect("{")
+        statements: list[tuple] = []
+        while self.peek().kind != "}":
+            tok = self.peek()
+            if tok.kind != "NAME":
+                self.error(tok, "expected 'use', 'connect' or 'external'")
+            if tok.text == "use":
+                self.advance()
+                inst_tok = self.expect("NAME", "instance name")
+                self.expect(":")
+                comp_tok = self.expect("NAME", "component name")
+                self.expect(";")
+                statements.append(("use", inst_tok, comp_tok))
+            elif tok.text == "connect":
+                self.advance()
+                src_inst = self.expect("NAME", "instance name")
+                self.expect(".")
+                self.expect_keyword("out")
+                self.expect("[")
+                src_port, src_port_tok = self.expect_int("port index")
+                self.expect("]")
+                self.expect("->", "'->'")
+                dst_inst = self.expect("NAME", "instance name")
+                self.expect(".")
+                self.expect_keyword("in")
+                self.expect("[")
+                dst_port, dst_port_tok = self.expect_int("port index")
+                self.expect("]")
+                self.expect(";")
+                statements.append(("connect", src_inst, src_port, src_port_tok,
+                                   dst_inst, dst_port, dst_port_tok))
+            elif tok.text == "external":
+                self.advance()
+                inst_tok = self.expect("NAME", "instance name")
+                self.expect(".")
+                self.expect_keyword("in")
+                self.expect("[")
+                port, port_tok = self.expect_int("port index")
+                self.expect("]")
+                self.expect_keyword("as")
+                alias_tok = self.expect("NAME", "external port name")
+                self.expect(";")
+                statements.append(("external", inst_tok, port, port_tok, alias_tok))
+            else:
+                self.error(tok, "expected 'use', 'connect' or 'external'")
+        self.expect("}")
+        return statements
+
+    # -- semantic pass -----------------------------------------------------
+
+    def _shape_matrix(self, key_tok: _Token, rows: list[list[complex]],
+                      shape: tuple[int, int], what: str) -> np.ndarray:
+        want_r, want_c = shape
+        if not rows:
+            if want_r * want_c != 0:
+                self.error(key_tok, f"{what} must be {want_r}x{want_c}, got empty matrix")
+            return np.zeros(shape, dtype=complex)
+        widths = {len(r) for r in rows}
+        if len(widths) != 1:
+            self.error(key_tok, f"{what} has rows of unequal length")
+        got = (len(rows), widths.pop())
+        if got != shape:
+            self.error(key_tok, f"{what} must be {want_r}x{want_c}, got {got[0]}x{got[1]}")
+        return np.array(rows, dtype=complex)
+
+    def analyze(self, raw_components, statements) -> NetDocument:
+        components: dict[str, LinearComponent] = {}
+        for name_tok, entries in raw_components:
+            if name_tok.text in components:
+                self.error(name_tok, f"duplicate component name {name_tok.text!r}")
+            for key in _COMPONENT_KEYS:
+                if key not in entries:
+                    self.error(name_tok,
+                               f"component {name_tok.text!r} is missing key {key!r}")
+            n = entries["inputs"][1]
+            m = entries["modes"][1]
+            S = self._shape_matrix(entries["S"][0], entries["S"][1], (n, n), "S")
+            C = self._shape_matrix(entries["C"][0], entries["C"][1], (n, m), "C")
+            Omega = self._shape_matrix(entries["Omega"][0], entries["Omega"][1],
+                                       (m, m), "Omega")
+            try:
+                components[name_tok.text] = LinearComponent(S, C, Omega)
+            except ValueError as exc:
+                self.error(name_tok, f"invalid component {name_tok.text!r}: {exc}")
+
+        instances: dict[str, str] = {}
+        edges: list[Edge] = []
+        externals: list[ExternalPort] = []
+        fed_inputs: set[tuple[str, int]] = set()
+        used_outputs: set[tuple[str, int]] = set()
+        external_ports: set[tuple[str, int]] = set()
+        aliases: set[str] = set()
+
+        def check_port(inst_tok: _Token, port: int, port_tok: _Token) -> str:
+            if inst_tok.text not in instances:
+                self.error(inst_tok, f"unknown instance {inst_tok.text!r}")
+            n_ports = components[instances[inst_tok.text]].n_ports
+            if port >= n_ports:
+                self.error(port_tok,
+                           f"port index {port} out of range for instance "
+                           f"{inst_tok.text!r} with {n_ports} ports")
+            return inst_tok.text
+
+        for st in statements:
+            if st[0] == "use":
+                _, inst_tok, comp_tok = st
+                if inst_tok.text in instances:
+                    self.error(inst_tok, f"duplicate instance name {inst_tok.text!r}")
+                if comp_tok.text not in components:
+                    self.error(comp_tok, f"unknown component {comp_tok.text!r}")
+                instances[inst_tok.text] = comp_tok.text
+            elif st[0] == "connect":
+                _, src_inst, src_port, src_tok, dst_inst, dst_port, dst_tok = st
+                src = check_port(src_inst, src_port, src_tok)
+                dst = check_port(dst_inst, dst_port, dst_tok)
+                if (src, src_port) in used_outputs:
+                    self.error(src_tok,
+                               f"output {src}.out[{src_port}] already feeds an edge")
+                if (dst, dst_port) in fed_inputs:
+                    self.error(dst_tok,
+                               f"input {dst}.in[{dst_port}] is already fed by an edge")
+                if (dst, dst_port) in external_ports:
+                    self.error(dst_tok,
+                               f"input {dst}.in[{dst_port}] is declared external and "
+                               "cannot be internally driven")
+                used_outputs.add((src, src_port))
+                fed_inputs.add((dst, dst_port))
+                edges.append(Edge(src, src_port, dst, dst_port))
+            else:
+                _, inst_tok, port, port_tok, alias_tok = st
+                inst = check_port(inst_tok, port, port_tok)
+                if (inst, port) in fed_inputs:
+                    self.error(port_tok,
+                               f"input {inst}.in[{port}] is internally driven and "
+                               "cannot be external")
+                if (inst, port) in external_ports:
+                    self.error(port_tok,
+                               f"input {inst}.in[{port}] declared external twice")
+                if alias_tok.text in aliases:
+                    self.error(alias_tok, f"duplicate external name {alias_tok.text!r}")
+                external_ports.add((inst, port))
+                aliases.add(alias_tok.text)
+                externals.append(ExternalPort(inst, port, alias_tok.text))
+
+        return NetDocument(components=components, instances=instances,
+                           edges=tuple(edges), externals=tuple(externals))
+
+
+def reference_parse(source: str) -> NetDocument:
+    """Reference for ``netfile.parse``: the same documents and ParseErrors."""
+    return _Parser(source).parse_document()
+
+
+def reference_parse_matrix_assignments(source: str) -> dict[str, np.ndarray]:
+    """Reference for ``netfile.parse_matrix_assignments``."""
+    parser = _Parser(source)
+    result: dict[str, np.ndarray] = {}
+    while parser.peek().kind != "EOF":
+        name_tok = parser.expect("NAME", "matrix name")
+        if name_tok.text in result:
+            parser.error(name_tok, f"duplicate matrix name {name_tok.text!r}")
+        parser.expect("=")
+        rows = parser.parse_matrix()
+        parser.expect(";")
+        if not rows:
+            result[name_tok.text] = np.zeros((0, 0), dtype=complex)
+        else:
+            widths = {len(r) for r in rows}
+            if len(widths) != 1:
+                parser.error(name_tok, f"matrix {name_tok.text!r} has rows of unequal length")
+            result[name_tok.text] = np.array(rows, dtype=complex)
+    return result
+
+
+# Spellings the canonical serializer never writes: separators that may
+# stand between any two tokens, and other forms of real and imaginary numbers.
+_SEPARATORS = (" ", "\n", "\t", "\r\n", "  # note [1, 2i];\n", "#\n")
+_NUMBER_FORMS = ((".5", "1.", "0", "1.0", "3E+2", "1e-3"),
+                 ("2i", "1e-3i", ".5i", "0.25e1i", "1.i"))
+
+
+def respell(source: str, rng: np.random.Generator) -> str:
+    """The tokens of ``source`` with other separators and some numbers replaced.
+
+    Each gap between tokens may gain a separator; a number may be replaced
+    by another form, of the same kind (real or imaginary) unless it starts
+    a matrix entry, or lose the "0" of a leading "0."; an unsigned matrix
+    entry may gain a "-".  Rates are drawn per call, so some texts change
+    in one place and some in many.
+    """
+    lines = source.split("\n")
+    line_starts = np.cumsum([0] + [len(line) + 1 for line in lines]).tolist()
+    rate = rng.uniform(0.0, 0.1)
+    out, end, prev = [], 0, None
+    for tok in _tokenize(source, lines)[:-1]:
+        start = line_starts[tok.line - 1] + tok.col - 1
+        out.append(source[end:start])
+        end = start + len(tok.text)
+        if rng.random() < rate:
+            out.append(_SEPARATORS[int(rng.integers(len(_SEPARATORS)))])
+        text = tok.text
+        if tok.kind == "NUMBER" and rng.random() < rate:
+            forms = (_NUMBER_FORMS[0] + _NUMBER_FORMS[1] if prev in ("[", ",")
+                     else _NUMBER_FORMS[tok.imag])
+            text = forms[int(rng.integers(len(forms)))]
+        elif tok.kind == "NUMBER" and text.startswith("0.") and rng.random() < rate:
+            text = text[1:]
+        if tok.kind == "NUMBER" and prev in ("[", ",") and rng.random() < rate:
+            text = "-" + text
+        out.append(text)
+        prev = tok.kind
+    return "".join(out) + source[end:]

@@ -100,6 +100,17 @@ class TestCheck:
         assert "nonnegative integer" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("count", ["1e300", "1e18"])
+    @pytest.mark.parametrize("command", ["check", "reduce", "freqresp"])
+    def test_huge_count_is_parse_error(self, tmp_path, capsys, command, count):
+        path = tmp_path / "huge.qnet"
+        path.write_text("component c {\n  inputs = 0;\n  modes = COUNT;\n"
+                        "  S = [];\n  C = [];\n  Omega = [];\n}\n".replace("COUNT", count))
+        extra = ["--grid", "0:1:2"] if command == "freqresp" else []
+        assert main([command, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "line 3, column 11" in err and "at most" in err
+
 class TestReduce:
     def test_bsloop_coupling_rate(self, bsloop_file, capsys):
         # alpha = 0.5 splitter around a gamma0 = 3 cavity: |C| = 1

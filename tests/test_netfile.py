@@ -1,5 +1,8 @@
 """Unit tests for the QNET parser, serializer and network assembly."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +18,8 @@ from slhnet.netfile import (NetDocument, ParseError, build_partitioned,
                             parse_matrix_assignments, serialize)
 
 from support import (entrywise_format_cnum, entrywise_format_matrix,
-                     fold_partitioned, random_network)
+                     fold_partitioned, random_network, reference_parse,
+                     reference_parse_matrix_assignments, respell)
 
 CAVITY = """\
 component cavity {
@@ -292,6 +296,28 @@ network {
         assert "nonnegative integer" in err.message
 
 
+HUGE_COUNT = """\
+component c {
+  inputs = 0;
+  modes = COUNT;
+  S = [];
+  C = [];
+  Omega = [];
+}
+"""
+
+
+class TestCounts:
+    @pytest.mark.parametrize("count", ["1e300", "1e18"])
+    def test_huge_count_fails_at_literal(self, count):
+        # an empty C with no inputs once reached np.zeros((0, m)) first
+        err = _assert_error_at(HUGE_COUNT.replace("COUNT", count), count)
+        assert "at most" in err.message
+
+    def test_empty_omega_with_modes_fails_at_omega(self):
+        err = _assert_error_at(HUGE_COUNT.replace("COUNT", "3"), "Omega")
+        assert "must be 3x3, got empty matrix" in err.message
+
 class TestRoundTrip:
     def test_cavity_round_trip(self):
         doc = parse(CAVITY)
@@ -402,6 +428,166 @@ class TestAssemblyProperty:
         assert (got.external_out, got.external_in) == (want.external_out, want.external_in)
         assert np.array_equal(got.eta, want.eta)
         assert parse(serialize(doc)) == doc
+
+
+
+def _outcome(fn, text):
+    """What ``fn`` makes of ``text``: its result, or the ParseError's fields."""
+    try:
+        return fn(text)
+    except ParseError as exc:
+        return (exc.line, exc.column, exc.message, exc.snippet)
+
+
+def _bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _assert_same_document(text):
+    got, want = _outcome(parse, text), _outcome(reference_parse, text)
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got == want
+        for a, b in zip(got.components.values(), want.components.values()):
+            assert _bits((a.S, a.C, a.Omega)) == _bits((b.S, b.C, b.Omega))
+
+
+def _assert_same_assignments(text):
+    got = _outcome(parse_matrix_assignments, text)
+    want = _outcome(reference_parse_matrix_assignments, text)
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert list(got) == list(want)
+        assert _bits(got.values()) == _bits(want.values())
+
+
+def _edit(text, edits):
+    """Apply (operation, relative position, character) edits in turn."""
+    for op, where, ch in edits:
+        i = int(where * (len(text) + 1))
+        text = text[:i] + ("" if op == "delete" else ch) + text[i + (op != "insert"):]
+    return text
+
+
+_EDITS = st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                            st.floats(0, 1, exclude_max=True),
+                            st.sampled_from(" \t\r\n#[]{},;:.=+->i0123456789eE_aZ@\x0c")),
+                  max_size=3)
+
+SPELLED = """\
+component c {  # comment after a brace
+  inputs = 2; modes = 1.;
+  S = [[1.0 + 2i, .5],   # comment inside a matrix
+       [ -0 , 1e-3i ]];
+  C = [[-2i],
+       [- 1.5e1 -.25i]];
+  Omega = [[1.]];
+}
+network { use a : c; use b:c;
+  connect a . out [ 0 ] -> b.in[1e0]; external a.in[0] as x; }
+"""
+
+
+class TestParserEquivalence:
+    """``parse`` against the character-loop reference in ``support``."""
+
+    @given(seed=st.integers(0, 2**32 - 1), respelled=st.booleans(), edits=_EDITS)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_reference(self, seed, respelled, edits):
+        rng = np.random.default_rng(seed)
+        text = serialize(random_network(rng, max_units=4))
+        _assert_same_document(_edit(respell(text, rng) if respelled else text, edits))
+
+    @given(seed=st.integers(0, 2**32 - 1), respelled=st.booleans(), edits=_EDITS)
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_assignments_match_reference(self, seed, respelled, edits):
+        rng = np.random.default_rng(seed)
+        comp = random_network(rng, max_units=0).components["pair"]
+        text = format_matrix_assignments([("S", comp.S), ("C", comp.C), ("K", comp.Omega),
+                                          ("Z", np.zeros((0, 0)))])
+        _assert_same_assignments(_edit(respell(text, rng) if respelled else text, edits))
+
+    @pytest.mark.parametrize("text", [
+        SPELLED,
+        "component c {  # no newline at the end",
+        "component c { inputs = 1; # comment\n  modes",
+        "component c {\n S = [[1 -> 2]];",
+        "component c {\r\n S = [[1,\x0c2]];",
+        "# \u00fc in a comment\ncomponent c { S = [[\u0661]]; }",
+        "component c { S = [[1e]]; }",
+        "component c { S = [[ ]]; }",
+        "component c { S = [[1],]; }",
+        "component c { S = [[1] [2]]; }",
+        "component c { S = [[1+2]]; }",
+        "component c { S = [[1 + 2 i]]; }",
+        "component c { S = [[2ix]]; }",
+        "component c { S = [[--1]]; }",
+        "network { use a : b; connect a.out[1e300] -> a.in[0]; }",
+        "network { connect a . out [ 2i ] -> b.in[0]; }",
+        "network { external a.in[0] as 1; }",
+        "network { usea : b; }",
+        "",
+        "#",
+    ])
+    def test_hand_written_texts_match_reference(self, text):
+        _assert_same_document(text)
+        _assert_same_assignments(text)
+
+    def test_spelled_values(self):
+        comp = parse(SPELLED).components["c"]
+        assert comp.S.tolist() == [[1 + 2j, 0.5], [0.0, 1e-3j]]
+        assert np.signbit(comp.S[1, 0].real)
+        assert comp.C.tolist() == [[-2j], [-15 - 0.25j]]
+        assert not np.signbit(comp.C[0, 0].real)
+        assert comp.Omega.tolist() == [[1.0]]
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of real time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_ENTRIES = [str(j) for j in range(1, 41)]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+class TestLongBadRows:
+    """A bad row is rejected in time linear in its length.
+
+    If a row pattern lets a run of whitespace split between two separators,
+    a failed match retries every split of every earlier entry, ~2**40 steps
+    for each row below.  The regex engine checks for signals while it
+    matches, so the time limit interrupts such a match.
+    """
+
+    @pytest.mark.parametrize("row", [
+        "[" + ", ".join(_ENTRIES) + ",]",
+        "[" + ",\n      ".join(_ENTRIES) + ",\n      ]",
+        "[" + ", ".join(_ENTRIES) + " 41]",
+        "[" + ",  # entry\n   ".join(f"{e} + {e}i" for e in _ENTRIES) + " x]",
+    ])
+    def test_matches_reference_promptly(self, row):
+        network = f"component c {{ inputs = 1; modes = 0; S = [{row}]; C = []; Omega = []; }}"
+        assignments = f"S = [{row}];"
+        with _time_limit(2.0):
+            got = [_outcome(parse, network), _outcome(parse_matrix_assignments, assignments)]
+        want = [_outcome(reference_parse, network),
+                _outcome(reference_parse_matrix_assignments, assignments)]
+        assert got == want
+        assert all(isinstance(outcome, tuple) for outcome in got)   # both ParseErrors
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
