@@ -115,11 +115,8 @@ def _finite_float(text: str) -> float:
 def _parse_s(spec: str) -> complex:
     parts = spec.split(",")
     if len(parts) != 2:
-        raise UsageError(f"--s must be RE,IM, got {spec!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise UsageError(f"bad --s value {spec!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"expected RE,IM, got {spec!r}")
+    return complex(_finite_float(parts[0]), _finite_float(parts[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +151,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_tf(args) -> int:
     comp = _load_model(args.file)
-    ev = eval_transfer(comp, _parse_s(args.s))
+    ev = eval_transfer(comp, args.s)
     out = [f"# s = {format_cnum(ev.s)}",
            format_matrix_assignments([("Xi", ev.Xi), ("xi", ev.xi)]).rstrip("\n")]
     _emit("\n".join(out) + "\n", args.output)
@@ -274,7 +271,8 @@ def _build_parser() -> _ArgumentParser:
 
     p = add("tf", _cmd_tf, "evaluate the transfer matrices at one point")
     p.add_argument("file")
-    p.add_argument("--s", required=True, help="Laplace point as RE,IM")
+    p.add_argument("--s", required=True, type=_parse_s,
+                   help="Laplace point as RE,IM")
 
     p = add("freqresp", _cmd_freqresp, "CSV frequency response on a grid")
     p.add_argument("file")

@@ -7,16 +7,14 @@ are O(1)-normalized physical parameters, so no relative scaling is needed.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg import LinAlgWarning
+from scipy.linalg import get_lapack_funcs
 
 STRUCT_TOL = 1e-9    # default tolerance for structural predicates
-SOLVE_TOL = 1e-10    # residual bound promised by solve()
 EIG_MERGE_GAP = 1e-9  # relative gap under which eigenvalues share a projector
 PIVOT_REL = 1e-12    # rank-deficiency threshold relative to the max column norm
+
+_getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
 
 
 class SingularMatrix(ValueError):
@@ -69,28 +67,55 @@ def herm_imag(m) -> np.ndarray:
     return (m - m.conj().T) / 2j
 
 
+class LU:
+    """P L U = M from factor(): solves and a 1-norm condition estimate."""
+
+    def __init__(self, lu: np.ndarray, piv: np.ndarray, anorm: float):
+        self.lu, self.piv, self.anorm = lu, piv, anorm
+
+    def solve(self, rhs) -> np.ndarray:
+        """X with M X = RHS; ValueError on a misshapen or non-finite RHS."""
+        rhs = np.asarray(rhs, dtype=complex)
+        if rhs.shape[:1] != self.lu.shape[:1]:
+            raise ValueError(f"rhs has {len(rhs)} rows, expected {len(self.lu)}")
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return _getrs(self.lu, self.piv, rhs)[0] if rhs.size else np.zeros_like(rhs)
+
+    def rcond(self) -> float:
+        """LAPACK's estimate of 1/κ₁(M) from the LU (zgecon, O(k²))."""
+        return float(_gecon(self.lu, self.anorm)[0]) if self.lu.size else 1.0
+
+
+def factor(m) -> LU:
+    """LU-factor M once, with partial pivoting, for solves and rcond().
+
+    Raises ValueError on a non-square or non-finite M and SingularMatrix
+    when a pivot falls below ``PIVOT_REL`` times the largest column norm
+    of M.  M itself is left unchanged.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
+        return LU(m, np.zeros(0, dtype=np.int32), 0.0)
+    if not np.isfinite(m).all():
+        raise ValueError("array must not contain infs or NaNs")
+    col_scale = float(np.linalg.norm(m, axis=0).max())
+    anorm = float(np.abs(m).sum(axis=0).max())
+    lu, piv, _ = _getrf(np.array(m, order="F"), overwrite_a=True)
+    if np.abs(lu.diagonal()).min() <= PIVOT_REL * col_scale:
+        raise SingularMatrix("matrix is singular to working precision")
+    return LU(lu, piv, anorm)
+
+
 def solve(m, rhs) -> np.ndarray:
     """Solve M X = RHS by LU factorization with partial pivoting.
 
     Raises SingularMatrix when a pivot falls below ``1e-12`` times the
     largest column norm of M (the explicit inverse is never formed).
     """
-    m = np.asarray(m, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"solve needs a square matrix, got shape {m.shape}")
-    if rhs.shape[0] != m.shape[0]:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {m.shape[0]}")
-    if m.shape[0] == 0:
-        return np.zeros_like(rhs)
-    with warnings.catch_warnings():
-        # exact-zero pivots are reported through SingularMatrix below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m)
-    col_scale = float(np.max(np.linalg.norm(m, axis=0)))
-    if np.min(np.abs(np.diag(lu))) <= PIVOT_REL * col_scale:
-        raise SingularMatrix("matrix is singular to working precision")
-    return lu_solve((lu, piv), rhs)
+    return factor(m).solve(rhs)
 
 
 def is_hermitian(m, tol: float = STRUCT_TOL) -> bool:

@@ -8,20 +8,23 @@ smaller component over the external ports:
     Ω_red = Ω + Im{C_i† S_ii (η − S_ii)⁻¹ C_i} + Im{C_e† S_ei (η − S_ii)⁻¹ C_i}
 
 with η the permutation pairing internal outputs to internal inputs and
-Im{M} = (M − M†)/(2i).  The series product, beam-splitter loop and
+Im{M} = (M − M†)/(2i).  As S_ii (η − S_ii)⁻¹ = η (η − S_ii)⁻¹ − I and
+Im{C_i† C_i} = 0, the first Ω term is Im{C_i† η (η − S_ii)⁻¹ C_i}, where
+η X is a row gather.  The series product, beam-splitter loop and
 Redheffer star product below are special wirings of the same reduction;
 each also carries its closed-form parameter version.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matkit
 from .slh import LinearComponent, concatenate
-from .transfer import eval_transfer
+from .transfer import ResidualReport, eval_transfer
 
 _LOOP_RCOND = 1e-12
 
@@ -91,70 +94,66 @@ class PartitionedComponent:
             eta = np.zeros((0, 0), dtype=complex)
         if eta.shape != (len(i_out), len(i_in)) or not _is_permutation(eta):
             raise BadPartition("eta must be a permutation matrix over internal channels")
-        e_out = self.external_out
-        if e_out is None:
-            internal = set(i_out)
-            e_out = tuple(i for i in range(n) if i not in internal)
-        else:
-            e_out = tuple(int(i) for i in e_out)
-            if sorted(e_out + i_out) != list(range(n)):
-                raise BadPartition("external_out must be the complement of internal_out")
-        e_in = self.external_in
-        if e_in is None:
-            internal = set(i_in)
-            e_in = tuple(i for i in range(n) if i not in internal)
-        else:
-            e_in = tuple(int(i) for i in e_in)
-            if sorted(e_in + i_in) != list(range(n)):
-                raise BadPartition("external_in must be the complement of internal_in")
+        for side, internal in (("out", i_out), ("in", i_in)):
+            external = getattr(self, f"external_{side}")
+            if external is None:
+                skip = set(internal)
+                external = tuple(i for i in range(n) if i not in skip)
+            else:
+                external = tuple(int(i) for i in external)
+                if sorted(external + internal) != list(range(n)):
+                    raise BadPartition(
+                        f"external_{side} must be the complement of internal_{side}")
+            object.__setattr__(self, f"external_{side}", external)
         eta = eta.astype(complex)
         eta.flags.writeable = False
         object.__setattr__(self, "internal_out", i_out)
         object.__setattr__(self, "internal_in", i_in)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "external_out", e_out)
-        object.__setattr__(self, "external_in", e_in)
 
     @property
     def n_internal(self) -> int:
         return len(self.internal_out)
 
 
+def _blocks(pc: PartitionedComponent) -> tuple[np.ndarray, ...]:
+    """S_ii, S_ie, S_ei and S_ee: the internal/external blocks of pc's S."""
+    io, ii = list(pc.internal_out), list(pc.internal_in)
+    eo, ei = list(pc.external_out), list(pc.external_in)
+    S = pc.comp.S
+    return S[np.ix_(io, ii)], S[np.ix_(io, ei)], S[np.ix_(eo, ii)], S[np.ix_(eo, ei)]
+
+
 def feedback_reduce(pc: PartitionedComponent) -> LinearComponent:
     """Eliminate the internal channels of ``pc`` and return the reduced component.
 
-    Raises AlgebraicLoop when (η − S_ii) is singular or has condition
-    estimate beyond 1/1e-12.
+    One LU of (η − S_ii) gives both the solve and the singularity gate:
+    raises AlgebraicLoop when the LU meets matkit's pivot rule or when
+    LAPACK's 1-norm estimate of its reciprocal condition number (zgecon,
+    O(k²) on the LU) is ≤ 1e-12.
     """
     comp = pc.comp
-    S, C = comp.S, comp.C
-    io, ii = list(pc.internal_out), list(pc.internal_in)
-    eo, ei = list(pc.external_out), list(pc.external_in)
-    S_ii = S[np.ix_(io, ii)]
-    S_ie = S[np.ix_(io, ei)]
-    S_ei = S[np.ix_(eo, ii)]
-    S_ee = S[np.ix_(eo, ei)]
-    C_i = C[io, :]
-    C_e = C[eo, :]
-    loop = pc.eta - S_ii
-    if loop.size:
-        cond = np.linalg.cond(loop)
-        if not np.isfinite(cond) or 1.0 / cond <= _LOOP_RCOND:
-            raise AlgebraicLoop(
-                f"(eta - S_ii) is singular (condition estimate {cond:.3e})")
+    S_ii, S_ie, S_ei, S_ee = _blocks(pc)
+    C_i = comp.C[list(pc.internal_out)]
+    C_e = comp.C[list(pc.external_out)]
     try:
-        X = matkit.solve(loop, np.concatenate([S_ie, C_i], axis=1))
-    except matkit.SingularMatrix as exc:
-        raise AlgebraicLoop("(eta - S_ii) is singular") from exc
-    k = len(ei)
-    loop_S = X[:, :k]       # (η − S_ii)⁻¹ S_ie
+        lu = matkit.factor(pc.eta - S_ii)
+        rcond = lu.rcond()
+    except matkit.SingularMatrix:
+        rcond = 0.0
+    if not rcond > _LOOP_RCOND:
+        raise AlgebraicLoop("(eta - S_ii) is singular (condition estimate "
+                            f"{1 / rcond if rcond else math.inf:.3e})")
+    X = lu.solve(np.concatenate([S_ie, C_i], axis=1))
+    del S_ii, lu   # X is all the Ω products need: free 2k² entries first
+    k = S_ie.shape[1]
     loop_C = X[:, k:]       # (η − S_ii)⁻¹ C_i
-    S_red = S_ee + S_ei @ loop_S
-    C_red = C_e + S_ei @ loop_C
-    Omega_red = (comp.Omega
-                 + matkit.herm_imag(C_i.conj().T @ S_ii @ loop_C)
-                 + matkit.herm_imag(C_e.conj().T @ S_ei @ loop_C))
-    labels = tuple(comp.port_labels[i] for i in ei)
+    S_red = S_ee + S_ei @ X[:, :k]
+    coupled = S_ei @ loop_C
+    C_red = C_e + coupled
+    eta_X = loop_C[pc.eta.real.argmax(axis=1)] if len(loop_C) else loop_C   # η X_C
+    Omega_red = comp.Omega + matkit.herm_imag(C_i.conj().T @ eta_X + C_e.conj().T @ coupled)
+    labels = tuple(comp.port_labels[i] for i in pc.external_in)
     return LinearComponent(S_red, C_red, Omega_red, labels, comp.mode_labels)
 
 
@@ -186,25 +185,8 @@ def series_product(g2: LinearComponent, g1: LinearComponent,
                            g1.mode_labels + g2.mode_labels)
 
 
-@dataclass(frozen=True)
-class CascadeReport:
-    """Residuals ‖Xi_series(s) − Xi₂(s)Xi₁(s)‖_max over a set of Laplace points."""
-
-    s_points: tuple[complex, ...]
-    residuals: tuple[float, ...]
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals, default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= self.tol for r in self.residuals)
-
-
 def cascade_transfer_check(g2: LinearComponent, g1: LinearComponent,
-                           s_points, tol: float = 1e-10) -> CascadeReport:
+                           s_points, tol: float = 1e-10) -> ResidualReport:
     """Verify that the series transfer function factors as Xi₂·Xi₁ pointwise."""
     combined = series_product(g2, g1)
     s_points = tuple(complex(s) for s in s_points)
@@ -213,7 +195,7 @@ def cascade_transfer_check(g2: LinearComponent, g1: LinearComponent,
         lhs = eval_transfer(combined, s).Xi
         rhs = eval_transfer(g2, s).Xi @ eval_transfer(g1, s).Xi
         residuals.append(matkit.max_abs(lhs - rhs))
-    return CascadeReport(s_points, tuple(residuals), tol)
+    return ResidualReport(s_points, tuple(residuals), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,10 +307,8 @@ def beamsplitter_network(T: BeamSplitter, plant: LinearComponent) -> Partitioned
     n1, n2 = T.n1, T.n2
     loop_ports = tuple(range(n1, n1 + n2))
     plant_ports = tuple(range(n1 + n2, n1 + 2 * n2))
-    eye = np.eye(n2)
-    eta = np.zeros((2 * n2, 2 * n2))
-    eta[:n2, n2:] = eye   # splitter loop output -> plant input
-    eta[n2:, :n2] = eye   # plant output -> splitter loop input
+    # splitter loop outputs feed plant inputs and plant outputs feed loop inputs
+    eta = np.roll(np.eye(2 * n2), n2, axis=1)
     return PartitionedComponent(comp, internal_out=loop_ports + plant_ports,
                                 internal_in=loop_ports + plant_ports, eta=eta)
 
@@ -350,10 +330,7 @@ def redheffer_star(a: LinearComponent, b: LinearComponent,
     na = a.n_ports
     a_loop = tuple(range(na - k, na))
     b_loop = tuple(range(na, na + k))
-    eye = np.eye(k)
-    eta = np.zeros((2 * k, 2 * k))
-    eta[:k, k:] = eye   # a loop output -> b loop input
-    eta[k:, :k] = eye   # b loop output -> a loop input
+    eta = np.roll(np.eye(2 * k), k, axis=1)   # a's loop outputs feed b's inputs and back
     pc = PartitionedComponent(comp, internal_out=a_loop + b_loop,
                               internal_in=a_loop + b_loop, eta=eta)
     return feedback_reduce(pc)
@@ -383,14 +360,7 @@ def path_expansion_check(pc: PartitionedComponent, order: int) -> PathExpansionR
     a report with ``convergent=False`` is returned otherwise (the closed
     form may still exist there).
     """
-    comp = pc.comp
-    io, ii = list(pc.internal_out), list(pc.internal_in)
-    eo, ei = list(pc.external_out), list(pc.external_in)
-    S = comp.S
-    S_ii = S[np.ix_(io, ii)]
-    S_ie = S[np.ix_(io, ei)]
-    S_ei = S[np.ix_(eo, ii)]
-    S_ee = S[np.ix_(eo, ei)]
+    S_ii, S_ie, S_ei, S_ee = _blocks(pc)
     xi = pc.eta.T.conj()   # permutation inverse
     hop = S_ii @ xi
     if hop.size:

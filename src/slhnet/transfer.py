@@ -17,6 +17,7 @@ threshold matkit.solve applies to the single-point LU.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,14 @@ class FreqPoint:
 
 
 @dataclass(frozen=True)
-class AxisUnitarityReport:
-    """Per-frequency residuals ‖Xi·Xi† − I‖_max against a pass tolerance."""
+class ResidualReport:
+    """Residuals at a set of points against a pass tolerance.
 
-    omegas: tuple[float, ...]
+    check_unitary_on_axis reports ‖Xi·Xi† − I‖_max per frequency ω and
+    network.cascade_transfer_check ‖Xi_series − Xi₂Xi₁‖_max per Laplace point s.
+    """
+
+    points: tuple
     residuals: tuple[float, ...]
     tol: float
 
@@ -83,9 +88,11 @@ def eval_transfer(comp: LinearComponent, s: complex) -> TransferEvaluation:
     """Evaluate Xi(s) = S − C(sI−A)⁻¹C†S and xi(s) = C(sI−A)⁻¹.
 
     Raises SingularAtS when s is a pole (the resolvent solve detects rank
-    deficiency).
+    deficiency) and ValueError when s is not finite.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s = {s} is not finite")
     A = drift(comp)
     m = comp.m_modes
     resolvent_arg = s * np.eye(m) - A
@@ -159,7 +166,7 @@ def axis_residual(Xi: np.ndarray) -> np.ndarray:
 
 
 def check_unitary_on_axis(comp: LinearComponent, omegas, tol: float = 1e-8,
-                          sigma: float = SIGMA_MIN) -> AxisUnitarityReport:
+                          sigma: float = SIGMA_MIN) -> ResidualReport:
     """Sweep the axis and report ‖Xi(iω)Xi(iω)† − I‖_max per frequency.
 
     A pole on the grid counts as an infinite residual.
@@ -168,7 +175,7 @@ def check_unitary_on_axis(comp: LinearComponent, omegas, tol: float = 1e-8,
     singular = np.array([p.singular for p in points], dtype=bool)
     residuals = np.full(len(points), np.inf)
     residuals[~singular] = axis_residual(axis_xi(points, comp.n_ports))
-    return AxisUnitarityReport(tuple(p.omega for p in points), tuple(residuals.tolist()), tol)
+    return ResidualReport(tuple(p.omega for p in points), tuple(residuals.tolist()), tol)
 
 
 @dataclass(frozen=True)

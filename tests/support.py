@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from slhnet import (BeamSplitter, LinearComponent, PartitionedComponent,
-                    concatenate, feedback_reduce)
+                    concatenate, feedback_reduce, matkit)
 from slhnet.netfile import Edge, ExternalPort, NetDocument, ParseError
+from slhnet.network import AlgebraicLoop
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -77,6 +80,52 @@ def random_partitioned(rng: np.random.Generator, n: int, m: int,
             return pc
     raise ValueError(f"no random partition with (n, m, k) = ({n}, {m}, {k}) has a "
                      f"well-conditioned loop in {MAX_DRAWS} draws")
+
+
+def reference_feedback_reduce(pc: PartitionedComponent) -> LinearComponent:
+    """Reference reduction: an SVD condition gate in front of scipy's LU.
+
+    Rejects the loop when 1/cond₂(η − S_ii) from ``np.linalg.cond`` (a full
+    SVD) is ≤ 1e-12 or when an LU pivot falls below ``matkit.PIVOT_REL``
+    times the largest column norm; solves with ``lu_factor``/``lu_solve``
+    and forms Ω as Im{C_i† S_ii X_C} + Im{C_e† S_ei X_C}.
+    ``feedback_reduce`` must make the same decisions and give the same S
+    and C bit for bit.
+    """
+    comp = pc.comp
+    S, C = comp.S, comp.C
+    io, ii = list(pc.internal_out), list(pc.internal_in)
+    eo, ei = list(pc.external_out), list(pc.external_in)
+    S_ii = S[np.ix_(io, ii)]
+    S_ie = S[np.ix_(io, ei)]
+    S_ei = S[np.ix_(eo, ii)]
+    S_ee = S[np.ix_(eo, ei)]
+    C_i = C[io, :]
+    C_e = C[eo, :]
+    loop = pc.eta - S_ii
+    rhs = np.concatenate([S_ie, C_i], axis=1)
+    X = np.zeros_like(rhs)
+    if loop.size:
+        cond = np.linalg.cond(loop)
+        if not np.isfinite(cond) or 1.0 / cond <= 1e-12:
+            raise AlgebraicLoop(f"(eta - S_ii) is singular (condition estimate {cond:.3e})")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(loop)
+        col_scale = float(np.max(np.linalg.norm(loop, axis=0)))
+        if np.min(np.abs(np.diag(lu))) <= matkit.PIVOT_REL * col_scale:
+            raise AlgebraicLoop("(eta - S_ii) is singular")
+        X = lu_solve((lu, piv), rhs)
+    k = len(ei)
+    loop_S = X[:, :k]
+    loop_C = X[:, k:]
+    S_red = S_ee + S_ei @ loop_S
+    C_red = C_e + S_ei @ loop_C
+    Omega_red = (comp.Omega
+                 + matkit.herm_imag(C_i.conj().T @ S_ii @ loop_C)
+                 + matkit.herm_imag(C_e.conj().T @ S_ei @ loop_C))
+    labels = tuple(comp.port_labels[i] for i in ei)
+    return LinearComponent(S_red, C_red, Omega_red, labels, comp.mode_labels)
 
 
 def random_rhp_points(rng: np.random.Generator, count: int) -> list[complex]:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ class TestTf:
 
     def test_bad_s_usage(self, cavity_file):
         assert main(["tf", cavity_file, "--s", "abc"]) == 4
+
+    @pytest.mark.parametrize("s", ["nan,0", "0,inf", "1e400,0", "-inf,nan", "1,abc"])
+    def test_non_finite_s_usage(self, cavity_file, s, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tf", cavity_file, "--s", s]) == 4
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "--s" in captured.err
+        assert "invalid model" not in captured.err
+        assert captured.out == ""
 
 
 class TestFreqresp:

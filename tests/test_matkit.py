@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import lu_factor, lu_solve
 
 from slhnet import matkit
 
@@ -69,6 +70,71 @@ class TestSolve:
             m = haar_unitary(rng, n) + 0.1 * random_hermitian(rng, n)
             residual = matkit.max_abs(m @ matkit.solve(m, np.eye(n)) - np.eye(n))
             assert residual <= 1e-10
+
+
+def _random_system(rng, n, nrhs, scale):
+    m = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rhs = rng.standard_normal((n, nrhs)) + 1j * rng.standard_normal((n, nrhs))
+    return m, rhs
+
+
+class TestFactor:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), nrhs=st.integers(0, 6),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), vector=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_solve_matches_scipy_bit_for_bit(self, seed, n, nrhs, scale, vector):
+        m, rhs = _random_system(np.random.default_rng(seed), n, nrhs, scale)
+        if vector and nrhs:
+            rhs = rhs[:, 0]
+        got = matkit.solve(m, rhs)
+        want = lu_solve(lu_factor(m), rhs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_one_factor_serves_many_solves(self):
+        m, rhs = _random_system(np.random.default_rng(3), 6, 4, 1.0)
+        lu = matkit.factor(m)
+        assert lu.solve(rhs).tobytes() == matkit.solve(m, rhs).tobytes()
+        assert lu.solve(rhs[:, 1:3]).tobytes() == matkit.solve(m, rhs[:, 1:3]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_input_raises_value_error(self, bad):
+        m, rhs = _random_system(np.random.default_rng(5), 3, 2, 1.0)
+        m_bad, rhs_bad = m.copy(), rhs.copy()
+        m_bad[1, 2] = bad
+        rhs_bad[2, 1] = bad
+        for args in ((m_bad, rhs), (m, rhs_bad)):
+            with pytest.raises(ValueError) as info:
+                matkit.solve(*args)
+            assert not isinstance(info.value, matkit.SingularMatrix)
+
+    @pytest.mark.parametrize("m", [np.zeros((1, 1)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                   np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])])
+    def test_rank_deficient_raises(self, m):
+        with pytest.raises(matkit.SingularMatrix):
+            matkit.factor(m)
+
+    def test_empty_matrix(self):
+        lu = matkit.factor(np.zeros((0, 0)))
+        assert lu.rcond() == 1.0
+        assert lu.solve(np.zeros((0, 2))).shape == (0, 2)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           log_cond=st.floats(0.0, 11.0))
+    @settings(max_examples=100, deadline=None)
+    def test_rcond_within_factor_n_of_exact(self, seed, n, log_cond):
+        rng = np.random.default_rng(seed)
+        m = haar_unitary(rng, n) @ np.diag(np.logspace(0, -log_cond, n)) @ haar_unitary(rng, n)
+        exact = 1.0 / np.linalg.cond(m, 1)
+        estimate = matkit.factor(m).rcond()
+        # the estimator's ‖M⁻¹‖₁ is a lower bound, so rcond is never under-reported
+        assert exact * (1 - 1e-6) <= estimate <= exact * n * (1 + 1e-6)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_left_unchanged(self, order):
+        m, _ = _random_system(np.random.default_rng(9), 4, 0, 1.0)
+        kept = np.array(m, order=order)
+        lu = matkit.factor(kept)
+        assert np.array_equal(kept, m) and not np.shares_memory(lu.lu, kept)
 
 
 class TestEigHermitian:

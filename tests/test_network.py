@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slhnet import (BeamSplitter, LinearComponent, PartitionedComponent,
-                    beamsplitter_loop, beamsplitter_network,
+                    beamsplitter_loop, beamsplitter_network, build_partitioned,
                     cascade_transfer_check, concatenate, drift, eval_transfer,
                     feedback_reduce, make_cavity, matkit, mixing_splitter,
                     mobius, path_expansion_check, redheffer_star,
@@ -12,8 +14,9 @@ from slhnet import (BeamSplitter, LinearComponent, PartitionedComponent,
 from slhnet.network import AlgebraicLoop, BadPartition, DimensionMismatch, \
     OutsideDomain
 
-from support import (haar_unitary, random_component, random_partitioned,
-                     random_rhp_points, random_splitter, sequential_star)
+from support import (haar_unitary, random_component, random_network,
+                     random_partitioned, random_rhp_points, random_splitter,
+                     reference_feedback_reduce, sequential_star)
 
 
 def _series_wiring(g1, g2):
@@ -160,6 +163,106 @@ class TestFeedbackReduce:
         assert np.array_equal(red.S, comp.S)
         assert np.array_equal(red.C, comp.C)
         assert np.array_equal(red.Omega, comp.Omega)
+
+
+def _assert_same_reduction(pc):
+    """feedback_reduce against the reference: same decision, same S and C bits."""
+    try:
+        want = reference_feedback_reduce(pc)
+    except AlgebraicLoop:
+        with pytest.raises(AlgebraicLoop):
+            feedback_reduce(pc)
+        return False
+    got = feedback_reduce(pc)
+    for a, b in ((got.S, want.S), (got.C, want.C)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (got.port_labels, got.mode_labels) == (want.port_labels, want.mode_labels)
+    scale = max(1.0, matkit.max_abs(want.Omega))
+    assert matkit.max_abs(got.Omega - want.Omega) <= 1e-12 * scale
+    assert np.array_equal(got.Omega, got.Omega.conj().T)
+    return True
+
+
+def _pi_phase_loop(eps: float, gamma: float = 1.0) -> PartitionedComponent:
+    """mixing_splitter(1 − eps) closed around a π-phase cavity: det(η − S_ii) = −eps."""
+    return beamsplitter_network(mixing_splitter(1.0 - eps), make_cavity(gamma, phi=np.pi))
+
+
+def _unit_pivot_loop(k: int) -> PartitionedComponent:
+    """A loop η − S_ii = I − (strict upper triangle of ones): unit pivots, κ₁ = k·2^(k−1)."""
+    S = np.zeros((k + 1, k + 1), dtype=complex)
+    S[:k, :k] = np.triu(np.ones((k, k)), 1)
+    S[0, k] = S[k, 0] = S[k, k] = 0.5
+    C = np.zeros((k + 1, 1))
+    C[k, 0] = 1.0
+    return PartitionedComponent(LinearComponent(S, C, [[0.3]]), internal_out=tuple(range(k)),
+                                internal_in=tuple(range(k)), eta=np.eye(k))
+
+
+def _reduction_case(rng: np.random.Generator, kind: str) -> PartitionedComponent:
+    if kind == "partitioned":
+        n = int(rng.integers(1, 7))
+        return random_partitioned(rng, n, int(rng.integers(0, 5)), int(rng.integers(0, n + 1)))
+    if kind == "network":
+        return build_partitioned(random_network(rng, 12))
+    if kind == "splitter":
+        n2 = int(rng.integers(1, 3))
+        T = random_splitter(rng, int(rng.integers(1, 3)), n2)
+        return beamsplitter_network(T, random_component(rng, n2, int(rng.integers(0, 3))))
+    # near-singular loops a decade apart, on both sides of the 1e-12 gate
+    return _pi_phase_loop(10.0 ** -int(rng.integers(8, 17)), float(rng.uniform(0.1, 3.0)))
+
+
+class TestReductionMatchesReference:
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["partitioned", "network", "splitter", "near_singular"]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_decision_and_result(self, seed, kind):
+        _assert_same_reduction(_reduction_case(np.random.default_rng(seed), kind))
+
+    @pytest.mark.parametrize("exponent, accepted", [
+        (9, True), (10, True), (11, True),
+        (12, False), (13, False), (14, False), (15, False)])
+    def test_near_singular_splitter_loop_decisions(self, exponent, accepted):
+        assert _assert_same_reduction(_pi_phase_loop(10.0 ** -exponent)) is accepted
+
+    @pytest.mark.parametrize("k, accepted", [
+        (30, True), (33, True), (35, True), (37, False), (38, False), (44, False)])
+    def test_condition_gate_decisions_with_unit_pivots(self, k, accepted):
+        # every LU pivot is 1, so only the condition gate can reject the loop
+        assert _assert_same_reduction(_unit_pivot_loop(k)) is accepted
+
+    def test_condition_gate_uses_the_one_norm(self):
+        # κ₁ = k·2^(k−1) exceeds κ₂ by ~2.5 here: 1/κ₂ = 1.98e-12 passes the
+        # reference's SVD gate, 1/κ₁ = 8.08e-13 fails the LU estimate
+        pc = _unit_pivot_loop(36)
+        assert reference_feedback_reduce(pc).n_ports == 1
+        with pytest.raises(AlgebraicLoop, match="condition estimate 1.237e"):
+            feedback_reduce(pc)
+
+    def test_exactly_singular_ring_rejected_by_both(self):
+        ring = PartitionedComponent(make_cavity(1.0), internal_out=(0,),
+                                    internal_in=(0,), eta=np.eye(1))
+        assert _assert_same_reduction(ring) is False
+
+    def test_one_factorization_and_no_svd(self, monkeypatch):
+        pc = random_partitioned(np.random.default_rng(107), 5, 3, 3)
+        want = reference_feedback_reduce(pc)
+        singular = _pi_phase_loop(1e-14)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("feedback_reduce must not take an SVD")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        calls = []
+        factor = matkit.factor
+        monkeypatch.setattr(matkit, "factor", lambda *a, **k: calls.append(1) or factor(*a, **k))
+        assert np.array_equal(feedback_reduce(pc).S, want.S)
+        assert calls == [1]
+        with pytest.raises(AlgebraicLoop):
+            feedback_reduce(singular)
+        assert calls == [1, 1]
 
 
 class TestSeriesProduct:

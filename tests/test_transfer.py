@@ -1,5 +1,7 @@
 """Unit tests for transfer-function evaluation and the all-pass closed form."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -36,6 +38,23 @@ class TestEvalTransfer:
         comp = make_cavity(0.0, omega=1.0)   # drift eigenvalue at -1i
         with pytest.raises(SingularAtS):
             eval_transfer(comp, -1j)
+
+    @pytest.mark.parametrize("s", [complex(np.nan, 0), complex(0, np.inf),
+                                   complex(-np.inf, 1), complex(np.inf, np.nan)])
+    @pytest.mark.parametrize("modes", [0, 2])
+    def test_non_finite_s_raises_before_solving(self, s, modes, monkeypatch):
+        comp = random_component(np.random.default_rng(17), 2, modes)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no solve for a non-finite s")
+
+        monkeypatch.setattr(matkit, "solve", refuse)
+        monkeypatch.setattr(matkit, "factor", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite") as info:
+                eval_transfer(comp, s)
+        assert not isinstance(info.value, SingularAtS)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(41)
