@@ -12,7 +12,7 @@ from scipy.linalg import get_lapack_funcs
 
 STRUCT_TOL = 1e-9    # default tolerance for structural predicates
 EIG_MERGE_GAP = 1e-9  # relative gap under which eigenvalues share a projector
-PIVOT_REL = 1e-12    # rank-deficiency threshold relative to the max column norm
+PIVOT_REL = 1e-12    # rank-deficiency threshold relative to the max column 1-norm
 
 _getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
 
@@ -91,8 +91,8 @@ def factor(m) -> LU:
     """LU-factor M once, with partial pivoting, for solves and rcond().
 
     Raises ValueError on a non-square or non-finite M and SingularMatrix
-    when a pivot falls below ``PIVOT_REL`` times the largest column norm
-    of M.  M itself is left unchanged.
+    when a pivot falls below ``PIVOT_REL`` times the largest column
+    1-norm of M, ‖M‖₁.  M itself is left unchanged.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -101,10 +101,9 @@ def factor(m) -> LU:
         return LU(m, np.zeros(0, dtype=np.int32), 0.0)
     if not np.isfinite(m).all():
         raise ValueError("array must not contain infs or NaNs")
-    col_scale = float(np.linalg.norm(m, axis=0).max())
     anorm = float(np.abs(m).sum(axis=0).max())
     lu, piv, _ = _getrf(np.array(m, order="F"), overwrite_a=True)
-    if np.abs(lu.diagonal()).min() <= PIVOT_REL * col_scale:
+    if np.abs(lu.diagonal()).min() <= PIVOT_REL * anorm:
         raise SingularMatrix("matrix is singular to working precision")
     return LU(lu, piv, anorm)
 
@@ -113,7 +112,7 @@ def solve(m, rhs) -> np.ndarray:
     """Solve M X = RHS by LU factorization with partial pivoting.
 
     Raises SingularMatrix when a pivot falls below ``1e-12`` times the
-    largest column norm of M (the explicit inverse is never formed).
+    largest column 1-norm of M (the explicit inverse is never formed).
     """
     return factor(m).solve(rhs)
 

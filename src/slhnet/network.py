@@ -10,20 +10,21 @@ smaller component over the external ports:
 with η the permutation pairing internal outputs to internal inputs and
 Im{M} = (M − M†)/(2i).  As S_ii (η − S_ii)⁻¹ = η (η − S_ii)⁻¹ − I and
 Im{C_i† C_i} = 0, the first Ω term is Im{C_i† η (η − S_ii)⁻¹ C_i}, where
-η X is a row gather.  The series product, beam-splitter loop and
-Redheffer star product below are special wirings of the same reduction;
-each also carries its closed-form parameter version.
+η X is a row gather.  One kernel computes it; the wirings below are index
+patterns of it over a direct sum (Gough & James, arXiv:0804.3442) and
+share its LU and singularity gate: series (g1's outputs feed g2's inputs),
+star (a's last k ports cross b's first k), beam-splitter loop (star of
+splitter and plant) and Möbius transform (S of the star of T and X).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matkit
-from .slh import LinearComponent, concatenate
+from .slh import LinearComponent, block_diag, concatenate
 from .transfer import ResidualReport, eval_transfer
 
 _LOOP_RCOND = 1e-12
@@ -124,37 +125,45 @@ def _blocks(pc: PartitionedComponent) -> tuple[np.ndarray, ...]:
     return S[np.ix_(io, ii)], S[np.ix_(io, ei)], S[np.ix_(eo, ii)], S[np.ix_(eo, ei)]
 
 
-def feedback_reduce(pc: PartitionedComponent) -> LinearComponent:
-    """Eliminate the internal channels of ``pc`` and return the reduced component.
+def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
+    """Reduce (S, C, Omega), output i_out[s] feeding input i_in[perm[s]], onto e_out × e_in.
 
-    One LU of (η − S_ii) gives both the solve and the singularity gate:
-    raises AlgebraicLoop when the LU meets matkit's pivot rule or when
-    LAPACK's 1-norm estimate of its reciprocal condition number (zgecon,
-    O(k²) on the LU) is ≤ 1e-12.
+    One LU of (η − S_ii) gives the solve and the gate: AlgebraicLoop when
+    the LU meets matkit's pivot rule or LAPACK's 1-norm estimate of its
+    reciprocal condition number (zgecon, O(k²) on the LU) is ≤ 1e-12.
     """
-    comp = pc.comp
-    S_ii, S_ie, S_ei, S_ee = _blocks(pc)
-    C_i = comp.C[list(pc.internal_out)]
-    C_e = comp.C[list(pc.external_out)]
-    try:
-        lu = matkit.factor(pc.eta - S_ii)
+    n_e = len(e_in)
+    S_i, C_i = S.take(i_out, axis=0), C.take(i_out, axis=0)
+    try:   # factor η − S_ii
+        lu = matkit.factor(np.eye(len(i_out), dtype=complex)[perm] - S_i.take(i_in, axis=1))
         rcond = lu.rcond()
     except matkit.SingularMatrix:
         rcond = 0.0
     if not rcond > _LOOP_RCOND:
         raise AlgebraicLoop("(eta - S_ii) is singular (condition estimate "
-                            f"{1 / rcond if rcond else math.inf:.3e})")
-    X = lu.solve(np.concatenate([S_ie, C_i], axis=1))
-    del S_ii, lu   # X is all the Ω products need: free 2k² entries first
-    k = S_ie.shape[1]
-    loop_C = X[:, k:]       # (η − S_ii)⁻¹ C_i
-    S_red = S_ee + S_ei @ X[:, :k]
+                            f"{1 / rcond if rcond else np.inf:.3e})")
+    X = lu.solve(np.concatenate([S_i.take(e_in, axis=1), C_i], axis=1))
+    del S_i, lu   # X is all the Ω products need: free the k-row arrays first
+    S_e, C_e = S.take(e_out, axis=0), C.take(e_out, axis=0)
+    S_ei = S_e.take(i_in, axis=1)
+    loop_C = X[:, n_e:]       # (η − S_ii)⁻¹ C_i
     coupled = S_ei @ loop_C
-    C_red = C_e + coupled
-    eta_X = loop_C[pc.eta.real.argmax(axis=1)] if len(loop_C) else loop_C   # η X_C
-    Omega_red = comp.Omega + matkit.herm_imag(C_i.conj().T @ eta_X + C_e.conj().T @ coupled)
-    labels = tuple(comp.port_labels[i] for i in pc.external_in)
-    return LinearComponent(S_red, C_red, Omega_red, labels, comp.mode_labels)
+    Omega = Omega + matkit.herm_imag(C_i.conj().T @ loop_C[perm] + C_e.conj().T @ coupled)
+    return S_e.take(e_in, axis=1) + S_ei @ X[:, :n_e], C_e + coupled, Omega
+
+
+def feedback_reduce(pc: PartitionedComponent) -> LinearComponent:
+    """Eliminate the internal channels of ``pc``; AlgebraicLoop as in :func:`_eliminate`."""
+    comp = pc.comp
+    perm = np.nonzero(pc.eta.real > 0.5)[1]   # row s of η has its 1 in column perm[s]
+    S, C, Omega = _eliminate(comp.S, comp.C, comp.Omega, pc.internal_out, pc.internal_in,
+                             perm, pc.external_out, pc.external_in)
+    return LinearComponent(S, C, Omega, tuple(comp.port_labels[i] for i in pc.external_in),
+                           comp.mode_labels)
+
+
+def _prefixed(prefix: str | None, labels: tuple[str, ...]) -> tuple[str, ...]:
+    return labels if prefix is None else tuple(f"{prefix}.{label}" for label in labels)
 
 
 def series_product(g2: LinearComponent, g1: LinearComponent,
@@ -169,20 +178,12 @@ def series_product(g2: LinearComponent, g1: LinearComponent,
             f"series product needs equal port counts, got {g1.n_ports} and {g2.n_ports}")
     if prefixes is None and set(g1.mode_labels) & set(g2.mode_labels):
         prefixes = ("g1", "g2")
-    if prefixes is not None:
-        g1 = g1.relabeled(prefixes[0])
-        g2 = g2.relabeled(prefixes[1])
-    m1, m2 = g1.m_modes, g2.m_modes
-    S = g2.S @ g1.S
-    C = np.concatenate([g2.S @ g1.C, g2.C], axis=1)
-    coupling = np.zeros((m1 + m2, m1 + m2), dtype=complex)
-    coupling[m1:, :m1] = g2.C.conj().T @ g2.S @ g1.C   # from Im{L₂†S₂L₁}
-    Omega = np.zeros((m1 + m2, m1 + m2), dtype=complex)
-    Omega[:m1, :m1] = g1.Omega
-    Omega[m1:, m1:] = g2.Omega
-    Omega = Omega + matkit.herm_imag(coupling)
-    return LinearComponent(S, C, Omega, g2.port_labels,
-                           g1.mode_labels + g2.mode_labels)
+    p1, p2 = prefixes or (None, None)
+    up, down = np.arange(g1.n_ports), np.arange(g1.n_ports, 2 * g1.n_ports)   # g1's, g2's ports
+    pairs = zip((g1.S, g1.C, g1.Omega), (g2.S, g2.C, g2.Omega))
+    S, C, Omega = _eliminate(*map(block_diag, pairs), up, down, up, down, up)
+    return LinearComponent(S, C, Omega, _prefixed(p2, g2.port_labels),
+                           _prefixed(p1, g1.mode_labels) + _prefixed(p2, g2.mode_labels))
 
 
 def cascade_transfer_check(g2: LinearComponent, g1: LinearComponent,
@@ -196,6 +197,22 @@ def cascade_transfer_check(g2: LinearComponent, g1: LinearComponent,
         rhs = eval_transfer(g2, s).Xi @ eval_transfer(g1, s).Xi
         residuals.append(matkit.max_abs(lhs - rhs))
     return ResidualReport(s_points, tuple(residuals), tol)
+
+
+def _static(S: np.ndarray):
+    return S, np.zeros((len(S), 0)), np.zeros((0, 0))   # (S, C, Omega) without modes
+
+
+def _star(a, b, k: int):
+    """Star product of (S, C, Omega) triples: a's last k ports cross b's first k.
+
+    The result has a's leading ports, then b's trailing ones.
+    """
+    na, nb = len(a[0]), len(b[0])
+    loop = np.arange(na - k, na + k)
+    outer = np.concatenate([np.arange(na - k), np.arange(na + k, na + nb)])
+    cross = (np.arange(2 * k) + k) % (2 * k)   # channel s feeds channel (s + k) mod 2k
+    return _eliminate(*map(block_diag, zip(a, b)), loop, loop, cross, outer, outer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +257,7 @@ class BeamSplitter:
 
     def to_component(self) -> LinearComponent:
         """The splitter as a static component: S = T, no modes."""
-        n = self.n1 + self.n2
-        return LinearComponent(self.T, np.zeros((n, 0)), np.zeros((0, 0)))
+        return LinearComponent(*_static(self.T))
 
 
 def mixing_splitter(alpha: float) -> BeamSplitter:
@@ -255,15 +271,14 @@ def mixing_splitter(alpha: float) -> BeamSplitter:
 def mobius(T: BeamSplitter, X) -> np.ndarray:
     """Non-commutative Möbius transform T₁₁ + T₁₂(I − X·T₂₂)⁻¹X·T₂₁.
 
-    Maps unitary X in its domain to unitary results.  Raises
-    OutsideDomain when (I − X·T₂₂) is singular.
+    Maps unitary X in its domain to unitary results.  It is the S block of
+    the star of T and the static X; OutsideDomain when that loop is singular.
     """
     X = matkit.as_matrix(X, rows=T.n2, cols=T.n2, name="X")
     try:
-        inner = matkit.solve(np.eye(T.n2) - X @ T.T22, X @ T.T21)
-    except matkit.SingularMatrix as exc:
+        return _star(_static(T.T), _static(X), T.n2)[0]
+    except AlgebraicLoop as exc:
         raise OutsideDomain("(I - X T22) is singular") from exc
-    return T.T11 + T.T12 @ inner
 
 
 def beamsplitter_loop(T: BeamSplitter, plant: LinearComponent) -> LinearComponent:
@@ -279,17 +294,7 @@ def beamsplitter_loop(T: BeamSplitter, plant: LinearComponent) -> LinearComponen
     if plant.n_ports != T.n2:
         raise DimensionMismatch(
             f"plant has {plant.n_ports} ports, splitter loop block expects {T.n2}")
-    S0, C0 = plant.S, plant.C
-    loop = np.eye(T.n2) - S0 @ T.T22
-    try:
-        X = matkit.solve(loop, np.concatenate([S0 @ T.T21, C0], axis=1))
-    except matkit.SingularMatrix as exc:
-        raise AlgebraicLoop("(1 - S0 T22) is singular") from exc
-    loop_S = X[:, :T.n1]
-    loop_C = X[:, T.n1:]
-    S = T.T11 + T.T12 @ loop_S
-    C = T.T12 @ loop_C
-    Omega = plant.Omega + matkit.herm_imag(C0.conj().T @ loop_C)
+    S, C, Omega = _star(_static(T.T), (plant.S, plant.C, plant.Omega), T.n2)
     return LinearComponent(S, C, Omega, mode_labels=plant.mode_labels)
 
 
@@ -320,20 +325,16 @@ def redheffer_star(a: LinearComponent, b: LinearComponent,
     The last ``channels`` ports of ``a`` and the first ``channels`` ports
     of ``b`` become internal: a's loop outputs feed b's loop inputs and
     vice versa.  The composite keeps a's leading ports followed by b's
-    trailing ports.
+    trailing ports; labels are prefixed "a."/"b.".
     """
     k = int(channels)
     if k < 0 or k > a.n_ports or k > b.n_ports:
         raise DimensionMismatch(
             f"cannot cross {k} channels between {a.n_ports}- and {b.n_ports}-port components")
-    comp = concatenate(a, b, prefixes=("a", "b"))
-    na = a.n_ports
-    a_loop = tuple(range(na - k, na))
-    b_loop = tuple(range(na, na + k))
-    eta = np.roll(np.eye(2 * k), k, axis=1)   # a's loop outputs feed b's inputs and back
-    pc = PartitionedComponent(comp, internal_out=a_loop + b_loop,
-                              internal_in=a_loop + b_loop, eta=eta)
-    return feedback_reduce(pc)
+    S, C, Omega = _star((a.S, a.C, a.Omega), (b.S, b.C, b.Omega), k)
+    return LinearComponent(S, C, Omega, _prefixed("a", a.port_labels[:a.n_ports - k])
+                           + _prefixed("b", b.port_labels[k:]),
+                           _prefixed("a", a.mode_labels) + _prefixed("b", b.mode_labels))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ A single point costs one LU solve of the m×m resolvent.  A frequency
 sweep over G points instead factors the drift once, A = Q T Q† (complex
 Schur form, Laub 1981), and pays one O(m³) factorization plus one
 O(n·m²) triangular solve per point.  The sweep marks s as a pole when
-min_i |s − T_ii| ≤ 1e-12 × (largest column norm of sI − A), the pivot
-threshold matkit.solve applies to the single-point LU.
+min_i |s − T_ii| ≤ 1e-12 × (largest column 1-norm of sI − A), the
+pivot threshold matkit.solve applies to the single-point LU.
 """
 
 from __future__ import annotations
@@ -127,11 +127,10 @@ def freq_response(comp: LinearComponent, omegas,
     T, Q = schur(A, output="complex")
     s = sigma + 1j * omegas
     t = np.diag(T)
-    # column norms of sI − A from its diagonal and the fixed off-diagonal part
+    # column 1-norms of sI − A from its diagonal and the fixed off-diagonal part
     a = np.diag(A)
-    off_sq = np.sum(np.abs(A - np.diag(a)) ** 2, axis=0)
-    col_scale = np.sqrt(np.max(np.abs(s[:, None] - a) ** 2 + off_sq, axis=1,
-                               initial=0.0))
+    off = np.sum(np.abs(A - np.diag(a)), axis=0)
+    col_scale = np.max(np.abs(s[:, None] - a) + off, axis=1, initial=0.0)
     gap = np.min(np.abs(s[:, None] - t), axis=1, initial=np.inf)
     singular = gap <= matkit.PIVOT_REL * col_scale
 

@@ -11,7 +11,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from slhnet import (BeamSplitter, LinearComponent, PartitionedComponent,
                     concatenate, feedback_reduce, matkit)
 from slhnet.netfile import Edge, ExternalPort, NetDocument, ParseError
-from slhnet.network import AlgebraicLoop
+from slhnet.network import AlgebraicLoop, DimensionMismatch, OutsideDomain
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -159,6 +159,113 @@ def sequential_star(a: LinearComponent, b: LinearComponent,
     pc2 = PartitionedComponent(red, internal_out=(out_map.index(out2),),
                                internal_in=(in_map.index(in2),), eta=np.eye(1))
     return feedback_reduce(pc2)
+
+
+def sequential_reduce(pc: PartitionedComponent, order) -> LinearComponent:
+    """Reduction oracle: eliminate pc's internal edges one at a time.
+
+    Edge s joins internal output ``internal_out[s]`` to the internal input
+    η pairs it with; ``order`` lists the edges in elimination order.  Each
+    step reduces one edge with η = [[1]] and the default (ascending)
+    external orders, so the result has the port layout of
+    ``feedback_reduce(pc)`` when pc uses the default external orders.
+    """
+    perm = pc.eta.real.argmax(axis=1)
+    n = pc.comp.n_ports
+    outs, ins = list(range(n)), list(range(n))   # current port index -> original port
+    comp = pc.comp
+    for s in order:
+        out, into = pc.internal_out[s], pc.internal_in[perm[s]]
+        comp = feedback_reduce(PartitionedComponent(
+            comp, internal_out=(outs.index(out),), internal_in=(ins.index(into),),
+            eta=np.eye(1)))
+        outs = [p for p in outs if p != out]
+        ins = [p for p in ins if p != into]
+    return comp
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the standard wirings: oracles for the elimination kernel
+
+def closed_form_series(g2: LinearComponent, g1: LinearComponent,
+                       prefixes: tuple[str, str] | None = None) -> LinearComponent:
+    """Series product from its closed form.
+
+    S = S₂S₁, C = [S₂C₁, C₂], Ω = Ω₁ ⊕ Ω₂ + Im{C₂†S₂C₁} placed below the
+    diagonal; labels as ``series_product``.
+    """
+    if g1.n_ports != g2.n_ports:
+        raise DimensionMismatch(
+            f"series product needs equal port counts, got {g1.n_ports} and {g2.n_ports}")
+    if prefixes is None and set(g1.mode_labels) & set(g2.mode_labels):
+        prefixes = ("g1", "g2")
+    if prefixes is not None:
+        g1 = g1.relabeled(prefixes[0])
+        g2 = g2.relabeled(prefixes[1])
+    m1, m2 = g1.m_modes, g2.m_modes
+    S = g2.S @ g1.S
+    C = np.concatenate([g2.S @ g1.C, g2.C], axis=1)
+    coupling = np.zeros((m1 + m2, m1 + m2), dtype=complex)
+    coupling[m1:, :m1] = g2.C.conj().T @ g2.S @ g1.C   # from Im{L₂†S₂L₁}
+    Omega = np.zeros((m1 + m2, m1 + m2), dtype=complex)
+    Omega[:m1, :m1] = g1.Omega
+    Omega[m1:, m1:] = g2.Omega
+    Omega = Omega + matkit.herm_imag(coupling)
+    return LinearComponent(S, C, Omega, g2.port_labels,
+                           g1.mode_labels + g2.mode_labels)
+
+
+def closed_form_loop(T: BeamSplitter, plant: LinearComponent) -> LinearComponent:
+    """Beam-splitter loop from its closed form, gated by the pivot rule alone.
+
+        S = T₁₁ + T₁₂(1 − S₀T₂₂)⁻¹S₀T₂₁
+        C = T₁₂(1 − S₀T₂₂)⁻¹C₀
+        Ω = Ω₀ + Im{C₀†(1 − S₀T₂₂)⁻¹C₀}
+    """
+    if plant.n_ports != T.n2:
+        raise DimensionMismatch(
+            f"plant has {plant.n_ports} ports, splitter loop block expects {T.n2}")
+    S0, C0 = plant.S, plant.C
+    loop = np.eye(T.n2) - S0 @ T.T22
+    try:
+        X = matkit.solve(loop, np.concatenate([S0 @ T.T21, C0], axis=1))
+    except matkit.SingularMatrix as exc:
+        raise AlgebraicLoop("(1 - S0 T22) is singular") from exc
+    loop_S = X[:, :T.n1]
+    loop_C = X[:, T.n1:]
+    S = T.T11 + T.T12 @ loop_S
+    C = T.T12 @ loop_C
+    Omega = plant.Omega + matkit.herm_imag(C0.conj().T @ loop_C)
+    return LinearComponent(S, C, Omega, mode_labels=plant.mode_labels)
+
+
+def closed_form_mobius(T: BeamSplitter, X) -> np.ndarray:
+    """T₁₁ + T₁₂(I − X·T₂₂)⁻¹X·T₂₁, gated by the pivot rule alone."""
+    X = matkit.as_matrix(X, rows=T.n2, cols=T.n2, name="X")
+    try:
+        inner = matkit.solve(np.eye(T.n2) - X @ T.T22, X @ T.T21)
+    except matkit.SingularMatrix as exc:
+        raise OutsideDomain("(I - X T22) is singular") from exc
+    return T.T11 + T.T12 @ inner
+
+
+def reference_star(a: LinearComponent, b: LinearComponent, channels: int) -> LinearComponent:
+    """Star product as ``feedback_reduce`` of an explicit ``concatenate`` partition.
+
+    a's last ``channels`` outputs feed b's first inputs and back.
+    """
+    k = int(channels)
+    if k < 0 or k > a.n_ports or k > b.n_ports:
+        raise DimensionMismatch(
+            f"cannot cross {k} channels between {a.n_ports}- and {b.n_ports}-port components")
+    comp = concatenate(a, b, prefixes=("a", "b"))
+    na = a.n_ports
+    a_loop = tuple(range(na - k, na))
+    b_loop = tuple(range(na, na + k))
+    eta = np.roll(np.eye(2 * k), k, axis=1)   # a's loop outputs feed b's inputs and back
+    pc = PartitionedComponent(comp, internal_out=a_loop + b_loop,
+                              internal_in=a_loop + b_loop, eta=eta)
+    return feedback_reduce(pc)
 
 
 # ---------------------------------------------------------------------------

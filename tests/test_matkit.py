@@ -1,5 +1,7 @@
 """Unit tests for the complex-matrix kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,3 +220,14 @@ def test_as_matrix_rejects_nonfinite():
 
 def test_max_abs_empty_is_zero():
     assert matkit.max_abs(np.zeros((0, 2))) == 0.0
+
+
+def test_pivot_rule_scale_does_not_overflow():
+    # the column scale is the 1-norm: no entry is squared, so no overflow
+    m = np.array([[1e300, 1.0], [1.0, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = matkit.solve(m, np.eye(2))
+        rcond = matkit.factor(m).rcond()
+    assert matkit.max_abs(x * 1e300 - np.eye(2)) <= 1e-15
+    assert rcond == pytest.approx(1.0, rel=1e-12)

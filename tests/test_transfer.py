@@ -283,3 +283,13 @@ def test_all_poles_left_half_plane():
     for _ in range(20):
         comp = random_component(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         assert np.all(np.linalg.eigvals(drift(comp)).real <= 1e-10)
+
+
+def test_sweep_pole_rule_scale_does_not_overflow():
+    # the pole threshold takes column 1-norms of sI − A: no entry is squared
+    comp = LinearComponent(np.eye(2), np.zeros((2, 2)), [[0.0, 1e200], [1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = freq_response(comp, [0.0, 1.0])
+    assert not any(p.singular for p in points)
+    assert all(np.array_equal(p.evaluation.Xi, np.eye(2)) for p in points)
