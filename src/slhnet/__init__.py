@@ -6,17 +6,15 @@ and Redheffer-star arrangements, converts between Stratonovich and Ito
 parameterizations, and reads/writes the QNET text format.
 """
 
-from .slh import (LinearComponent, StateSpace, ValidationIssue, ValidationReport,
-                  concatenate, drift, make_cavity, realize, validate)
+from .slh import (LinearComponent, ValidationIssue, ValidationReport, concatenate,
+                  drift, make_cavity, validate)
 from .transfer import (CommutingForm, FreqPoint, SIGMA_MIN, TransferEvaluation,
                        check_unitary_on_axis, commuting_form, eval_transfer,
                        freq_response, poles_zeros_commuting)
 from .network import (BeamSplitter, PartitionedComponent, beamsplitter_loop,
-                      beamsplitter_network, cascade_transfer_check,
-                      feedback_reduce, mixing_splitter, mobius,
-                      path_expansion_check, redheffer_star, series_product)
-from .stratcal import (ConsistencyResiduals, StratonovichModel,
-                       cayley_from_generator, ito_table_residuals,
+                      beamsplitter_network, feedback_reduce, mixing_splitter,
+                      mobius, redheffer_star, series_product)
+from .stratcal import (ConsistencyResiduals, StratonovichModel, ito_table_residuals,
                        ito_to_strat, strat_to_ito)
 from .netfile import (Edge, ExternalPort, NetDocument, ParseError,
                       build_partitioned, parse, serialize)
@@ -24,16 +22,15 @@ from .netfile import (Edge, ExternalPort, NetDocument, ParseError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinearComponent", "StateSpace", "ValidationIssue", "ValidationReport",
-    "concatenate", "drift", "make_cavity", "realize", "validate",
+    "LinearComponent", "ValidationIssue", "ValidationReport",
+    "concatenate", "drift", "make_cavity", "validate",
     "CommutingForm", "FreqPoint", "SIGMA_MIN", "TransferEvaluation",
     "check_unitary_on_axis", "commuting_form", "eval_transfer",
     "freq_response", "poles_zeros_commuting",
     "BeamSplitter", "PartitionedComponent", "beamsplitter_loop",
-    "beamsplitter_network", "cascade_transfer_check", "feedback_reduce",
-    "mixing_splitter", "mobius", "path_expansion_check", "redheffer_star",
-    "series_product",
-    "ConsistencyResiduals", "StratonovichModel", "cayley_from_generator",
+    "beamsplitter_network", "feedback_reduce", "mixing_splitter", "mobius",
+    "redheffer_star", "series_product",
+    "ConsistencyResiduals", "StratonovichModel",
     "ito_table_residuals", "ito_to_strat", "strat_to_ito",
     "Edge", "ExternalPort", "NetDocument", "ParseError",
     "build_partitioned", "parse", "serialize",

@@ -218,8 +218,6 @@ def _cmd_strat2ito(args) -> int:
     found = parse_matrix_assignments(_read_text(args.file))
     _require_keys(found, ("E", "F", "K"), args.file)
     E, F, K = found["E"], found["F"], found["K"]
-    if F.size == 0:
-        F = np.zeros((E.shape[0], K.shape[0]), dtype=complex)
     sm = StratonovichModel(E=E, F=F, K=K)
     comp = strat_to_ito(sm)
     out = format_matrix_assignments(
@@ -232,8 +230,6 @@ def _cmd_ito2strat(args) -> int:
     found = parse_matrix_assignments(_read_text(args.file))
     _require_keys(found, ("S", "C", "Omega"), args.file)
     S, C, Omega = found["S"], found["C"], found["Omega"]
-    if C.size == 0:
-        C = np.zeros((S.shape[0], Omega.shape[0]), dtype=complex)
     comp = LinearComponent(S, C, Omega)
     report = validate(comp)
     if not report.ok:

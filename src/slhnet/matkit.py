@@ -12,13 +12,21 @@ from scipy.linalg import get_lapack_funcs
 
 STRUCT_TOL = 1e-9    # default tolerance for structural predicates
 EIG_MERGE_GAP = 1e-9  # relative gap under which eigenvalues share a projector
-PIVOT_REL = 1e-12    # rank-deficiency threshold relative to the max column 1-norm
+PIVOT_REL = 1e-12    # least pivot / max column 1-norm, and least 1-norm rcond, to solve
 
 _getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
 
 
 class SingularMatrix(ValueError):
-    """The LU factorization detected rank deficiency."""
+    """The LU factorization found M too close to singular to solve.
+
+    ``condition`` is the 1-norm condition estimate of M, inf when a pivot
+    met the pivot rule (no estimate is taken then).
+    """
+
+    def __init__(self, condition: float):
+        super().__init__("matrix is singular to working precision")
+        self.condition = condition
 
 
 class NotHermitian(ValueError):
@@ -68,10 +76,10 @@ def herm_imag(m) -> np.ndarray:
 
 
 class LU:
-    """P L U = M from factor(): solves and a 1-norm condition estimate."""
+    """P L U = M from factor(): solves, ‖M‖₁ and a 1-norm condition estimate."""
 
-    def __init__(self, lu: np.ndarray, piv: np.ndarray, anorm: float):
-        self.lu, self.piv, self.anorm = lu, piv, anorm
+    def __init__(self, lu: np.ndarray, piv: np.ndarray, anorm: float, rcond: float):
+        self.lu, self.piv, self.anorm, self._rcond = lu, piv, anorm, rcond
 
     def solve(self, rhs) -> np.ndarray:
         """X with M X = RHS; ValueError on a misshapen or non-finite RHS."""
@@ -83,36 +91,45 @@ class LU:
         return _getrs(self.lu, self.piv, rhs)[0] if rhs.size else np.zeros_like(rhs)
 
     def rcond(self) -> float:
-        """LAPACK's estimate of 1/κ₁(M) from the LU (zgecon, O(k²))."""
-        return float(_gecon(self.lu, self.anorm)[0]) if self.lu.size else 1.0
+        """LAPACK's estimate of 1/κ₁(M), taken once by factor(); 1.0 when M is empty."""
+        return self._rcond
+
+    def inverse_norm(self) -> float:
+        """The same estimate of ‖M⁻¹‖₁, a lower bound: 1/(rcond·‖M‖₁); 0.0 when M is empty."""
+        return 1 / (self._rcond * self.anorm) if self.lu.size else 0.0
 
 
 def factor(m) -> LU:
-    """LU-factor M once, with partial pivoting, for solves and rcond().
+    """LU-factor M once, with partial pivoting, and decide whether M can be solved.
 
-    Raises ValueError on a non-square or non-finite M and SingularMatrix
-    when a pivot falls below ``PIVOT_REL`` times the largest column
-    1-norm of M, ‖M‖₁.  M itself is left unchanged.
+    This is the one singularity gate of the package.  Raises ValueError on
+    a non-square or non-finite M, and SingularMatrix when a pivot falls
+    below ``PIVOT_REL`` times the largest column 1-norm of M, ‖M‖₁, or
+    when LAPACK's estimate of 1/κ₁(M) from the LU (zgecon, O(k²); Higham,
+    ACM TOMS 14:381, 1988) is ≤ ``PIVOT_REL``.  M itself is left unchanged.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
-        return LU(m, np.zeros(0, dtype=np.int32), 0.0)
+        return LU(m, np.zeros(0, dtype=np.int32), 0.0, 1.0)
     if not np.isfinite(m).all():
         raise ValueError("array must not contain infs or NaNs")
     anorm = float(np.abs(m).sum(axis=0).max())
     lu, piv, _ = _getrf(np.array(m, order="F"), overwrite_a=True)
     if np.abs(lu.diagonal()).min() <= PIVOT_REL * anorm:
-        raise SingularMatrix("matrix is singular to working precision")
-    return LU(lu, piv, anorm)
+        raise SingularMatrix(np.inf)
+    rcond = float(_gecon(lu, anorm)[0])
+    if not rcond > PIVOT_REL:
+        raise SingularMatrix(1 / rcond if rcond else np.inf)
+    return LU(lu, piv, anorm, rcond)
 
 
 def solve(m, rhs) -> np.ndarray:
     """Solve M X = RHS by LU factorization with partial pivoting.
 
-    Raises SingularMatrix when a pivot falls below ``1e-12`` times the
-    largest column 1-norm of M (the explicit inverse is never formed).
+    Raises SingularMatrix as :func:`factor` does (the explicit inverse is
+    never formed).
     """
     return factor(m).solve(rhs)
 
@@ -131,13 +148,17 @@ def is_unitary(m, tol: float = STRUCT_TOL) -> bool:
 
 
 def unitarity_residual(m) -> float:
-    """max(‖M†M − I‖_max, ‖MM† − I‖_max); inf when the products overflow."""
+    """max(‖M†M − I‖_max, ‖MM† − I‖_max); inf when the products overflow.
+
+    A finite M yields NaN only through overflow (inf − inf), so NaN reads inf.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("unitarity needs a square matrix")
     eye = np.eye(m.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        return max(max_abs(m.conj().T @ m - eye), max_abs(m @ m.conj().T - eye))
+        worst = max_abs([m.conj().T @ m - eye, m @ m.conj().T - eye])
+    return np.inf if np.isnan(worst) else worst
 
 
 def eig_hermitian(m, tol: float = STRUCT_TOL,

@@ -25,9 +25,6 @@ import numpy as np
 
 from . import matkit
 from .slh import LinearComponent, block_diag, concatenate
-from .transfer import ResidualReport, eval_transfer
-
-_LOOP_RCOND = 1e-12
 
 
 class BadPartition(ValueError):
@@ -105,36 +102,21 @@ class PartitionedComponent:
         object.__setattr__(self, "eta", exact)
         object.__setattr__(self, "_perm", perm)
 
-    @property
-    def n_internal(self) -> int:
-        return len(self.internal_out)
-
-
-def _blocks(pc: PartitionedComponent) -> tuple[np.ndarray, ...]:
-    """S_ii, S_ie, S_ei and S_ee: the internal/external blocks of pc's S."""
-    io, ii = list(pc.internal_out), list(pc.internal_in)
-    eo, ei = list(pc.external_out), list(pc.external_in)
-    S = pc.comp.S
-    return S[np.ix_(io, ii)], S[np.ix_(io, ei)], S[np.ix_(eo, ii)], S[np.ix_(eo, ei)]
-
 
 def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
     """Reduce (S, C, Omega), output i_out[s] feeding input i_in[perm[s]], onto e_out × e_in.
 
     One LU of (η − S_ii) gives the solve and the gate: AlgebraicLoop when
-    the LU meets matkit's pivot rule or LAPACK's 1-norm estimate of its
-    reciprocal condition number (zgecon, O(k²) on the LU) is ≤ 1e-12.
+    matkit.factor finds it singular, with the 1-norm condition estimate
+    (inf when the pivot rule fired).
     """
     n_e = len(e_in)
     S_i, C_i = S.take(i_out, axis=0), C.take(i_out, axis=0)
     try:   # factor η − S_ii
         lu = matkit.factor(np.eye(len(i_out), dtype=complex)[perm] - S_i.take(i_in, axis=1))
-        rcond = lu.rcond()
-    except matkit.SingularMatrix:
-        rcond = 0.0
-    if not rcond > _LOOP_RCOND:
+    except matkit.SingularMatrix as exc:
         raise AlgebraicLoop("(eta - S_ii) is singular (condition estimate "
-                            f"{1 / rcond if rcond else np.inf:.3e})")
+                            f"{exc.condition:.3e})") from exc
     X = lu.solve(np.concatenate([S_i.take(e_in, axis=1), C_i], axis=1))
     del S_i, lu   # X is all the Ω products need: free the k-row arrays first
     S_e, C_e = S.take(e_out, axis=0), C.take(e_out, axis=0)
@@ -176,19 +158,6 @@ def series_product(g2: LinearComponent, g1: LinearComponent,
     S, C, Omega = _eliminate(*map(block_diag, pairs), up, down, up, down, up)
     return LinearComponent(S, C, Omega, _prefixed(p2, g2.port_labels),
                            _prefixed(p1, g1.mode_labels) + _prefixed(p2, g2.mode_labels))
-
-
-def cascade_transfer_check(g2: LinearComponent, g1: LinearComponent,
-                           s_points, tol: float = 1e-10) -> ResidualReport:
-    """Verify that the series transfer function factors as Xi₂·Xi₁ pointwise."""
-    combined = series_product(g2, g1)
-    s_points = tuple(complex(s) for s in s_points)
-    residuals = []
-    for s in s_points:
-        lhs = eval_transfer(combined, s).Xi
-        rhs = eval_transfer(g2, s).Xi @ eval_transfer(g1, s).Xi
-        residuals.append(matkit.max_abs(lhs - rhs))
-    return ResidualReport(s_points, tuple(residuals), tol)
 
 
 def _static(S: np.ndarray):
@@ -327,51 +296,3 @@ def redheffer_star(a: LinearComponent, b: LinearComponent,
     return LinearComponent(S, C, Omega, _prefixed("a", a.port_labels[:a.n_ports - k])
                            + _prefixed("b", b.port_labels[k:]),
                            _prefixed("a", a.mode_labels) + _prefixed("b", b.mode_labels))
-
-
-@dataclass(frozen=True)
-class PathExpansionReport:
-    """Truncated loop-path series against the closed-form reduction.
-
-    ``residuals[j]`` is the max-norm gap between the order-j partial sum
-    of S_ee + Σ_n S_ei ξ (S_ii ξ)ⁿ S_ie (ξ = η⁻¹) and the closed form.
-    ``decay_rate`` is the geometric mean of successive residual ratios,
-    None when fewer than two nonzero residuals exist.
-    """
-
-    order: int
-    spectral_radius: float
-    convergent: bool
-    residuals: tuple[float, ...]
-    decay_rate: float | None
-
-
-def path_expansion_check(pc: PartitionedComponent, order: int) -> PathExpansionReport:
-    """Compare the geometric path series with the closed-form S_red.
-
-    The series converges iff the spectral radius of S_ii·ξ is below one;
-    a report with ``convergent=False`` is returned otherwise (the closed
-    form may still exist there).
-    """
-    S_ii, S_ie, S_ei, S_ee = _blocks(pc)
-    inv = np.argsort(pc._perm)   # ξ = η⁻¹ gathers rows: (ξM)[r] = M[inv[r]]
-    hop = S_ii[inv]              # ξ·S_ii, similar to S_ii·ξ
-    if hop.size:
-        radius = float(np.max(np.abs(np.linalg.eigvals(hop))))
-    else:
-        radius = 0.0
-    convergent = radius < 1.0 - 1e-12
-    closed = feedback_reduce(pc).S
-    partial = S_ee.astype(complex).copy()
-    term = S_ie[inv]
-    residuals = []
-    for _ in range(int(order) + 1):
-        partial = partial + S_ei @ term
-        residuals.append(matkit.max_abs(partial - closed))
-        term = hop @ term
-    ratios = [residuals[j + 1] / residuals[j]
-              for j in range(len(residuals) - 1) if residuals[j] > 0 and residuals[j + 1] > 0]
-    decay = float(np.exp(np.mean(np.log(ratios)))) if ratios else None
-    return PathExpansionReport(order=int(order), spectral_radius=radius,
-                               convergent=convergent,
-                               residuals=tuple(residuals), decay_rate=decay)

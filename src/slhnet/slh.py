@@ -1,4 +1,4 @@
-"""Linear open-system components and their state-space realizations.
+"""Linear open-system components, their validation and their drift matrices.
 
 A component with n ports and m internal modes is described entirely by the
 triple (S, C, Omega): an n×n scattering matrix, an n×m coupling matrix
@@ -90,16 +90,6 @@ class LinearComponent:
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """Realization quadruple of the transfer function D + C(sI−A)⁻¹B."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-
-@dataclass(frozen=True)
 class ValidationIssue:
     check: str
     residual: float
@@ -143,13 +133,6 @@ def validate(comp: LinearComponent, tol: float = matkit.STRUCT_TOL) -> Validatio
 def drift(comp: LinearComponent) -> np.ndarray:
     """Drift matrix A = −½C†C − iΩ (m×m, always dissipative for valid input)."""
     return -0.5 * comp.C.conj().T @ comp.C - 1j * comp.Omega
-
-
-def realize(comp: LinearComponent) -> StateSpace:
-    """State-space realization [A | −C†S ; C | S] of the transfer function."""
-    A = drift(comp)
-    B = -comp.C.conj().T @ comp.S
-    return StateSpace(A=A, B=B, C=comp.C.copy(), D=comp.S.copy())
 
 
 def make_cavity(gamma: float, omega: float = 0.0, phi: float = 0.0) -> LinearComponent:

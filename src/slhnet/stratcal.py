@@ -29,6 +29,9 @@ class CayleySingular(ValueError):
     """S has −1 in its spectrum, so no finite generator E exists."""
 
 
+_MINUS_ONE = "-1 is an eigenvalue of S; no finite Stratonovich generator"
+
+
 @dataclass(frozen=True, eq=False)
 class StratonovichModel:
     """Generator triple (E, F, K); E and K must be hermitian."""
@@ -91,15 +94,25 @@ def strat_to_ito(sm: StratonovichModel) -> LinearComponent:
 def ito_to_strat(comp: LinearComponent) -> StratonovichModel:
     """Invert the Cayley transform: E = 2i(S − I)(S + I)⁻¹, F = i(I + iE/2)C.
 
-    Raises CayleySingular when −1 is in the spectrum of S (no finite E).
+    Raises CayleySingular when −1 is in the spectrum of S (no finite E):
+    when matkit.factor rejects S + I, or when 1/‖(S + I)⁻¹‖₁ < 1e-9, with
+    ‖(S + I)⁻¹‖₁ estimated on the same LU.  For unitary S that quantity is
+    within √n of d, the distance from −1 to the spectrum.
+
+    Conditioning: E and F grow like 1/d = ‖(S + I)⁻¹‖₂ (unitary S), and
+    so does the rounding they carry.  A round trip through strat_to_ito
+    returns (S, C, Omega) to within c·u·‖(S + I)⁻¹‖₂·max(1, ‖C‖₂², ‖Omega‖₂)
+    with u the unit roundoff; c = 16 covers n ≤ 4 (tests/test_stratcal.py).
     """
     S, C, Omega = comp.S, comp.C, comp.Omega
     n = comp.n_ports
-    if n:
-        eigs = np.linalg.eigvals(S)
-        if np.min(np.abs(eigs + 1.0)) < 1e-9:
-            raise CayleySingular("-1 is an eigenvalue of S; no finite Stratonovich generator")
-    E = matkit.herm_real(2j * matkit.solve(S + np.eye(n), S - np.eye(n)))
+    try:
+        lu = matkit.factor(S + np.eye(n))
+    except matkit.SingularMatrix as exc:
+        raise CayleySingular(_MINUS_ONE) from exc
+    if lu.inverse_norm() > 1e9:
+        raise CayleySingular(_MINUS_ONE)
+    E = matkit.herm_real(2j * lu.solve(S - np.eye(n)))
     F = 1j * (C + 0.5j * E @ C)
     K = matkit.herm_real(Omega - 0.5 * F.conj().T @ C - 0.5j * C.conj().T @ C)
     return StratonovichModel(E=E, F=F, K=K)
@@ -142,18 +155,3 @@ def ito_table_residuals(sm: StratonovichModel,
     return ConsistencyResiduals(scattering=matkit.max_abs(r1),
                                 coupling=matkit.max_abs(r2),
                                 drift=matkit.max_abs(lhs - rhs))
-
-
-def cayley_from_generator(E: np.ndarray) -> np.ndarray:
-    """S = e^{−iJ} with J = 2·arctan(E/2), via the spectral calculus of E.
-
-    Mathematically identical to the Cayley transform used by
-    :func:`strat_to_ito`; kept as an independent route for cross-checks.
-    """
-    E = np.asarray(E, dtype=complex)
-    values, projectors = matkit.eig_hermitian(E)
-    n = E.shape[0]
-    S = np.zeros((n, n), dtype=complex)
-    for lam, proj in zip(values, projectors):
-        S += np.exp(-2j * np.arctan(lam / 2)) * proj
-    return S

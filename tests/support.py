@@ -9,10 +9,11 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from slhnet import (BeamSplitter, CommutingForm, LinearComponent, PartitionedComponent,
-                    concatenate, drift, eval_transfer, feedback_reduce, matkit)
+                    concatenate, drift, eval_transfer, feedback_reduce, matkit,
+                    series_product)
 from slhnet.netfile import Edge, ExternalPort, NetDocument, ParseError
 from slhnet.network import AlgebraicLoop, DimensionMismatch, OutsideDomain
-from slhnet.transfer import NotCommuting, spectral_clusters
+from slhnet.transfer import NotCommuting, ResidualReport, spectral_clusters
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -216,7 +217,7 @@ def closed_form_series(g2: LinearComponent, g1: LinearComponent,
 
 
 def closed_form_loop(T: BeamSplitter, plant: LinearComponent) -> LinearComponent:
-    """Beam-splitter loop from its closed form, gated by the pivot rule alone.
+    """Beam-splitter loop from its closed form, gated by matkit.solve.
 
         S = T₁₁ + T₁₂(1 − S₀T₂₂)⁻¹S₀T₂₁
         C = T₁₂(1 − S₀T₂₂)⁻¹C₀
@@ -240,7 +241,7 @@ def closed_form_loop(T: BeamSplitter, plant: LinearComponent) -> LinearComponent
 
 
 def closed_form_mobius(T: BeamSplitter, X) -> np.ndarray:
-    """T₁₁ + T₁₂(I − X·T₂₂)⁻¹X·T₂₁, gated by the pivot rule alone."""
+    """T₁₁ + T₁₂(I − X·T₂₂)⁻¹X·T₂₁, gated by matkit.solve."""
     X = matkit.as_matrix(X, rows=T.n2, cols=T.n2, name="X")
     try:
         inner = matkit.solve(np.eye(T.n2) - X @ T.T22, X @ T.T21)
@@ -266,6 +267,111 @@ def reference_star(a: LinearComponent, b: LinearComponent, channels: int) -> Lin
     pc = PartitionedComponent(comp, internal_out=a_loop + b_loop,
                               internal_in=a_loop + b_loop, eta=eta)
     return feedback_reduce(pc)
+
+
+# ---------------------------------------------------------------------------
+# Second routes to library quantities: cascade factorization, path series,
+# spectral Cayley transform and state-space realization
+
+def cascade_transfer_check(g2: LinearComponent, g1: LinearComponent,
+                           s_points, tol: float = 1e-10) -> ResidualReport:
+    """Verify that the series transfer function factors as Xi₂·Xi₁ pointwise."""
+    combined = series_product(g2, g1)
+    s_points = tuple(complex(s) for s in s_points)
+    residuals = []
+    for s in s_points:
+        lhs = eval_transfer(combined, s).Xi
+        rhs = eval_transfer(g2, s).Xi @ eval_transfer(g1, s).Xi
+        residuals.append(matkit.max_abs(lhs - rhs))
+    return ResidualReport(s_points, tuple(residuals), tol)
+
+
+def _blocks(pc: PartitionedComponent) -> tuple[np.ndarray, ...]:
+    """S_ii, S_ie, S_ei and S_ee: the internal/external blocks of pc's S."""
+    io, ii = list(pc.internal_out), list(pc.internal_in)
+    eo, ei = list(pc.external_out), list(pc.external_in)
+    S = pc.comp.S
+    return S[np.ix_(io, ii)], S[np.ix_(io, ei)], S[np.ix_(eo, ii)], S[np.ix_(eo, ei)]
+
+
+@dataclass(frozen=True)
+class PathExpansionReport:
+    """Truncated loop-path series against the closed-form reduction.
+
+    ``residuals[j]`` is the max-norm gap between the order-j partial sum
+    of S_ee + Σ_n S_ei ξ (S_ii ξ)ⁿ S_ie (ξ = η⁻¹) and the closed form.
+    ``decay_rate`` is the geometric mean of successive residual ratios,
+    None when fewer than two nonzero residuals exist.
+    """
+
+    order: int
+    spectral_radius: float
+    convergent: bool
+    residuals: tuple[float, ...]
+    decay_rate: float | None
+
+
+def path_expansion_check(pc: PartitionedComponent, order: int) -> PathExpansionReport:
+    """Compare the geometric path series with the closed-form S_red.
+
+    The series converges iff the spectral radius of S_ii·ξ is below one;
+    a report with ``convergent=False`` is returned otherwise (the closed
+    form may still exist there).
+    """
+    S_ii, S_ie, S_ei, S_ee = _blocks(pc)
+    inv = np.argsort(pc._perm)   # ξ = η⁻¹ gathers rows: (ξM)[r] = M[inv[r]]
+    hop = S_ii[inv]              # ξ·S_ii, similar to S_ii·ξ
+    if hop.size:
+        radius = float(np.max(np.abs(np.linalg.eigvals(hop))))
+    else:
+        radius = 0.0
+    convergent = radius < 1.0 - 1e-12
+    closed = feedback_reduce(pc).S
+    partial = S_ee.astype(complex).copy()
+    term = S_ie[inv]
+    residuals = []
+    for _ in range(int(order) + 1):
+        partial = partial + S_ei @ term
+        residuals.append(matkit.max_abs(partial - closed))
+        term = hop @ term
+    ratios = [residuals[j + 1] / residuals[j]
+              for j in range(len(residuals) - 1) if residuals[j] > 0 and residuals[j + 1] > 0]
+    decay = float(np.exp(np.mean(np.log(ratios)))) if ratios else None
+    return PathExpansionReport(order=int(order), spectral_radius=radius,
+                               convergent=convergent,
+                               residuals=tuple(residuals), decay_rate=decay)
+
+
+def cayley_from_generator(E: np.ndarray) -> np.ndarray:
+    """S = e^{−iJ} with J = 2·arctan(E/2), via the spectral calculus of E.
+
+    Mathematically identical to the Cayley transform used by
+    :func:`strat_to_ito`; kept as an independent route for cross-checks.
+    """
+    E = np.asarray(E, dtype=complex)
+    values, projectors = matkit.eig_hermitian(E)
+    n = E.shape[0]
+    S = np.zeros((n, n), dtype=complex)
+    for lam, proj in zip(values, projectors):
+        S += np.exp(-2j * np.arctan(lam / 2)) * proj
+    return S
+
+
+@dataclass(frozen=True)
+class StateSpace:
+    """Realization quadruple of the transfer function D + C(sI−A)⁻¹B."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+
+
+def realize(comp: LinearComponent) -> StateSpace:
+    """State-space realization [A | −C†S ; C | S] of the transfer function."""
+    A = drift(comp)
+    B = -comp.C.conj().T @ comp.S
+    return StateSpace(A=A, B=B, C=comp.C.copy(), D=comp.S.copy())
 
 
 # ---------------------------------------------------------------------------

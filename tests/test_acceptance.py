@@ -7,17 +7,16 @@ report lines.  Every tolerance here is pinned by the criterion it checks.
 import numpy as np
 
 from slhnet import (LinearComponent, PartitionedComponent, StratonovichModel,
-                    beamsplitter_loop, cascade_transfer_check,
-                    cayley_from_generator, check_unitary_on_axis, concatenate,
+                    beamsplitter_loop, check_unitary_on_axis, concatenate,
                     eval_transfer, feedback_reduce, ito_table_residuals,
                     ito_to_strat, make_cavity, matkit, mixing_splitter, mobius,
                     parse, redheffer_star, serialize, series_product,
                     strat_to_ito, validate)
 from slhnet.netfile import ParseError, component_document
 
-from support import (haar_unitary, random_component, random_hermitian,
-                     random_partitioned, random_rhp_points, random_splitter,
-                     sequential_star)
+from support import (cascade_transfer_check, cayley_from_generator, haar_unitary,
+                     random_component, random_hermitian, random_partitioned,
+                     random_rhp_points, random_splitter, sequential_star)
 
 
 def _report(num: int, name: str, worst: float, tol: float, extra: str = ""):

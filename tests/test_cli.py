@@ -333,6 +333,36 @@ class TestStratCommands:
         gen.write_text("E = [[0]];\nF = [[1]];\n")
         assert main(["strat2ito", str(gen)]) == 4
 
+    @pytest.mark.parametrize("command, text, out", [
+        ("strat2ito", "E = [[0.5]];\nF = [];\nK = [];\n",
+         "S = [[0.88235294117647056-0.47058823529411764i]];\nC = [];\nOmega = [];\n"),
+        ("strat2ito", "E = [];\nF = [];\nK = [[0.25]];\n",
+         "S = [];\nC = [];\nOmega = [[0.25]];\n"),
+        ("ito2strat", "S = [[1,0],[0,1i]];\nC = [];\nOmega = [];\n",
+         "E = [[0,0],[0,-2]];\nF = [];\nK = [];\n"),
+        ("ito2strat", "S = [];\nC = [];\nOmega = [[0.25]];\n",
+         "E = [];\nF = [];\nK = [[0.25]];\n"),
+    ], ids=["strat2ito-no-modes", "strat2ito-no-ports", "ito2strat-no-modes",
+            "ito2strat-no-ports"])
+    def test_empty_coupling_without_ports_or_modes(self, tmp_path, capsys, command, text, out):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        assert main([command, str(path)]) == 0
+        assert capsys.readouterr().out.startswith(out)
+
+    @pytest.mark.parametrize("command, text, name", [
+        ("strat2ito", "E = [[0,0.5],[0.5,0]];\nF = [];\nK = [[0.25]];\n", "F"),
+        ("ito2strat", "S = [[1,0],[0,1i]];\nC = [];\nOmega = [[0.25]];\n", "C"),
+    ], ids=["strat2ito", "ito2strat"])
+    def test_empty_coupling_with_ports_and_modes_is_invalid(self, tmp_path, capsys,
+                                                           command, text, name):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid model: {name} must have 2 rows, got 0\n"
+
 
 def test_unknown_command_usage():
     assert main(["frobnicate"]) == 4
@@ -378,3 +408,14 @@ class TestOverflowingModel:
         assert len(rows) == 4 and rows[0][-1] == "unitarity_residual"
         assert [r[-1] for r in rows[1:]] == ["inf"] * 3
         assert all(r[1] == "1.0000000000000001e+300" for r in rows[1:])
+
+    def test_freqresp_overflow_with_a_mode_is_inf_not_nan(self, tmp_path, capsys):
+        # the mode turns a diagonal entry of Xi·Xi† into inf + (inf − inf)i
+        path = tmp_path / "big.qnet"
+        path.write_text(OVERFLOW.replace("modes = 0", "modes = 1")
+                        .replace("C = []", "C = [[1], [0]]")
+                        .replace("Omega = []", "Omega = [[0]]"))
+        code, out = self._run(capsys, ["freqresp", str(path), "--grid", "-1:1:3"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [(r[0], r[-1]) for r in rows[1:]] == [("-1", "inf"), ("0", "inf"), ("1", "inf")]

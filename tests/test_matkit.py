@@ -120,6 +120,26 @@ class TestFactor:
         assert lu.rcond() == 1.0
         assert lu.solve(np.zeros((0, 2))).shape == (0, 2)
 
+    def test_pivot_rule_carries_infinite_condition(self):
+        with pytest.raises(matkit.SingularMatrix) as info:
+            matkit.factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        assert info.value.condition == np.inf
+
+    def test_condition_gate_rejects_unit_pivots(self):
+        # unit upper triangular with −1 above the diagonal: every pivot is 1,
+        # but ‖M⁻¹‖₁ = 2^(n−1), so κ₁ = n·2^(n−1) ≈ 4e13 at n = 40
+        n = 40
+        m = np.eye(n) - np.triu(np.ones((n, n)), 1)
+        with pytest.raises(matkit.SingularMatrix) as info:
+            matkit.factor(m)
+        assert info.value.condition == pytest.approx(n * 2.0 ** (n - 1), rel=1e-6)
+        accepted = matkit.factor(m[:30, :30])   # κ₁ = 30·2^29 ≈ 1.6e10
+        assert accepted.rcond() == pytest.approx(1 / (30 * 2.0 ** 29), rel=1e-6)
+
+    def test_inverse_norm(self):
+        assert matkit.factor(np.diag([1.0, 2.0, 4.0])).inverse_norm() == 1.0
+        assert matkit.factor(np.zeros((0, 0))).inverse_norm() == 0.0
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
            log_cond=st.floats(0.0, 11.0))
     @settings(max_examples=100, deadline=None)
@@ -231,3 +251,14 @@ def test_pivot_rule_scale_does_not_overflow():
         rcond = matkit.factor(m).rcond()
     assert matkit.max_abs(x * 1e300 - np.eye(2)) <= 1e-15
     assert rcond == pytest.approx(1.0, rel=1e-12)
+
+
+def test_unitarity_residual_overflow_is_inf_in_either_orientation():
+    # Xi of a 1e300-scaled S at s = i: the diagonal of M†M and MM† is inf + (inf − inf)i,
+    # whose modulus numpy returns as nan
+    z = 0.6 + 0.8j
+    m = np.array([[1e300 * z, z], [1.0, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matkit.unitarity_residual(m) == np.inf
+        assert matkit.unitarity_residual(m.T) == np.inf

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from slhnet import (BeamSplitter, LinearComponent, PartitionedComponent,
                     beamsplitter_loop, beamsplitter_network, build_partitioned,
-                    cascade_transfer_check, concatenate, drift, eval_transfer,
-                    feedback_reduce, make_cavity, matkit, mixing_splitter,
-                    mobius, path_expansion_check, redheffer_star,
-                    series_product, validate)
+                    concatenate, drift, eval_transfer, feedback_reduce,
+                    make_cavity, matkit, mixing_splitter, mobius,
+                    redheffer_star, series_product, validate)
 from slhnet.network import AlgebraicLoop, BadPartition, DimensionMismatch, \
     OutsideDomain
 
-from support import (haar_unitary, random_component, random_network,
-                     random_partitioned, random_rhp_points, random_splitter,
-                     reference_feedback_reduce, sequential_star)
+from support import (cascade_transfer_check, haar_unitary, path_expansion_check,
+                     random_component, random_network, random_partitioned,
+                     random_rhp_points, random_splitter, reference_feedback_reduce,
+                     sequential_star)
 
 
 def _series_wiring(g1, g2):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from slhnet import (LinearComponent, concatenate, drift, make_cavity, matkit,
-                    realize, validate)
+                    validate)
 
-from support import random_component
+from support import random_component, realize
 
 
 class TestValidate:

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slhnet import (LinearComponent, StratonovichModel, cayley_from_generator,
-                    ito_table_residuals, ito_to_strat, make_cavity, matkit,
-                    strat_to_ito, validate)
+from slhnet import (LinearComponent, StratonovichModel, ito_table_residuals,
+                    ito_to_strat, make_cavity, matkit, strat_to_ito, validate)
 from slhnet.stratcal import CayleySingular
 
-from support import random_component, random_hermitian
+from support import cayley_from_generator, haar_unitary, random_component, random_hermitian
 
 
 def _random_model(rng, n, m):
@@ -58,6 +59,33 @@ class TestItoToStrat:
         comp = LinearComponent([[-1.0]], [[1.0]], [[0.0]])
         with pytest.raises(CayleySingular):
             ito_to_strat(comp)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(0, 4),
+           log_d=st.floats(-9.0, -1.0), log_c=st.floats(-3.0, 3.0),
+           log_omega=st.floats(-3.0, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_near_minus_one(self, seed, n, m, log_d, log_c, log_omega):
+        # S has an eigenvalue at distance d = 10^log_d from −1, the others anywhere
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(-np.pi, np.pi, n)
+        phases[0] = np.pi - 2 * np.arcsin(10 ** log_d / 2)
+        U = haar_unitary(rng, n)
+        S = (U * np.exp(1j * phases)) @ U.conj().T
+        C = 10 ** log_c * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        comp = LinearComponent(S, C, 10 ** log_omega * random_hermitian(rng, m))
+        gap = np.linalg.svd(S + np.eye(n), compute_uv=False)[-1]   # 1/‖(S + I)⁻¹‖₂
+        try:
+            back = strat_to_ito(ito_to_strat(comp))
+        except CayleySingular:
+            # 1/‖(S + I)⁻¹‖₁ < 1e-9 needs the distance to −1 below √n·1e-9
+            assert gap < np.sqrt(n) * 1e-9 * (1 + 1e-6)
+            return
+        scale = 1.0 if m == 0 else max(1.0, np.linalg.norm(C, 2) ** 2,
+                                       np.linalg.norm(comp.Omega, 2))
+        bound = 16 * np.finfo(float).eps / 2 / gap * scale
+        assert matkit.max_abs(back.S - comp.S) <= bound
+        assert matkit.max_abs(back.C - comp.C) <= bound
+        assert matkit.max_abs(back.Omega - comp.Omega) <= bound
 
     def test_round_trip(self):
         rng = np.random.default_rng(223)

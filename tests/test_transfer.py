@@ -171,6 +171,22 @@ class TestSweepProperties:
         # the uncoupled mode at frequency f has its pole at s = −i·f
         assert [p.singular for p in points] == [-w in dark for w in grid]
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 8),
+           log_offset=st.floats(-1.5, 1.5), angle=st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_pole_is_a_pole_for_eval_transfer(self, seed, n, m, log_offset, angle):
+        # probe next to a drift eigenvalue λ, at 10^log_offset times the sweep's threshold
+        rng = np.random.default_rng(seed)
+        C = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
+        comp = LinearComponent(haar_unitary(rng, n), C, random_hermitian(rng, m))
+        A = drift(comp)
+        lam = np.linalg.eigvals(A)[rng.integers(m)]
+        threshold = matkit.PIVOT_REL * np.abs(lam * np.eye(m) - A).sum(axis=0).max()
+        s = lam + 10 ** log_offset * threshold * np.exp(1j * angle)
+        if freq_response(comp, [s.imag], sigma=s.real)[0].singular:
+            with pytest.raises(SingularAtS):
+                eval_transfer(comp, s)
+
 
 class TestUnitaryOnAxis:
     def test_cavity_passes(self):
