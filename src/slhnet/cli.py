@@ -26,7 +26,7 @@ import numpy as np
 from . import matkit
 from .netfile import (ParseError, build_partitioned, component_document,
                       format_cnum, format_matrix,
-                      format_matrix_assignments, parse,
+                      format_matrix_assignments, format_table, parse,
                       parse_matrix_assignments, serialize)
 from .network import AlgebraicLoop, DimensionMismatch, OutsideDomain, \
     feedback_reduce, redheffer_star, series_product
@@ -162,25 +162,23 @@ def _cmd_freqresp(args) -> int:
     comp = _load_model(args.file)
     omegas = _parse_grid(args.grid)
     n = comp.n_ports
-    header = ["omega"]
+    labels = ["omega"]
     for i in range(n):
         for j in range(n):
-            header.append(f"re(Xi[{i},{j}])")
-            header.append(f"im(Xi[{i},{j}])")
-    header.append("unitarity_residual")
+            labels.append(f"re(Xi[{i},{j}])")
+            labels.append(f"im(Xi[{i},{j}])")
+    labels.append("unitarity_residual")
     # labels contain commas, so header cells are CSV-quoted
-    rows = [",".join(c if "," not in c else f'"{c}"' for c in header)]
+    header = ",".join(c if "," not in c else f'"{c}"' for c in labels)
     points = freq_response(comp, omegas, sigma=args.sigma)
     Xi = axis_xi(points, n)
-    # per non-pole point: re/im of Xi in row order, then the residual
-    cells = iter(np.concatenate([Xi.view(np.float64).reshape(len(Xi), 2 * n * n),
-                                 axis_residual(Xi)[:, None]], axis=1).tolist())
-    row_form = ",".join(["%.17g"] * (2 * n * n + 2))   # netfile.format_float, per cell
-    pole_tail = ",NA" * (2 * n * n + 1)
-    for point in points:
-        rows.append("%.17g" % point.omega + pole_tail if point.singular
-                    else row_form % (point.omega, *next(cells)))
-    _emit("\n".join(rows) + "\n", args.output)
+    # one row per point: omega, re/im of Xi in row order, then the residual
+    singular = np.array([point.singular for point in points], dtype=bool)
+    table = np.zeros((len(points), 2 * n * n + 2))
+    table[:, 0] = [point.omega for point in points]
+    table[~singular, 1:-1] = Xi.view(np.float64).reshape(len(Xi), 2 * n * n)
+    table[~singular, -1] = axis_residual(Xi)
+    _emit(header + "\n" + format_table(table, singular), args.output)
     return EXIT_OK
 
 

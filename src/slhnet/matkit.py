@@ -21,11 +21,13 @@ class SingularMatrix(ValueError):
     """The LU factorization found M too close to singular to solve.
 
     ``condition`` is the 1-norm condition estimate of M, inf when a pivot
-    met the pivot rule (no estimate is taken then).
+    met the pivot rule (no estimate is taken then).  A caller that knows
+    which matrix M is re-raises with a ``message`` that names it.
     """
 
-    def __init__(self, condition: float):
-        super().__init__("matrix is singular to working precision")
+    def __init__(self, condition: float,
+                 message: str = "matrix is singular to working precision"):
+        super().__init__(message)
         self.condition = condition
 
 

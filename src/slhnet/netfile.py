@@ -34,6 +34,17 @@ compiled pattern, so its cost is a few regex passes over the text plus
 one float() per number part.  Only a row or statement that its pattern
 rejects is walked token by token, to name the first offending token;
 errors carry the same line and column as a token-by-token parse would.
+
+The canonical number is Python's "%.17g" (17 significant digits, enough
+to round-trip any binary64 value), and "%+.17g" for an imaginary part
+that follows a real one; format_matrix, format_cnum, serialize and
+format_table all write it.  They format whole arrays at once, in chunks:
+numpy takes the 17 digits from a double-double product with an exact
+table of powers of ten, then lays out the bytes.  A number whose rounding
+that product cannot settle (a remainder within 1e-9 of a tie), a nonzero
+|x| outside [1e-290, 1e290) (subnormals included), inf and nan are
+formatted by "%" itself instead, and so is an array of fewer than
+_VECTOR_MIN numbers; either way the bytes are those of "%.17g".
 """
 
 from __future__ import annotations
@@ -451,67 +462,277 @@ def parse(source: str) -> NetDocument:
 
 
 # ---------------------------------------------------------------------------
-# serializer
+# canonical numbers
+#
+# _number_words writes each number into _WORDS uint64 words, NUL-padded;
+# _text drops the NULs.  In byte order the words hold:
+#
+#   word 0      sign, "0." and up to three leading zeros; the first digit (byte 6)
+#   words 1-2   the digits after the first up to the decimal point; the point (byte 15)
+#   words 3-4   the digits after the point, up to the last nonzero one
+#   word 5      "e" and the signed exponent, in scientific notation
+#
+# The digits are the integer D nearest |x|·10^(16-E), E = ⌊log10 |x|⌋,
+# from Dekker's double-double product (Numer. Math. 18:224, 1971) with
+# the exact table _P10: the fraction that decides the rounding is off by
+# less than 5e-15, far inside _TIE.
 
-def format_float(x: float) -> str:
-    """Canonical float form: 17 significant digits (lossless for binary64)."""
-    return f"{float(x):.17g}"
+_CHUNK = 8192            # entries per pass: bounds the temporaries, not the text
+_VECTOR_MIN = 128        # fewer numbers than this are formatted one by one
+_TIE = 1e-9              # a fraction this close to ½ is left to "%"
+_WORDS = 6
+_K_MIN, _K_MAX = -275, 308     # 10^(16-E) for every E of |x| in [1e-290, 1e290)
+_E = np.arange(16 - _K_MAX, 18 - _K_MIN)     # those E, and E + 1 after a rounding carry
 
 
-# Canonical entry forms, indexed by _entry_form: real part only when the
-# imaginary part is zero, imaginary part only when the real part is zero,
-# both otherwise.  Each form consumes the (real, imag) pair; "%.0s" prints
-# the unused part as nothing.
-_ENTRY_FORMS = np.array(("%.17g%.0s", "%.0s%.17gi", "%.17g%+.17gi"), dtype=object)
+def _ascii_words(texts) -> np.ndarray:
+    """One uint64 word per text of at most 8 bytes, NUL-padded."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
 
 
-def _entry_form(z):
-    """Index into _ENTRY_FORMS for complex scalars or arrays."""
-    return np.where(z.imag == 0.0, 0, np.where(z.real == 0.0, 1, 2))
+def _pow10_table() -> np.ndarray:
+    """Rows hi, lo, hh, hl of 10^k for k = _K_MIN.._K_MAX.
+
+    hi and lo are 10^k and its remainder, each rounded correctly from exact
+    integer arithmetic; hh + hl = hi splits hi into 26 and 27 significant
+    bits, so Dekker's product needs no split of hi that could overflow.
+    """
+    hi, lo = [], []
+    p = 10 ** -_K_MIN
+    for _ in range(_K_MIN, 0):            # int / int rounds correctly
+        h = 1 / p
+        num, den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((den - num * p) / (den * p))
+        p //= 10
+    for _ in range(_K_MAX + 1):
+        hi.append(float(p))
+        lo.append(float(p - int(float(p))))
+        p *= 10
+    hi = np.array(hi)
+    hh = (hi.view(np.uint64) & np.uint64(2**64 - 2**27)).view(np.float64)
+    return np.stack([hi, np.array(lo), hh, hi - hh])
+
+
+_P10 = _pow10_table()
+_n = np.arange(10000, dtype=np.uint16)
+_quad = (np.stack([_n // 1000, _n // 100 % 10, _n // 10 % 10, _n % 10], axis=1) + 48
+         ).astype(np.uint8)
+_QUAD = _quad.view(np.uint32).ravel()          # the 4 ASCII digits of n
+# row k, for group k of the 16 digits after the first: how many of those 16
+# run up to its last nonzero digit, 0 for a group 0000
+_last = ((_quad != 48) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
+_SIGNIFICANT = np.where(_last > 0, _last + np.arange(0, 16, 4, dtype=np.uint8)[:, None], 0
+                        ).astype(np.uint8)
+_sci = (_E < -4) | (_E > 16)
+# digits after the first that precede the point; 17 for "0.000d...", whose point is in word 0
+_SPLIT = np.where(_sci, 0, np.where(_E < 0, 17, np.minimum(_E, 16)))
+_PREFIX = _ascii_words([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+                        for sign in (b"", b"-", b"+") for e in _E.tolist()])
+_FIRST = _ascii_words([b"\0" * 6 + bytes([48 + d]) for d in range(10)])
+_EXPONENT = _ascii_words([b"e%+03d" % e if s else b"" for e, s in zip(_E.tolist(), _sci.tolist())])
+_I = _ascii_words([b"\0" * 7 + b"i"])[0]     # after any number, in its last byte
+# by (split, significant digits): masks of words 1-2 and 3-4, and the point for word 2
+_head = np.tril(np.full((17, 16), 255, np.uint8), -1).view(np.uint64)   # row j: first j bytes
+_MASKS = np.zeros((18, 17, 5), np.uint64)
+_MASKS[:17, :, :2] = _head[:, None]
+_MASKS[:17, :, 2:4] = _head[None, :] & ~_head[:, None]
+_MASKS[:17, :, 4] = np.where(_n[:17] > _n[:17, None], _ascii_words([b"\0" * 7 + b"."])[0], 0)
+_MASKS[17, :, 2:4] = _head                   # "0.000d...": no digits before the point
+_MASKS = _MASKS.reshape(-1, 5)
+
+
+def _scaled(a: np.ndarray, E: np.ndarray):
+    """a·10^(16-E) as its integer part and the fraction in [0, 1) left over."""
+    hi, lo, hh, hl = (row.take(16 - _K_MIN - E) for row in _P10)
+    p = a * hi
+    t = a * 134217729.0            # Dekker's split of a: ah + al, 26 bits each
+    ah = t - (t - a)
+    al = a - ah
+    rest = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    floor = np.floor(rest)
+    return p.astype(np.int64) + floor.astype(np.int64), rest - floor
+
+
+def _scalar_words(x: np.ndarray, plus) -> np.ndarray:
+    """The words of x formatted one number at a time by "%"."""
+    forms = (["%.17g"] * len(x) if plus is None
+             else [("%.17g", "%+.17g")[p] for p in plus.tolist()])
+    text = b"".join((form % v).encode().ljust(8 * _WORDS, b"\0")
+                    for form, v in zip(forms, x.tolist()))
+    return np.frombuffer(bytearray(text), np.uint64).reshape(len(x), _WORDS)
+
+
+def _number_words(x: np.ndarray, plus=None) -> np.ndarray:
+    """(len(x), _WORDS) words of "%.17g" % x[i], or "%+.17g" where plus[i]."""
+    if len(x) < _VECTOR_MIN:
+        return _scalar_words(x, plus)
+    a = np.abs(x)
+    fast = (a >= 1e-290) & (a < 1e290)          # not 0, subnormal, inf or nan
+    zero = a == 0.0
+    a[~fast] = 1.0
+    E = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, E)
+    off = (whole < 10**16) | (whole >= 10**17)   # log10 missed a power of ten; fix before rounding
+    if off.any():
+        i = np.flatnonzero(off)
+        E[i] += np.where(whole[i] < 10**16, -1, 1)
+        whole[i], frac[i] = _scaled(a[i], E[i])
+    fast &= np.abs(frac - 0.5) > _TIE
+    D = whole + (frac > 0.5)
+    carry = D == 10**17
+    D[carry] = 10**16
+    E += carry
+    D[zero] = 0
+    E[zero] = 0
+    top = D // 10**8                  # D = first digit, then four groups of four
+    low = D - top * 10**8
+    first = top // 10**8
+    mid = top - first * 10**8
+    quads = np.empty((len(x), 4), np.uint32)
+    significant = np.zeros(len(x), np.int64)
+    g1, g3 = mid // 10**4, low // 10**4
+    for k, g in enumerate((g1, mid - g1 * 10**4, g3, low - g3 * 10**4)):
+        quads[:, k] = _QUAD.take(g)
+        np.maximum(significant, _SIGNIFICANT[k].take(g), out=significant)
+    e = E - _E[0]
+    digits = np.take(_MASKS, _SPLIT.take(e) * 17 + significant, axis=0)
+    digits[:, 0:2] &= quads.view(np.uint64)
+    digits[:, 2:4] &= quads.view(np.uint64)
+    digits[:, 1] |= digits[:, 4]
+    sign = np.signbit(x).astype(np.intp)             # "", "-", "+"
+    if plus is not None:
+        sign[plus & (sign == 0)] = 2
+    words = np.empty((len(x), _WORDS), np.uint64)
+    words[:, 0] = _PREFIX.take(sign * len(_E) + e) | _FIRST.take(first)
+    words[:, 1:5] = digits[:, :4]
+    words[:, 5] = _EXPONENT.take(e)
+    slow = np.flatnonzero(~(fast | zero))
+    if len(slow):
+        words[slow] = _scalar_words(x[slow], None if plus is None else plus[slow])
+    return words
+
+
+def _entry_words(z: np.ndarray) -> np.ndarray:
+    """Words of canonical complex entries, plus one tail word each, left unset.
+
+    An entry is its real part alone when the imaginary part is zero, its
+    imaginary part and "i" alone when only the real part is zero, and
+    otherwise both, the imaginary part with its sign.
+    """
+    n = len(z)
+    has_im = z.imag != 0.0
+    has_re = (z.real != 0.0) | ~has_im
+    parts = _number_words(np.concatenate([z.real, z.imag]),   # one call: half the fixed cost
+                          plus=np.concatenate([np.zeros(n, dtype=bool), has_re]))
+    words = np.empty((n, 2 * _WORDS + 1), np.uint64)
+    words[:, :_WORDS] = parts[:n] * has_re[:, None]
+    words[:, _WORDS:-1] = parts[n:] * has_im[:, None]
+    words[:, 2 * _WORDS - 1] |= has_im * _I
+    return words
+
+
+def _text(words: np.ndarray) -> str:
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _row_pieces(size: int, cols: int, words_of, tails: np.ndarray) -> list[str]:
+    """Text of ``size`` entries in rows of ``cols``, one piece per chunk.
+
+    ``words_of(start, stop)`` gives the entries' words with a last tail
+    word that is set here: tails[0] inside a row, tails[1] after a row and
+    tails[2] after the last one.
+    """
+    pieces = []
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        words = words_of(start, stop)
+        end = np.zeros(stop - start, np.intp)
+        end[(cols - 1 - start) % cols::cols] = 1
+        if stop == size:
+            end[-1] = 2
+        words[:, -1] = tails.take(end)
+        pieces.append(_text(words))
+    return pieces
+
+
+_MATRIX_TAILS = _ascii_words([b",", b"],[", b"]]"])
+_TABLE_TAILS = _ascii_words([b",", b"\n", b"\n"])
+_NA = _ascii_words([b"NA"] + [b""] * (_WORDS - 1))
+
+
+def _matrix_pieces(m) -> list[str]:
+    """The canonical matrix literal in pieces of at most _CHUNK entries."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    if m.size == 0:
+        return ["[]"]
+    flat = m.reshape(-1)
+    return ["[[", *_row_pieces(flat.size, m.shape[1],
+                               lambda start, stop: _entry_words(flat[start:stop]),
+                               _MATRIX_TAILS)]
 
 
 def format_cnum(z: complex) -> str:
-    z = complex(z)
-    return _ENTRY_FORMS[_entry_form(z)] % (z.real, z.imag)
+    """Canonical complex number, as one matrix entry."""
+    words = _entry_words(np.array([complex(z)]))
+    words[:, -1] = 0
+    return _text(words)
 
 
 def format_matrix(m: np.ndarray) -> str:
-    """Canonical matrix literal, one row per ``%`` call.
+    """Canonical matrix literal: rows of canonical entries, "[]" when empty."""
+    return "".join(_matrix_pieces(m))
 
-    Rows are converted to Python floats one at a time so the temporaries
-    stay the size of a row.
+
+def format_table(table: np.ndarray, missing: np.ndarray) -> str:
+    """CSV lines of a float table, cells in the canonical number form.
+
+    The cells after the first of each row where ``missing`` is set read NA.
     """
-    m = np.ascontiguousarray(m, dtype=complex)
-    if m.size == 0:
-        return "[]"
-    pairs = m.view(np.float64)   # real and imaginary parts interleaved by row
-    rows = ["[" + ",".join(_ENTRY_FORMS[_entry_form(row)].tolist())
-            % tuple(pair.tolist()) + "]" for row, pair in zip(m, pairs)]
-    return "[" + ",".join(rows) + "]"
+    table = np.asarray(table, dtype=float)
+    na = np.zeros(table.shape, dtype=bool)
+    na[missing, 1:] = True
+    flat, na = table.reshape(-1), na.reshape(-1)
 
+    def words_of(start, stop):
+        words = np.empty((stop - start, _WORDS + 1), np.uint64)
+        words[:, :-1] = _number_words(flat[start:stop])
+        words[na[start:stop], :-1] = _NA
+        return words
+
+    return "".join(_row_pieces(flat.size, table.shape[1], words_of, _TABLE_TAILS))
+
+
+# ---------------------------------------------------------------------------
+# serializer
 
 def serialize(doc: NetDocument) -> str:
-    """Canonical QNET text: fixed key order, one declaration per line."""
+    """Canonical QNET text: fixed key order, one declaration per line.
+
+    Every piece goes into one list, joined once, so the text of a large
+    matrix is copied once.
+    """
     out: list[str] = []
     for name, comp in doc.components.items():
-        out.append(f"component {name} {{")
-        out.append(f"  inputs = {comp.n_ports};")
-        out.append(f"  modes = {comp.m_modes};")
-        out.append(f"  S = {format_matrix(comp.S)};")
-        out.append(f"  C = {format_matrix(comp.C)};")
-        out.append(f"  Omega = {format_matrix(comp.Omega)};")
-        out.append("}")
+        out.append(f"component {name} {{\n  inputs = {comp.n_ports};\n"
+                   f"  modes = {comp.m_modes};\n  S = ")
+        out += _matrix_pieces(comp.S)
+        out.append(";\n  C = ")
+        out += _matrix_pieces(comp.C)
+        out.append(";\n  Omega = ")
+        out += _matrix_pieces(comp.Omega)
+        out.append(";\n}\n")
     if doc.instances or doc.edges or doc.externals:
-        out.append("network {")
+        out.append("network {\n")
         for inst, comp_name in doc.instances.items():
-            out.append(f"  use {inst} : {comp_name};")
+            out.append(f"  use {inst} : {comp_name};\n")
         for e in doc.edges:
             out.append(f"  connect {e.src_instance}.out[{e.src_port}] -> "
-                       f"{e.dst_instance}.in[{e.dst_port}];")
+                       f"{e.dst_instance}.in[{e.dst_port}];\n")
         for ext in doc.externals:
-            out.append(f"  external {ext.instance}.in[{ext.port}] as {ext.alias};")
-        out.append("}")
-    return "\n".join(out) + "\n"
+            out.append(f"  external {ext.instance}.in[{ext.port}] as {ext.alias};\n")
+        out.append("}\n")
+    return "".join(out) or "\n"
 
 
 def component_document(name: str, comp: LinearComponent) -> NetDocument:
@@ -600,4 +821,7 @@ def parse_matrix_assignments(source: str) -> dict[str, np.ndarray]:
 
 def format_matrix_assignments(pairs) -> str:
     """Inverse of parse_matrix_assignments, canonical form."""
-    return "".join(f"{name} = {format_matrix(value)};\n" for name, value in pairs)
+    out: list[str] = []
+    for name, value in pairs:
+        out += [f"{name} = ", *_matrix_pieces(value), ";\n"]
+    return "".join(out)

@@ -78,12 +78,20 @@ def strat_to_ito(sm: StratonovichModel) -> LinearComponent:
 
     S is the Cayley transform of E (always unitary for hermitian E), and
     Omega is the hermitian solution of the third equation; the returned
-    component leaves all three residuals at roundoff level.
+    component leaves all three residuals at roundoff level.  I + iE/2 is
+    nonsingular for hermitian E in exact arithmetic, but its condition
+    grows like ‖E‖/2: for ‖E‖ ≳ 1e12 matkit.factor rejects it, and this
+    raises matkit.SingularMatrix with a message that names it.
     """
     n = sm.n_ports
     P = np.eye(n) + 0.5j * sm.E
     rhs = np.concatenate([np.eye(n) - 0.5j * sm.E, -1j * sm.F], axis=1)
-    X = matkit.solve(P, rhs)   # (I + iE/2) is nonsingular for hermitian E
+    try:
+        X = matkit.solve(P, rhs)
+    except matkit.SingularMatrix as exc:
+        raise matkit.SingularMatrix(
+            exc.condition, "(I + iE/2) is too ill-conditioned to solve "
+            f"(condition estimate {exc.condition:.3e})") from exc
     S = X[:, :n]
     C = X[:, n:]
     Omega = matkit.herm_real(sm.K + 0.5 * sm.F.conj().T @ C

@@ -501,6 +501,11 @@ def fold_partitioned(doc: NetDocument) -> PartitionedComponent:
                                 external_out=external_out, external_in=external_in)
 
 
+def format_float(x: float) -> str:
+    """Reference canonical number: 17 significant digits (lossless for binary64)."""
+    return f"{float(x):.17g}"
+
+
 def entrywise_format_cnum(z: complex) -> str:
     """Reference canonical entry, one f-string per part."""
     z = complex(z)

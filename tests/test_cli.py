@@ -10,10 +10,11 @@ import pytest
 from slhnet import (LinearComponent, build_partitioned, check_unitary_on_axis,
                     feedback_reduce, matkit, parse)
 from slhnet.cli import main
-from slhnet.netfile import (component_document, format_float,
-                            parse_matrix_assignments, serialize)
+from slhnet.netfile import (component_document, parse_matrix_assignments,
+                            serialize)
+from slhnet.transfer import axis_residual, freq_response
 
-from support import haar_unitary
+from support import format_float, haar_unitary
 
 CAVITY = """\
 component cavity {
@@ -230,6 +231,26 @@ component pair {
         assert rows[1].split(",")[-1] == "NA"
         assert rows[3].split(",")[1] != "NA"
 
+    def test_pole_row_between_finite_rows_matches_cellwise_format(self, tmp_path, capsys):
+        path = tmp_path / "osc.qnet"
+        path.write_text(CAVITY.replace("C = [[1]];", "C = [[0]];")
+                        .replace("Omega = [[0]];", "Omega = [[1]];"))
+        # 201 points, so the cells take the array route; omega = -1, the pole, is row 101
+        assert main(["freqresp", str(path), "--grid", "-2:0:201", "--sigma", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        comp = parse(path.read_text()).components["cavity"]
+        expected = ['omega,"re(Xi[0,0])","im(Xi[0,0])",unitarity_residual']
+        for point in freq_response(comp, np.linspace(-2, 0, 201), sigma=0.0):
+            if point.singular:
+                expected.append(format_float(point.omega) + ",NA,NA,NA")
+                continue
+            Xi = point.evaluation.Xi
+            residual = axis_residual(Xi[None])[0]
+            expected.append(",".join(format_float(v) for v in
+                                     (point.omega, Xi[0, 0].real, Xi[0, 0].imag, residual)))
+        assert [i for i, row in enumerate(rows) if "NA" in row] == [101]
+        assert rows == expected
+
     def test_determinism(self, bsloop_file, capsys):
         assert main(["freqresp", bsloop_file, "--grid", "-2:2:21"]) == 0
         first = capsys.readouterr().out
@@ -322,6 +343,16 @@ class TestStratCommands:
         gen = tmp_path / "gen.txt"
         gen.write_text("E = [[0,1],[0,0]];\nF = [[1],[1]];\nK = [[0]];\n")
         assert main(["strat2ito", str(gen)]) == 1
+
+    def test_strat2ito_names_ill_conditioned_cayley_matrix(self, tmp_path, capsys):
+        # hermitian E, but κ₁(I + iE/2) ≈ ‖E‖/2 is past the singularity gate
+        gen = tmp_path / "gen.txt"
+        gen.write_text("E = [[1e13, 0], [0, 1]];\nF = [[1], [0]];\nK = [[0]];\n")
+        assert main(["strat2ito", str(gen)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: (I + iE/2) is too ill-conditioned to solve "
+                                "(condition estimate inf)\n")
 
     def test_ito2strat_cayley_pole(self, tmp_path, capsys):
         triple = tmp_path / "triple.txt"

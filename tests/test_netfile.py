@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slhnet import (LinearComponent, beamsplitter_loop, feedback_reduce,
-                    make_cavity, matkit, mixing_splitter, series_product,
+                    make_cavity, matkit, mixing_splitter, netfile, series_product,
                     validate)
 from slhnet.netfile import (NetDocument, ParseError, build_partitioned,
                             component_document, format_cnum, format_matrix,
-                            format_matrix_assignments, parse,
+                            format_matrix_assignments, format_table, parse,
                             parse_matrix_assignments, serialize)
 
 from support import (entrywise_format_cnum, entrywise_format_matrix,
-                     fold_partitioned, random_network, reference_parse,
+                     fold_partitioned, format_float, random_network, reference_parse,
                      reference_parse_matrix_assignments, respell)
 
 CAVITY = """\
@@ -624,6 +624,64 @@ class TestSerializerProperty:
         comp = LinearComponent(np.eye(n), m, np.zeros((k, k)))
         doc = component_document("c", comp)
         assert parse(serialize(doc)) == doc
+
+
+# Every float class: st.floats() draws zeros, subnormals, extremes, inf and
+# nan; the rest are the places a 17-digit conversion can go wrong.
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(-330, 330).map(lambda k: float(f"1e{k}")),                 # powers of ten
+    st.tuples(st.integers(-330, 330), st.sampled_from([-np.inf, np.inf])).map(
+        lambda kd: float(np.nextafter(float(f"1e{kd[0]}"), kd[1]))),       # and their neighbours
+    st.integers(-2**62, 2**62).map(float),
+    st.tuples(st.integers(0, 2**40), st.integers(1, 60)).map(
+        lambda nk: (2 * nk[0] + 1) / 2**nk[1]),                            # many-digit dyadics, ties
+)
+_ARRAY_LENGTH = 2 * netfile._CHUNK + 7      # three chunks, the last one short
+
+
+def _assert_same_text(got: str, want: str):
+    """got == want, reported by its first difference: a diff of the whole text is too slow."""
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        lo = max(i - 40, 0)
+        raise AssertionError(f"first difference at {i}: {got[lo:i + 40]!r} != {want[lo:i + 40]!r}")
+
+
+class TestCanonicalNumbers:
+    """The array route is byte-identical to "%.17g" and spans chunks."""
+
+    @given(st.lists(_ANY_FLOAT, min_size=1, max_size=40))
+    @settings(max_examples=30, deadline=None)
+    @example([0.0, -0.0])
+    @example([5e-324, -5e-324])
+    @example([1.7976931348623157e308, -1.7976931348623157e308])
+    @example([1e16, 1e17])
+    @example([99999999999999999.0])                # rounds to 1e+17
+    @example([9.9999999999999996e+216])            # log10 says 217
+    @example([1e-14, 1e98])                        # below 10^k, round up to it
+    @example([1e-5, 1e-4])                         # scientific and fixed
+    @example([26215 / 2**18])                      # 17 digits end on an exact tie
+    @example([np.inf, -np.inf, np.nan])            # the residual column can read inf
+    def test_matches_percent_format(self, values):
+        x = np.resize(np.array(values), _ARRAY_LENGTH)
+        text = format_table(x[:, None], np.zeros(len(x), dtype=bool))
+        _assert_same_text(text, "".join(format_float(v) + "\n" for v in x.tolist()))
+
+    @given(st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1, max_size=30),
+           st.integers(1, 300))
+    @settings(max_examples=10, deadline=None)
+    @example([complex(0.5, -0.0), complex(-0.0, 3.0), complex(1e300, -1e-300)], 97)
+    def test_matrix_spanning_chunks_matches_entrywise_join(self, entries, cols):
+        m = np.resize(np.array(entries), (_ARRAY_LENGTH // cols + 1, cols))
+        _assert_same_text(format_matrix(m), entrywise_format_matrix(m))
+
+    def test_table_marks_missing_rows(self):
+        table = np.arange(12.0).reshape(4, 3) / 8
+        assert format_table(table, np.array([False, True, False, True])) == (
+            "0,0.125,0.25\n0.375,NA,NA\n0.75,0.875,1\n1.125,NA,NA\n")
 
 
 class TestMatrixAssignments:
