@@ -66,12 +66,15 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(text: str, path: str | None):
+def _emit(path: str | None, *texts: str):
+    """Write the texts one after another, so that a long one is never copied to join it."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        for text in texts:
+            sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for text in texts:
+                fh.write(text)
 
 
 def _load_model(path: str) -> LinearComponent:
@@ -132,20 +135,20 @@ def _cmd_check(args) -> int:
         ok = ok and report.ok
     if not doc.components:
         lines.append("no components defined")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(args.output, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_INVALID
 
 
 def _cmd_reduce(args) -> int:
     reduced = _load_model(args.file)
-    text = serialize(component_document("reduced", reduced))
+    texts = [serialize(component_document("reduced", reduced))]
     if reduced.C.size:
         # coupling phases are gauge; report magnitudes for comparisons.
         # np.hypot is libm's hypot, as Python's abs(complex) is; np.abs of
         # a complex array differs from both in the last bit.
         mags = np.hypot(reduced.C.real, reduced.C.imag)
-        text += f"# |C| = {format_matrix(mags)}\n"
-    _emit(text, args.output)
+        texts.append(f"# |C| = {format_matrix(mags)}\n")
+    _emit(args.output, *texts)
     return EXIT_OK
 
 
@@ -154,7 +157,7 @@ def _cmd_tf(args) -> int:
     ev = eval_transfer(comp, args.s)
     out = [f"# s = {format_cnum(ev.s)}",
            format_matrix_assignments([("Xi", ev.Xi), ("xi", ev.xi)]).rstrip("\n")]
-    _emit("\n".join(out) + "\n", args.output)
+    _emit(args.output, "\n".join(out) + "\n")
     return EXIT_OK
 
 
@@ -178,7 +181,7 @@ def _cmd_freqresp(args) -> int:
     table[:, 0] = [point.omega for point in points]
     table[~singular, 1:-1] = Xi.view(np.float64).reshape(len(Xi), 2 * n * n)
     table[~singular, -1] = axis_residual(Xi)
-    _emit(header + "\n" + format_table(table, singular), args.output)
+    _emit(args.output, header + "\n", format_table(table, singular))
     return EXIT_OK
 
 
@@ -186,7 +189,7 @@ def _cmd_series(args) -> int:
     upstream = _load_model(args.first)
     downstream = _load_model(args.second)
     combined = series_product(downstream, upstream)
-    _emit(serialize(component_document("series", combined)), args.output)
+    _emit(args.output, serialize(component_document("series", combined)))
     return EXIT_OK
 
 
@@ -194,7 +197,7 @@ def _cmd_star(args) -> int:
     a = _load_model(args.first)
     b = _load_model(args.second)
     combined = redheffer_star(a, b, args.channels)
-    _emit(serialize(component_document("star", combined)), args.output)
+    _emit(args.output, serialize(component_document("star", combined)))
     return EXIT_OK
 
 
@@ -220,7 +223,7 @@ def _cmd_strat2ito(args) -> int:
     comp = strat_to_ito(sm)
     out = format_matrix_assignments(
         [("S", comp.S), ("C", comp.C), ("Omega", comp.Omega)])
-    _emit(out + _residual_comment(sm, comp), args.output)
+    _emit(args.output, out, _residual_comment(sm, comp))
     return EXIT_OK
 
 
@@ -234,7 +237,7 @@ def _cmd_ito2strat(args) -> int:
         raise ModelInvalid(str(report))
     sm = ito_to_strat(comp)
     out = format_matrix_assignments([("E", sm.E), ("F", sm.F), ("K", sm.K)])
-    _emit(out + _residual_comment(sm, comp), args.output)
+    _emit(args.output, out, _residual_comment(sm, comp))
     return EXIT_OK
 
 

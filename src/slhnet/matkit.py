@@ -1,11 +1,21 @@
-"""Dense complex-matrix kernel shared by every other module.
+"""Complex-matrix kernel shared by every other module.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  All
 tolerances are absolute on the max-entry norm: the matrices handled here
 are O(1)-normalized physical parameters, so no relative scaling is needed.
+
+:func:`factor` is the one singularity gate, with two backends behind one
+interface: LAPACK's dense LU for an array and SuperLU's sparse LU for a
+``scipy.sparse`` matrix.  Both apply the same pivot rule and the same
+1-norm condition gate.  A feedback reduction hands its loop matrix to
+the sparse backend from ``SPARSE_MIN`` internal channels on, when the
+matrix is sparse enough: there SuperLU's fill-reducing order keeps the
+factor near O(k) entries, where the dense LU costs O(k³).
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -13,6 +23,7 @@ from scipy.linalg import get_lapack_funcs
 STRUCT_TOL = 1e-9    # default tolerance for structural predicates
 EIG_MERGE_GAP = 1e-9  # relative gap under which eigenvalues share a projector
 PIVOT_REL = 1e-12    # least pivot / max column 1-norm, and least 1-norm rcond, to solve
+SPARSE_MIN = 128     # least k for a sparse LU of a k×k loop matrix; see network._eliminate
 
 _getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
 
@@ -78,53 +89,103 @@ def herm_imag(m) -> np.ndarray:
 
 
 class LU:
-    """P L U = M from factor(): solves, ‖M‖₁ and a 1-norm condition estimate."""
+    """P L U = M from factor(): solves, ‖M‖₁ and a 1-norm condition estimate.
 
-    def __init__(self, lu: np.ndarray, piv: np.ndarray, anorm: float, rcond: float):
-        self.lu, self.piv, self.anorm, self._rcond = lu, piv, anorm, rcond
+    ``lu`` is the factor itself: LAPACK's array holding L and U, or
+    SciPy's SuperLU object.
+    """
+
+    def __init__(self, lu, solve, anorm: float, rcond: float):
+        self.lu, self._solve, self.anorm, self._rcond = lu, solve, anorm, rcond
+        self.n = lu.shape[0]
 
     def solve(self, rhs) -> np.ndarray:
         """X with M X = RHS; ValueError on a misshapen or non-finite RHS."""
         rhs = np.asarray(rhs, dtype=complex)
-        if rhs.shape[:1] != self.lu.shape[:1]:
-            raise ValueError(f"rhs has {len(rhs)} rows, expected {len(self.lu)}")
+        if rhs.shape[:1] != (self.n,):
+            raise ValueError(f"rhs has {len(rhs)} rows, expected {self.n}")
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
-        return _getrs(self.lu, self.piv, rhs)[0] if rhs.size else np.zeros_like(rhs)
+        return self._solve(rhs) if rhs.size else np.zeros_like(rhs)
 
     def rcond(self) -> float:
-        """LAPACK's estimate of 1/κ₁(M), taken once by factor(); 1.0 when M is empty."""
+        """The estimate of 1/κ₁(M) taken once by factor(); 1.0 when M is empty."""
         return self._rcond
 
     def inverse_norm(self) -> float:
         """The same estimate of ‖M⁻¹‖₁, a lower bound: 1/(rcond·‖M‖₁); 0.0 when M is empty."""
-        return 1 / (self._rcond * self.anorm) if self.lu.size else 0.0
+        return 1 / (self._rcond * self.anorm) if self.n else 0.0
 
 
 def factor(m) -> LU:
     """LU-factor M once, with partial pivoting, and decide whether M can be solved.
 
-    This is the one singularity gate of the package.  Raises ValueError on
-    a non-square or non-finite M, and SingularMatrix when a pivot falls
-    below ``PIVOT_REL`` times the largest column 1-norm of M, ‖M‖₁, or
-    when LAPACK's estimate of 1/κ₁(M) from the LU (zgecon, O(k²); Higham,
-    ACM TOMS 14:381, 1988) is ≤ ``PIVOT_REL``.  M itself is left unchanged.
+    This is the one singularity gate of the package.  A ``scipy.sparse``
+    M is factored by SuperLU (``splu`` with its fill-reducing column
+    order; Li, ACM TOMS 31:302, 2005), any other M densely by LAPACK
+    (zgetrf).  Raises ValueError on a non-square or non-finite M, and
+    SingularMatrix when a pivot (a diagonal entry of U) falls below
+    ``PIVOT_REL`` times the largest column 1-norm of M, ‖M‖₁, or when the
+    estimate of 1/κ₁(M) from the LU is ≤ ``PIVOT_REL``; an exactly
+    singular M is rejected either way.  The estimate is Hager and
+    Higham's iteration over solves with the LU (Higham, ACM TOMS 14:381,
+    1988): zgecon for a dense M, ``onenormest`` with one column, which
+    draws no random numbers, for a sparse one.  M itself is left unchanged.
     """
+    sparse = sys.modules.get("scipy.sparse")    # no sparse M exists before it is imported
+    if sparse is not None and sparse.issparse(m):
+        return _factor_sparse(m)
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
-        return LU(m, np.zeros(0, dtype=np.int32), 0.0, 1.0)
+        return LU(m, None, 0.0, 1.0)
     if not np.isfinite(m).all():
         raise ValueError("array must not contain infs or NaNs")
     anorm = float(np.abs(m).sum(axis=0).max())
     lu, piv, _ = _getrf(np.array(m, order="F"), overwrite_a=True)
-    if np.abs(lu.diagonal()).min() <= PIVOT_REL * anorm:
+    return _gate(lu, lambda rhs: _getrs(lu, piv, rhs)[0], anorm, lu.diagonal(),
+                 lambda: float(_gecon(lu, anorm)[0]))
+
+
+def _factor_sparse(m) -> LU:
+    from scipy.sparse.linalg import LinearOperator, onenormest, splu
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    n = m.shape[0]
+    if n == 0:
+        return LU(np.zeros((0, 0), dtype=complex), None, 0.0, 1.0)
+    m = m.tocsc().astype(complex)    # a copy, so that summing duplicates leaves M unchanged
+    m.sum_duplicates()
+    if not np.isfinite(m.data).all():
+        raise ValueError("array must not contain infs or NaNs")
+    anorm = float(abs(m).sum(axis=0).max())
+    try:
+        lu = splu(m)
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        raise SingularMatrix(np.inf) from exc
+
+    def rcond() -> float:
+        inverse = LinearOperator((n, n), matvec=lu.solve, matmat=lu.solve, dtype=complex,
+                                 rmatvec=lambda x: lu.solve(x, "H"),
+                                 rmatmat=lambda x: lu.solve(x, "H"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = float(onenormest(inverse, t=1))
+        return 1 / (anorm * est) if est < np.inf else 0.0    # nan, inf: overflow
+
+    return _gate(lu, lu.solve, anorm, lu.U.diagonal(), rcond)
+
+
+def _gate(lu, solve, anorm: float, pivots: np.ndarray, rcond) -> LU:
+    """The LU, unless a pivot meets the pivot rule or ``rcond()`` is ≤ PIVOT_REL."""
+    if np.abs(pivots).min() <= PIVOT_REL * anorm:
         raise SingularMatrix(np.inf)
-    rcond = float(_gecon(lu, anorm)[0])
-    if not rcond > PIVOT_REL:
-        raise SingularMatrix(1 / rcond if rcond else np.inf)
-    return LU(lu, piv, anorm, rcond)
+    estimate = rcond()
+    if not estimate > PIVOT_REL:
+        raise SingularMatrix(1 / estimate if estimate else np.inf)
+    return LU(lu, solve, anorm, estimate)
 
 
 def solve(m, rhs) -> np.ndarray:

@@ -40,7 +40,9 @@ to round-trip any binary64 value), and "%+.17g" for an imaginary part
 that follows a real one; format_matrix, format_cnum, serialize and
 format_table all write it.  They format whole arrays at once, in chunks:
 numpy takes the 17 digits from a double-double product with an exact
-table of powers of ten, then lays out the bytes.  A number whose rounding
+table of powers of ten, then lays out the bytes; that table and the
+digit tables are built on first use.  A real array is formatted without
+the imaginary parts, which would all be zero.  A number whose rounding
 that product cannot settle (a remainder within 1e-9 of a tie), a nonzero
 |x| outside [1e-290, 1e290) (subnormals included), inf and nan are
 formatted by "%" itself instead, and so is an array of fewer than
@@ -49,6 +51,7 @@ _VECTOR_MIN numbers; either way the bytes are those of "%.17g".
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -474,8 +477,9 @@ def parse(source: str) -> NetDocument:
 #
 # The digits are the integer D nearest |x|·10^(16-E), E = ⌊log10 |x|⌋,
 # from Dekker's double-double product (Numer. Math. 18:224, 1971) with
-# the exact table _P10: the fraction that decides the rounding is off by
-# less than 5e-15, far inside _TIE.
+# the exact table of 10^k, built with the others on first use by _tables():
+# the fraction that decides the rounding is off by less than 5e-15, far
+# inside _TIE.
 
 _CHUNK = 8192            # entries per pass: bounds the temporaries, not the text
 _VECTOR_MIN = 128        # fewer numbers than this are formatted one by one
@@ -488,6 +492,9 @@ _E = np.arange(16 - _K_MAX, 18 - _K_MIN)     # those E, and E + 1 after a roundi
 def _ascii_words(texts) -> np.ndarray:
     """One uint64 word per text of at most 8 bytes, NUL-padded."""
     return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
+
+
+_I = _ascii_words([b"\0" * 7 + b"i"])[0]     # after any number, in its last byte
 
 
 def _pow10_table() -> np.ndarray:
@@ -514,37 +521,53 @@ def _pow10_table() -> np.ndarray:
     return np.stack([hi, np.array(lo), hh, hi - hh])
 
 
-_P10 = _pow10_table()
-_n = np.arange(10000, dtype=np.uint16)
-_quad = (np.stack([_n // 1000, _n // 100 % 10, _n // 10 % 10, _n % 10], axis=1) + 48
-         ).astype(np.uint8)
-_QUAD = _quad.view(np.uint32).ravel()          # the 4 ASCII digits of n
-# row k, for group k of the 16 digits after the first: how many of those 16
-# run up to its last nonzero digit, 0 for a group 0000
-_last = ((_quad != 48) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
-_SIGNIFICANT = np.where(_last > 0, _last + np.arange(0, 16, 4, dtype=np.uint8)[:, None], 0
-                        ).astype(np.uint8)
-_sci = (_E < -4) | (_E > 16)
-# digits after the first that precede the point; 17 for "0.000d...", whose point is in word 0
-_SPLIT = np.where(_sci, 0, np.where(_E < 0, 17, np.minimum(_E, 16)))
-_PREFIX = _ascii_words([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
-                        for sign in (b"", b"-", b"+") for e in _E.tolist()])
-_FIRST = _ascii_words([b"\0" * 6 + bytes([48 + d]) for d in range(10)])
-_EXPONENT = _ascii_words([b"e%+03d" % e if s else b"" for e, s in zip(_E.tolist(), _sci.tolist())])
-_I = _ascii_words([b"\0" * 7 + b"i"])[0]     # after any number, in its last byte
-# by (split, significant digits): masks of words 1-2 and 3-4, and the point for word 2
-_head = np.tril(np.full((17, 16), 255, np.uint8), -1).view(np.uint64)   # row j: first j bytes
-_MASKS = np.zeros((18, 17, 5), np.uint64)
-_MASKS[:17, :, :2] = _head[:, None]
-_MASKS[:17, :, 2:4] = _head[None, :] & ~_head[:, None]
-_MASKS[:17, :, 4] = np.where(_n[:17] > _n[:17, None], _ascii_words([b"\0" * 7 + b"."])[0], 0)
-_MASKS[17, :, 2:4] = _head                   # "0.000d...": no digits before the point
-_MASKS = _MASKS.reshape(-1, 5)
+class _Tables(NamedTuple):
+    P10: np.ndarray           # _pow10_table()
+    QUAD: np.ndarray          # the 4 ASCII digits of n < 10000, as one uint32
+    SIGNIFICANT: np.ndarray   # row k, group n: digits up to the group's last nonzero one
+    SPLIT: np.ndarray         # by E: digits after the first that precede the point
+    PREFIX: np.ndarray        # by sign and E: the sign, and "0.000" for a small E
+    FIRST: np.ndarray         # by digit: that digit in byte 6 of word 0
+    EXPONENT: np.ndarray      # by E: "e" and the exponent, in scientific notation
+    MASKS: np.ndarray         # by split and significant digits: masks of words 1-4
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The tables of the array route, built on its first use, not at import."""
+    n = np.arange(10000, dtype=np.uint16)
+    quad = (np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + 48
+            ).astype(np.uint8)
+    # row k, for group k of the 16 digits after the first: how many of those 16
+    # run up to its last nonzero digit, 0 for a group 0000
+    last = ((quad != 48) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
+    significant = np.where(last > 0, last + np.arange(0, 16, 4, dtype=np.uint8)[:, None], 0
+                           ).astype(np.uint8)
+    sci = (_E < -4) | (_E > 16)
+    # 17 for "0.000d...", whose point is in word 0
+    split = np.where(sci, 0, np.where(_E < 0, 17, np.minimum(_E, 16)))
+    prefix = _ascii_words([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+                           for sign in (b"", b"-", b"+") for e in _E.tolist()])
+    first = _ascii_words([b"\0" * 6 + bytes([48 + d]) for d in range(10)])
+    exponent = _ascii_words([b"e%+03d" % e if s else b""
+                             for e, s in zip(_E.tolist(), sci.tolist())])
+    # by (split, significant digits): masks of words 1-2 and 3-4, and the point for word 2
+    head = np.tril(np.full((17, 16), 255, np.uint8), -1).view(np.uint64)   # row j: first j bytes
+    masks = np.zeros((18, 17, 5), np.uint64)
+    masks[:17, :, :2] = head[:, None]
+    masks[:17, :, 2:4] = head[None, :] & ~head[:, None]
+    masks[:17, :, 4] = np.where(n[:17] > n[:17, None], _ascii_words([b"\0" * 7 + b"."])[0], 0)
+    masks[17, :, 2:4] = head                   # "0.000d...": no digits before the point
+    tables = _Tables(_pow10_table(), quad.view(np.uint32).ravel(), significant, split, prefix,
+                     first, exponent, masks.reshape(-1, 5))
+    for table in tables:                       # shared by every caller from now on
+        table.flags.writeable = False
+    return tables
 
 
 def _scaled(a: np.ndarray, E: np.ndarray):
     """a·10^(16-E) as its integer part and the fraction in [0, 1) left over."""
-    hi, lo, hh, hl = (row.take(16 - _K_MIN - E) for row in _P10)
+    hi, lo, hh, hl = (row.take(16 - _K_MIN - E) for row in _tables().P10)
     p = a * hi
     t = a * 134217729.0            # Dekker's split of a: ah + al, 26 bits each
     ah = t - (t - a)
@@ -567,6 +590,7 @@ def _number_words(x: np.ndarray, plus=None) -> np.ndarray:
     """(len(x), _WORDS) words of "%.17g" % x[i], or "%+.17g" where plus[i]."""
     if len(x) < _VECTOR_MIN:
         return _scalar_words(x, plus)
+    t = _tables()
     a = np.abs(x)
     fast = (a >= 1e-290) & (a < 1e290)          # not 0, subnormal, inf or nan
     zero = a == 0.0
@@ -593,10 +617,10 @@ def _number_words(x: np.ndarray, plus=None) -> np.ndarray:
     significant = np.zeros(len(x), np.int64)
     g1, g3 = mid // 10**4, low // 10**4
     for k, g in enumerate((g1, mid - g1 * 10**4, g3, low - g3 * 10**4)):
-        quads[:, k] = _QUAD.take(g)
-        np.maximum(significant, _SIGNIFICANT[k].take(g), out=significant)
+        quads[:, k] = t.QUAD.take(g)
+        np.maximum(significant, t.SIGNIFICANT[k].take(g), out=significant)
     e = E - _E[0]
-    digits = np.take(_MASKS, _SPLIT.take(e) * 17 + significant, axis=0)
+    digits = np.take(t.MASKS, t.SPLIT.take(e) * 17 + significant, axis=0)
     digits[:, 0:2] &= quads.view(np.uint64)
     digits[:, 2:4] &= quads.view(np.uint64)
     digits[:, 1] |= digits[:, 4]
@@ -604,9 +628,9 @@ def _number_words(x: np.ndarray, plus=None) -> np.ndarray:
     if plus is not None:
         sign[plus & (sign == 0)] = 2
     words = np.empty((len(x), _WORDS), np.uint64)
-    words[:, 0] = _PREFIX.take(sign * len(_E) + e) | _FIRST.take(first)
+    words[:, 0] = t.PREFIX.take(sign * len(_E) + e) | t.FIRST.take(first)
     words[:, 1:5] = digits[:, :4]
-    words[:, 5] = _EXPONENT.take(e)
+    words[:, 5] = t.EXPONENT.take(e)
     slow = np.flatnonzero(~(fast | zero))
     if len(slow):
         words[slow] = _scalar_words(x[slow], None if plus is None else plus[slow])
@@ -629,6 +653,13 @@ def _entry_words(z: np.ndarray) -> np.ndarray:
     words[:, :_WORDS] = parts[:n] * has_re[:, None]
     words[:, _WORDS:-1] = parts[n:] * has_im[:, None]
     words[:, 2 * _WORDS - 1] |= has_im * _I
+    return words
+
+
+def _real_words(x: np.ndarray) -> np.ndarray:
+    """Words of canonical real numbers, plus one tail word each, left unset."""
+    words = np.empty((len(x), _WORDS + 1), np.uint64)
+    words[:, :-1] = _number_words(x)
     return words
 
 
@@ -662,13 +693,19 @@ _NA = _ascii_words([b"NA"] + [b""] * (_WORDS - 1))
 
 
 def _matrix_pieces(m) -> list[str]:
-    """The canonical matrix literal in pieces of at most _CHUNK entries."""
-    m = np.ascontiguousarray(m, dtype=complex)
+    """The canonical matrix literal in pieces of at most _CHUNK entries.
+
+    A real array is formatted as its real parts alone: the imaginary
+    parts of its entries would all be zero, which an entry leaves out.
+    """
+    m = np.asarray(m)
     if m.size == 0:
         return ["[]"]
-    flat = m.reshape(-1)
+    real = m.dtype.kind in "biuf"
+    flat = np.ascontiguousarray(m, dtype=float if real else complex).reshape(-1)
+    words_of = _real_words if real else _entry_words
     return ["[[", *_row_pieces(flat.size, m.shape[1],
-                               lambda start, stop: _entry_words(flat[start:stop]),
+                               lambda start, stop: words_of(flat[start:stop]),
                                _MATRIX_TAILS)]
 
 
@@ -695,8 +732,7 @@ def format_table(table: np.ndarray, missing: np.ndarray) -> str:
     flat, na = table.reshape(-1), na.reshape(-1)
 
     def words_of(start, stop):
-        words = np.empty((stop - start, _WORDS + 1), np.uint64)
-        words[:, :-1] = _number_words(flat[start:stop])
+        words = _real_words(flat[start:stop])
         words[na[start:stop], :-1] = _NA
         return words
 
@@ -752,10 +788,10 @@ def build_partitioned(doc: NetDocument) -> PartitionedComponent:
     offsets; S, C and Omega are then allocated once and each instance's
     blocks copied into place, so assembly costs O(P² + P·M + M²) for P
     ports and M modes, the size of its output.  Connected ports become
-    internal channels with a permutation adjacency built over ascending
-    global port indices.  External inputs are ordered by declaration
-    first, then remaining inputs ascending; external outputs are
-    inferred, ascending.
+    internal channels, listed by ascending global port index, and η is
+    passed as the vector that pairs them.  External inputs are ordered by
+    declaration first, then remaining inputs ascending; external outputs
+    are inferred, ascending.
     """
     parts: list[LinearComponent] = []
     offsets: dict[str, int] = {}
@@ -778,20 +814,17 @@ def build_partitioned(doc: NetDocument) -> PartitionedComponent:
                                block_diag(c.Omega for c in parts),
                                tuple(port_labels), tuple(mode_labels))
 
-    internal_out = sorted(offsets[e.src_instance] + e.src_port for e in doc.edges)
-    internal_in = sorted(offsets[e.dst_instance] + e.dst_port for e in doc.edges)
-    out_pos = {g: j for j, g in enumerate(internal_out)}
-    in_pos = {g: j for j, g in enumerate(internal_in)}
-    eta = np.zeros((len(internal_out), len(internal_in)))
-    for e in doc.edges:
-        eta[out_pos[offsets[e.src_instance] + e.src_port],
-            in_pos[offsets[e.dst_instance] + e.dst_port]] = 1.0
-
-    taken_in = set(internal_in).union(declared)
+    src = np.array([offsets[e.src_instance] + e.src_port for e in doc.edges], dtype=np.intp)
+    dst = np.array([offsets[e.dst_instance] + e.dst_port for e in doc.edges], dtype=np.intp)
+    by_src, by_dst = np.argsort(src), np.argsort(dst)
+    rank_dst = np.empty_like(by_dst)
+    rank_dst[by_dst] = np.arange(len(dst))
+    taken_in = set(dst.tolist()).union(declared)
+    internal_out = set(src.tolist())
     external_in = tuple(declared) + tuple(g for g in range(total) if g not in taken_in)
-    external_out = tuple(g for g in range(total) if g not in out_pos)
-    return PartitionedComponent(combined, internal_out=tuple(internal_out),
-                                internal_in=tuple(internal_in), eta=eta,
+    external_out = tuple(g for g in range(total) if g not in internal_out)
+    return PartitionedComponent(combined, internal_out=tuple(src[by_src].tolist()),
+                                internal_in=tuple(dst[by_dst].tolist()), eta=rank_dst[by_src],
                                 external_out=external_out, external_in=external_in)
 
 

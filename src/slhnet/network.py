@@ -15,11 +15,21 @@ patterns of it over a direct sum (Gough & James, arXiv:0804.3442) and
 share its LU and singularity gate: series (g1's outputs feed g2's inputs),
 star (a's last k ports cross b's first k), beam-splitter loop (star of
 splitter and plant) and Möbius transform (S of the star of T and X).
+
+η is kept as the vector perm, η[s, perm[s]] = 1.  Below
+matkit.SPARSE_MIN internal channels the kernel copies the blocks of S and
+C it needs and factors η − S_ii densely.  From there on, when S_ii is
+sparse, as in a network of many small components, it sorts the nonzeros
+of S and C into sparse blocks and lets SuperLU factor η − S_ii in a
+fill-reducing order (elimination order does not change the result); only
+the right-hand sides, the solution and the reduced (S, C, Ω) are dense.
+The two paths agree to rounding, about 1e-14 relative on the networks
+tested, but not bit for bit, since their pivot orders differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -48,23 +58,25 @@ class PartitionedComponent:
     """A component whose ports are split into internal and external sets.
 
     ``internal_out``/``internal_in`` are ordered port indices; ``eta`` is
-    the permutation over internal channels with rows following
-    ``internal_out`` and columns ``internal_in`` (η[s, r] = 1 when output
-    s feeds input r).  An η within 1e-12 of a permutation matrix is
-    stored as that exact matrix.  External orders default to the
-    ascending complements but may be given explicitly to control the port
-    layout of the reduced component.
+    the permutation over internal channels, given as the integer vector
+    perm (output s feeds input perm[s]) or as the matrix η with rows
+    following ``internal_out`` and columns ``internal_in`` (η[s, r] = 1
+    when output s feeds input r).  A matrix within 1e-12 of a permutation
+    matrix is read as that permutation.  Only the vector is kept, as
+    ``_perm``; ``eta`` reads back as the exact matrix.  External orders
+    default to the ascending complements but may be given explicitly to
+    control the port layout of the reduced component.
     """
 
     comp: LinearComponent
     internal_out: tuple[int, ...]
     internal_in: tuple[int, ...]
-    eta: np.ndarray
+    eta: InitVar[np.ndarray]
     external_out: tuple[int, ...] | None = None
     external_in: tuple[int, ...] | None = None
     _perm: np.ndarray = field(init=False, repr=False)   # η[s, _perm[s]] = 1
 
-    def __post_init__(self):
+    def __post_init__(self, eta):
         n = self.comp.n_ports
         i_out = tuple(int(i) for i in self.internal_out)
         i_in = tuple(int(i) for i in self.internal_in)
@@ -76,15 +88,7 @@ class PartitionedComponent:
                 raise BadPartition(f"duplicate port index in {name}")
             if any(i < 0 or i >= n for i in idx):
                 raise BadPartition(f"{name} index out of range 0..{n - 1}")
-        eta = np.asarray(self.eta, dtype=complex)
-        if eta.size == 0 and len(i_out) == 0:
-            eta = np.zeros((0, 0), dtype=complex)
-        if eta.shape != (len(i_out), len(i_in)):
-            raise BadPartition("eta must be a permutation matrix over internal channels")
-        perm = eta.real.argmax(axis=1) if eta.size else np.zeros(0, dtype=int)
-        exact = np.eye(len(perm), dtype=complex)[perm]
-        if np.unique(perm).size != perm.size or matkit.max_abs(eta - exact) > 1e-12:
-            raise BadPartition("eta must be a permutation matrix over internal channels")
+        perm = _permutation(eta, len(i_out))
         for side, internal in (("out", i_out), ("in", i_in)):
             external = getattr(self, f"external_{side}")
             if external is None:
@@ -96,11 +100,48 @@ class PartitionedComponent:
                     raise BadPartition(
                         f"external_{side} must be the complement of internal_{side}")
             object.__setattr__(self, f"external_{side}", external)
-        exact.flags.writeable = False
         object.__setattr__(self, "internal_out", i_out)
         object.__setattr__(self, "internal_in", i_in)
-        object.__setattr__(self, "eta", exact)
         object.__setattr__(self, "_perm", perm)
+
+
+def _eta_matrix(pc: PartitionedComponent) -> np.ndarray:
+    """The exact permutation matrix η of ``pc``, as a new read-only array."""
+    eta = np.eye(len(pc._perm), dtype=complex)[pc._perm]
+    eta.flags.writeable = False
+    return eta
+
+
+PartitionedComponent.eta = property(_eta_matrix)   # the init argument, read back as a matrix
+
+
+def _permutation(eta, k: int) -> np.ndarray:
+    """The vector perm of η, given as perm itself or as a k×k matrix; BadPartition if none."""
+    eta = np.asarray(eta)
+    perm = None
+    if eta.size == 0 and k == 0:
+        perm = np.zeros(0, dtype=np.intp)
+    elif eta.shape == (k,) and np.issubdtype(eta.dtype, np.integer):
+        perm = eta.astype(np.intp)
+    elif eta.shape == (k, k):
+        eta = eta.astype(complex)
+        perm = eta.real.argmax(axis=1)
+        if matkit.max_abs(eta - np.eye(k)[perm]) > 1e-12:
+            perm = None
+    if perm is None or (k and (perm.min() < 0 or perm.max() >= k
+                               or np.bincount(perm, minlength=k).max() > 1)):
+        raise BadPartition("eta must be a permutation matrix over internal channels")
+    perm.flags.writeable = False
+    return perm
+
+
+def _factor_loop(loop) -> matkit.LU:
+    """matkit.factor of η − S_ii, AlgebraicLoop with its condition estimate if singular."""
+    try:
+        return matkit.factor(loop)
+    except matkit.SingularMatrix as exc:
+        raise AlgebraicLoop("(eta - S_ii) is singular (condition estimate "
+                            f"{exc.condition:.3e})") from exc
 
 
 def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
@@ -108,15 +149,17 @@ def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
 
     One LU of (η − S_ii) gives the solve and the gate: AlgebraicLoop when
     matkit.factor finds it singular, with the 1-norm condition estimate
-    (inf when the pivot rule fired).
+    (inf when the pivot rule fired).  From k = matkit.SPARSE_MIN internal
+    channels on, where the dense LU's k³ starts to cost more than a
+    sparse LU, a sparse S_ii takes :func:`_eliminate_sparse` instead.
     """
+    if len(i_out) >= matkit.SPARSE_MIN:
+        reduced = _eliminate_sparse(S, C, Omega, i_out, i_in, perm, e_out, e_in)
+        if reduced is not None:
+            return reduced
     n_e = len(e_in)
     S_i, C_i = S.take(i_out, axis=0), C.take(i_out, axis=0)
-    try:   # factor η − S_ii
-        lu = matkit.factor(np.eye(len(i_out), dtype=complex)[perm] - S_i.take(i_in, axis=1))
-    except matkit.SingularMatrix as exc:
-        raise AlgebraicLoop("(eta - S_ii) is singular (condition estimate "
-                            f"{exc.condition:.3e})") from exc
+    lu = _factor_loop(np.eye(len(i_out), dtype=complex)[perm] - S_i.take(i_in, axis=1))
     X = lu.solve(np.concatenate([S_i.take(e_in, axis=1), C_i], axis=1))
     del S_i, lu   # X is all the Ω products need: free the k-row arrays first
     S_e, C_e = S.take(e_out, axis=0), C.take(e_out, axis=0)
@@ -125,6 +168,71 @@ def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
     coupled = S_ei @ loop_C
     Omega = Omega + matkit.herm_imag(C_i.conj().T @ loop_C[perm] + C_e.conj().T @ coupled)
     return S_e.take(e_in, axis=1) + S_ei @ X[:, :n_e], C_e + coupled, Omega
+
+
+def _positions(size: int, index) -> np.ndarray:
+    """pos with pos[index[j]] = j, and −1 at the other places of range(size)."""
+    pos = np.full(size, -1, dtype=np.intp)
+    pos[np.asarray(index, dtype=np.intp)] = np.arange(len(index))
+    return pos
+
+
+def _nonzeros(M: np.ndarray):
+    """Row indices, column indices and values of the nonzero entries of M."""
+    flat = np.flatnonzero(M != 0)
+    return (*np.divmod(flat, M.shape[1]), M.ravel().take(flat))
+
+
+def _block(entries, row_pos: np.ndarray, col_pos: np.ndarray):
+    """The entries whose row and column both have a position (≥ 0), at those positions."""
+    rows, cols, values = entries
+    rows, cols = row_pos.take(rows), col_pos.take(cols)
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    return rows.take(keep), cols.take(keep), values.take(keep)
+
+
+def _eliminate_sparse(S, C, Omega, i_out, i_in, perm, e_out, e_in):
+    """_eliminate by a sparse LU; None when S_ii is not sparse.
+
+    S_ii counts as sparse while at most a 16/SPARSE_MIN share of its
+    entries is nonzero (1/8): a denser loop fills the factor in.
+
+    The nonzeros of S and C are sorted into blocks by index arithmetic, so
+    no block with k rows is copied dense: S_ii, S_ei and C_i†η are sparse,
+    and only the right-hand side [S_ie, C_i], its solution X and the
+    outputs are dense.  SuperLU picks its own pivot order, so the results
+    agree with the dense kernel's to rounding, not bit for bit.
+    """
+    k, n_e, n_m = len(i_out), len(e_in), C.shape[1]
+    io, ii, eo, ei = (_positions(len(S), index) for index in (i_out, i_in, e_out, e_in))
+    S_nz = _nonzeros(S)
+    rows, cols, values = _block(S_nz, io, ii)
+    if matkit.SPARSE_MIN * len(values) > 16 * k * k:
+        return None
+    from scipy import sparse
+    perm = np.asarray(perm)
+    lu = _factor_loop(sparse.csc_array((np.concatenate([np.ones(k), -values]),
+                                        (np.concatenate([np.arange(k), rows]),
+                                         np.concatenate([perm, cols]))), shape=(k, k)))
+    rhs = np.zeros((k, n_e + n_m), dtype=complex, order="F")
+    rows, cols, values = _block(S_nz, io, ei)
+    rhs[rows, cols] = values
+    c_rows, c_cols, c_values = _block(_nonzeros(C), io, np.arange(n_m))
+    rhs[c_rows, n_e + c_cols] = c_values
+    X = lu.solve(rhs)
+    del rhs, lu
+    rows, cols, values = _block(S_nz, eo, ii)
+    S_ei = sparse.csr_array((values, (rows, cols)), shape=(len(e_out), k))
+    S_ee = np.zeros((len(e_out), n_e), dtype=complex)
+    rows, cols, values = _block(S_nz, eo, ei)
+    S_ee[rows, cols] = values
+    SX = S_ei @ X
+    coupled = SX[:, n_e:]
+    C_e = C.take(e_out, axis=0)
+    C_i_eta = sparse.csr_array((c_values.conj(), (c_cols, perm.take(c_rows))),
+                               shape=(n_m, k))      # C_i† η
+    Omega = Omega + matkit.herm_imag(C_i_eta @ X[:, n_e:] + C_e.conj().T @ coupled)
+    return S_ee + SX[:, :n_e], C_e + coupled, Omega
 
 
 def feedback_reduce(pc: PartitionedComponent) -> LinearComponent:
@@ -274,9 +382,9 @@ def beamsplitter_network(T: BeamSplitter, plant: LinearComponent) -> Partitioned
     loop_ports = tuple(range(n1, n1 + n2))
     plant_ports = tuple(range(n1 + n2, n1 + 2 * n2))
     # splitter loop outputs feed plant inputs and plant outputs feed loop inputs
-    eta = np.roll(np.eye(2 * n2), n2, axis=1)
     return PartitionedComponent(comp, internal_out=loop_ports + plant_ports,
-                                internal_in=loop_ports + plant_ports, eta=eta)
+                                internal_in=loop_ports + plant_ports,
+                                eta=(np.arange(2 * n2) + n2) % (2 * n2))
 
 
 def redheffer_star(a: LinearComponent, b: LinearComponent,

@@ -414,8 +414,11 @@ def reference_commuting_form(comp: LinearComponent, comm_tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 # QNET networks and the reference assembly/serialization paths
 
-def random_network(rng: np.random.Generator, max_units: int = 8) -> NetDocument:
+def random_network(rng: np.random.Generator, max_units: int = 8,
+                   units: int | None = None) -> NetDocument:
     """Random valid network document built as a chain of units.
+
+    The chain has ``units`` units, or a random number up to ``max_units``.
 
     Unit kinds: a 1-port cavity, a 2-port component with modes (port 1
     left open), a zero-mode splitter (port 1 left open) and a splitter
@@ -432,7 +435,7 @@ def random_network(rng: np.random.Generator, max_units: int = 8) -> NetDocument:
     edges: list[Edge] = []
     open_inputs: list[tuple[str, int]] = []
     prev_out = None
-    for j in range(int(rng.integers(0, max_units + 1))):
+    for j in range(int(rng.integers(0, max_units + 1)) if units is None else units):
         kind = ("cav", "pair", "bs", "loop")[int(rng.integers(0, 4))]
         if kind == "loop":
             instances += [(f"b{j}", "bs"), (f"c{j}", "cav")]

@@ -6,6 +6,10 @@ a visible change to this file.
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
 
 import slhnet
 import slhnet.network
@@ -53,3 +57,30 @@ def test_network_does_not_import_transfer():
     assert "slhnet.transfer" not in _imported_modules(slhnet.network)
     assert not any(getattr(value, "__module__", None) == "slhnet.transfer"
                    for value in vars(slhnet.network).values())
+
+
+def test_small_jobs_load_no_sparse_solver_and_build_no_formatter_tables():
+    # scipy.sparse.linalg is imported by large feedback reductions only, and
+    # the canonical-number tables are built by the first array formatted
+    src = os.path.dirname(os.path.dirname(slhnet.__file__))
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import slhnet
+        from slhnet import (beamsplitter_loop, commuting_form, concatenate, eval_transfer,
+                            ito_to_strat, make_cavity, mixing_splitter, mobius,
+                            redheffer_star, series_product, strat_to_ito)
+        cav, pair = make_cavity(1.0), concatenate(make_cavity(1.0, phi=0.5), make_cavity(2.0))
+        series_product(cav, make_cavity(2.0, 0.5))
+        redheffer_star(pair, pair, 1)
+        beamsplitter_loop(mixing_splitter(0.5), cav)
+        mobius(mixing_splitter(0.5), [[0.5]])
+        eval_transfer(pair, 0.5 + 1j)
+        commuting_form(cav)
+        strat_to_ito(ito_to_strat(cav))
+        assert "scipy.sparse.linalg" not in sys.modules
+        assert slhnet.netfile._tables.cache_info().currsize == 0
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr

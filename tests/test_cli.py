@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from slhnet import (LinearComponent, build_partitioned, check_unitary_on_axis,
                     feedback_reduce, matkit, parse)
@@ -14,7 +15,7 @@ from slhnet.netfile import (component_document, parse_matrix_assignments,
                             serialize)
 from slhnet.transfer import axis_residual, freq_response
 
-from support import format_float, haar_unitary
+from support import format_float, haar_unitary, random_network
 
 CAVITY = """\
 component cavity {
@@ -150,6 +151,26 @@ network {
         mags = ",".join("[" + ",".join(format_float(abs(z)) for z in row) + "]"
                         for row in comp.C)
         assert comment == f"# |C| = [{mags}]"
+
+    def test_large_chain_is_deterministic_and_draws_no_random_numbers(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        doc = random_network(np.random.default_rng(431), units=400)
+        path = tmp_path / "chain.qnet"
+        path.write_text(serialize(doc))
+        sparse_factors = []
+        factor = matkit.factor
+        monkeypatch.setattr(matkit, "factor",
+                            lambda m: sparse_factors.append(sparse.issparse(m)) or factor(m))
+        state = np.random.get_state()
+        outputs = []
+        for _ in range(2):
+            assert main(["reduce", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        after = np.random.get_state()
+        assert sparse_factors == [True, True]      # k > matkit.SPARSE_MIN: the sparse LU
+        assert outputs[0] == outputs[1] and outputs[0].startswith("component reduced")
+        assert state[0] == after[0] and np.array_equal(state[1], after[1])
+        assert state[2:] == after[2:]
 
     def test_output_file(self, bsloop_file, tmp_path, capsys):
         target = tmp_path / "reduced.qnet"

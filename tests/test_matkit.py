@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
 from slhnet import matkit
@@ -157,6 +158,79 @@ class TestFactor:
         kept = np.array(m, order=order)
         lu = matkit.factor(kept)
         assert np.array_equal(kept, m) and not np.shares_memory(lu.lu, kept)
+
+
+class TestSparseFactor:
+    """factor() of a scipy.sparse matrix: SuperLU behind the same gate."""
+
+    @pytest.mark.parametrize("m", [np.zeros((1, 1)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                   np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]),
+                                   np.array([[1.0, 0.0], [3.0, 0.0]]), np.zeros((3, 3))])
+    def test_singular_raises_on_both_backends(self, m):
+        for given_m in (m, sparse.csc_array(m)):
+            with pytest.raises(matkit.SingularMatrix):
+                matkit.factor(given_m)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), nrhs=st.integers(0, 4),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), log_cond=st.floats(0.0, 8.0))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_dense_backend(self, seed, n, nrhs, scale, log_cond):
+        rng = np.random.default_rng(seed)
+        m = scale * (haar_unitary(rng, n) @ np.diag(np.logspace(0, -log_cond, n))
+                     @ haar_unitary(rng, n))
+        m[rng.random((n, n)) < 0.5] = 0.0
+        m[np.arange(n), np.arange(n)] += scale   # a sparse, nonsingular matrix
+        rhs = rng.normal(size=(n, nrhs)) + 1j * rng.normal(size=(n, nrhs))
+        try:
+            dense = matkit.factor(m)
+        except matkit.SingularMatrix:
+            return
+        lu = matkit.factor(sparse.csc_array(m))
+        assert lu.anorm == pytest.approx(dense.anorm, rel=1e-14)
+        # both estimates of ‖M⁻¹‖₁ are lower bounds, within a factor n of it
+        exact = 1.0 / np.linalg.cond(m, 1)
+        assert exact * (1 - 1e-6) <= lu.rcond() <= exact * n * (1 + 1e-6)
+        x = dense.solve(rhs)
+        assert matkit.max_abs(lu.solve(rhs) - x) <= 1e-12 * np.linalg.cond(m, 1) * max(
+            1.0, matkit.max_abs(x))
+
+    def test_condition_gate_matches_dense_estimate(self):
+        for n, accepted in ((30, True), (35, True), (36, False), (40, False)):
+            m = sparse.csc_array(np.eye(n) - np.triu(np.ones((n, n)), 1))
+            if accepted:
+                assert matkit.factor(m).rcond() == pytest.approx(1 / (n * 2.0 ** (n - 1)))
+            else:
+                with pytest.raises(matkit.SingularMatrix) as info:
+                    matkit.factor(m)
+                assert info.value.condition == pytest.approx(n * 2.0 ** (n - 1))
+
+    def test_draws_no_random_numbers(self):
+        state = np.random.get_state()
+        m = np.eye(60, dtype=complex) - 0.5 * np.eye(60, k=1) + 0.25j * np.eye(60, k=-7)
+        matkit.factor(sparse.csc_array(m))
+        after = np.random.get_state()
+        assert state[0] == after[0] and np.array_equal(state[1], after[1])
+        assert state[2:] == after[2:]
+
+    def test_other_formats_and_duplicates(self):
+        rows, cols = np.array([0, 1, 1, 0]), np.array([0, 1, 1, 1])
+        m = sparse.coo_array((np.array([2.0, 1.0, 3.0, 1.0]), (rows, cols)), shape=(2, 2))
+        kept = m.copy()
+        lu = matkit.factor(m)
+        assert np.array_equal(m.data, kept.data) and np.array_equal(m.row, kept.row)
+        assert np.allclose(lu.solve(np.array([3.0, 4.0])), [1.0, 1.0])
+        assert lu.anorm == 5.0
+
+    def test_shape_and_finiteness_checks(self):
+        with pytest.raises(ValueError, match="square"):
+            matkit.factor(sparse.csc_array(np.ones((2, 3))))
+        bad = sparse.csc_array(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        with pytest.raises(ValueError) as info:
+            matkit.factor(bad)
+        assert not isinstance(info.value, matkit.SingularMatrix)
+        lu = matkit.factor(sparse.csc_array((0, 0)))
+        assert lu.rcond() == 1.0 and lu.inverse_norm() == 0.0
+        assert lu.solve(np.zeros((0, 2))).shape == (0, 2)
 
 
 class TestEigHermitian:

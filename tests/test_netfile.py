@@ -678,6 +678,16 @@ class TestCanonicalNumbers:
         m = np.resize(np.array(entries), (_ARRAY_LENGTH // cols + 1, cols))
         _assert_same_text(format_matrix(m), entrywise_format_matrix(m))
 
+    @given(st.lists(_ANY_FLOAT, min_size=1, max_size=40),
+           st.sampled_from([(1, 1), (1, 3), (2, 5), (129, 1), (9, 300)]))
+    @settings(max_examples=30, deadline=None)
+    @example([-0.0], (1, 1))
+    @example([5e-324, -0.0, 0.0, 1e-300], (2, 5))          # tiny numbers, both zeros
+    @example([-0.0, 2.5e-310, np.inf, np.nan], (129, 1))    # the array route's size
+    def test_real_array_formats_as_its_complex_copy(self, values, shape):
+        x = np.resize(np.array(values), shape)
+        assert format_matrix(x) == format_matrix(x.astype(complex))
+
     def test_table_marks_missing_rows(self):
         table = np.arange(12.0).reshape(4, 3) / 8
         assert format_table(table, np.array([False, True, False, True])) == (

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import sparse
 from hypothesis import strategies as st
 
 from slhnet import (BeamSplitter, LinearComponent, PartitionedComponent,
@@ -491,6 +492,113 @@ class TestPathExpansion:
         # closed form still exists: eta - S_ii = 1 - (-1) = 2
         assert report.spectral_radius >= 1.0 - 1e-12
         del S
+
+
+def _reduce_on(pc: PartitionedComponent, crossover: int):
+    """feedback_reduce with matkit.SPARSE_MIN = crossover: the result, or None on
+    AlgebraicLoop, and whether each factorization was given a sparse matrix."""
+    kinds = []
+    factor = matkit.factor
+
+    def spy(m):
+        kinds.append(sparse.issparse(m))
+        return factor(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matkit, "SPARSE_MIN", crossover)
+        mp.setattr(matkit, "factor", spy)
+        try:
+            return feedback_reduce(pc), kinds
+        except AlgebraicLoop:
+            return None, kinds
+
+
+def _assert_sparse_matches_dense(pc: PartitionedComponent) -> bool:
+    """The sparse path against the dense kernel: same decision, S, C and Ω within
+    1e-12·max(1, ‖·‖_max), Ω exactly hermitian; True when the loop was accepted."""
+    k = len(pc.internal_out)
+    want, dense = _reduce_on(pc, k + 1)
+    got, kinds = _reduce_on(pc, 1)
+    assert dense == [False] * len(dense) and kinds == [k > 0]
+    assert (got is None) == (want is None)
+    if got is None:
+        return False
+    for a, b in ((got.S, want.S), (got.C, want.C), (got.Omega, want.Omega)):
+        assert a.shape == b.shape
+        assert matkit.max_abs(a - b) <= 1e-12 * max(1.0, matkit.max_abs(b))
+    assert np.array_equal(got.Omega, got.Omega.conj().T)
+    assert (got.port_labels, got.mode_labels) == (want.port_labels, want.mode_labels)
+    return True
+
+
+class TestSparsePath:
+    """From matkit.SPARSE_MIN channels on, η − S_ii is factored by SuperLU.
+
+    Setting the crossover to 1 sends every reduction with a loop there.
+    """
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["partitioned", "network", "splitter"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_kernel(self, seed, kind):
+        _assert_sparse_matches_dense(_reduction_case(np.random.default_rng(seed), kind))
+
+    @pytest.mark.parametrize("seed", [401, 402])
+    def test_large_network_above_the_crossover(self, seed):
+        pc = build_partitioned(random_network(np.random.default_rng(seed), units=300))
+        assert len(pc.internal_out) >= matkit.SPARSE_MIN
+        got, kinds = _reduce_on(pc, matkit.SPARSE_MIN)
+        assert kinds == [True]
+        assert _assert_sparse_matches_dense(pc)
+
+    @pytest.mark.parametrize("exponent, accepted", [
+        (9, True), (10, True), (11, True),
+        (12, False), (13, False), (14, False), (15, False)])
+    def test_near_singular_splitter_loop_decisions(self, exponent, accepted):
+        got, kinds = _reduce_on(_pi_phase_loop(10.0 ** -exponent), 1)
+        assert kinds == [True] and (got is not None) is accepted
+
+    @pytest.mark.parametrize("k, accepted", [
+        (30, True), (33, True), (35, True), (37, False), (38, False), (44, False)])
+    def test_condition_gate_decisions_with_unit_pivots(self, k, accepted):
+        got, kinds = _reduce_on(_unit_pivot_loop(k), 1)
+        assert kinds == [True] and (got is not None) is accepted
+
+    def test_condition_gate_reports_the_same_estimate(self, monkeypatch):
+        monkeypatch.setattr(matkit, "SPARSE_MIN", 1)
+        with pytest.raises(AlgebraicLoop, match="condition estimate 1.237e"):
+            feedback_reduce(_unit_pivot_loop(36))
+
+    def test_dense_loop_stays_dense(self):
+        # S_ii = strict upper triangle of ones is half full: not sparse
+        got, kinds = _reduce_on(_unit_pivot_loop(matkit.SPARSE_MIN + 2), matkit.SPARSE_MIN)
+        assert got is None and kinds == [False]
+
+
+class TestPermutationVector:
+    def test_vector_and_matrix_give_the_same_partition(self):
+        rng = np.random.default_rng(409)
+        pc = random_partitioned(rng, 7, 2, 5)
+        by_vector = PartitionedComponent(pc.comp, pc.internal_out, pc.internal_in, pc._perm)
+        assert np.array_equal(by_vector._perm, pc._perm)
+        assert np.array_equal(by_vector.eta, pc.eta) and by_vector.eta.dtype == complex
+        assert not by_vector.eta.flags.writeable
+        a, b = feedback_reduce(pc), feedback_reduce(by_vector)
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in ((a.S, b.S), (a.C, b.C), (a.Omega, b.Omega)))
+
+    def test_build_partitioned_passes_the_vector(self):
+        pc = build_partitioned(random_network(np.random.default_rng(419), units=12))
+        eta = pc.eta
+        assert np.array_equal(eta[np.arange(len(pc._perm)), pc._perm], np.ones(len(pc._perm)))
+        assert np.count_nonzero(eta) == len(pc._perm)
+
+    @pytest.mark.parametrize("eta", [[0, 0, 1], [0, 1, 3], [0, 1, -1], [0, 1], [0, 1, 2, 3],
+                                     [0.0, 1.0, 2.0], np.eye(3)[[0, 0, 1]], np.ones((3, 3))])
+    def test_non_permutations_rejected(self, eta):
+        comp = random_component(np.random.default_rng(421), 4, 1)
+        with pytest.raises(BadPartition):
+            PartitionedComponent(comp, (0, 1, 2), (1, 2, 3), eta)
 
 
 def test_beamsplitter_requires_unitary():
