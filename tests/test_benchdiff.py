@@ -22,7 +22,7 @@ def test_bench9_reduce_chain_claim_holds():
     lines = proc.stdout.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("reduce_chain "))
     row = next(line for line in lines[start:] if line.split()[0] == "jobs_per_s")
-    assert row.split()[7:10] == ["10/10", "claim", "holds:"]
+    assert row.split()[7:10] == ["10/10", "gain", "holds:"]
     assert "11.0935 [10.7759, 11.6095]" in row      # median and quartiles of the parent
 
 

@@ -69,9 +69,9 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             higher = spec[metric]["better"] == "higher"
             r = compare(sides["parent"], sides["change"], higher)
-            verdict = (f"claim holds: gain {r['gain']:.4g} > parent IQR {r['parent_iqr']:.4g}"
+            verdict = (f"gain holds: {r['gain']:.4g} > parent IQR {r['parent_iqr']:.4g}"
                        if r["holds"] else
-                       f"no claim: gain {r['gain']:.4g}, parent IQR {r['parent_iqr']:.4g}")
+                       f"no gain: {r['gain']:.4g}, parent IQR {r['parent_iqr']:.4g}")
             if -r["relative"] * (1 if higher else -1) > spec[metric]["bound"]:
                 verdict += f"; WORSE than the bound {spec[metric]['bound']}"
             print(f"  {metric:<12} {_side(r['parent']):<32} {_side(r['change']):<32}"
