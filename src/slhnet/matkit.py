@@ -8,9 +8,10 @@ are O(1)-normalized physical parameters, so no relative scaling is needed.
 interface: LAPACK's dense LU for an array and SuperLU's sparse LU for a
 ``scipy.sparse`` matrix.  Both apply the same pivot rule and the same
 1-norm condition gate.  A feedback reduction hands its loop matrix to
-the sparse backend from ``SPARSE_MIN`` internal channels on, when the
-matrix is sparse enough: there SuperLU's fill-reducing order keeps the
-factor near O(k) entries, where the dense LU costs O(k³).
+the sparse backend from ``SPARSE_MIN`` internal channels on, when at most
+a ``SPARSE_FILL`` share of the entries of its S is nonzero: there
+SuperLU's fill-reducing order keeps the factor near O(k) entries, where
+the dense LU costs O(k³).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ STRUCT_TOL = 1e-9    # default tolerance for structural predicates
 EIG_MERGE_GAP = 1e-9  # relative gap under which eigenvalues share a projector
 PIVOT_REL = 1e-12    # least pivot / max column 1-norm, and least 1-norm rcond, to solve
 SPARSE_MIN = 128     # least k for a sparse LU of a k×k loop matrix; see network._eliminate
+SPARSE_FILL = 1 / 64  # largest share of nonzero entries of S for it; see network._eliminate
 
 _getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
 

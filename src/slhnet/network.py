@@ -18,11 +18,14 @@ splitter and plant) and Möbius transform (S of the star of T and X).
 
 η is kept as the vector perm, η[s, perm[s]] = 1.  Below
 matkit.SPARSE_MIN internal channels the kernel copies the blocks of S and
-C it needs and factors η − S_ii densely.  From there on, when S_ii is
-sparse, as in a network of many small components, it sorts the nonzeros
-of S and C into sparse blocks and lets SuperLU factor η − S_ii in a
-fill-reducing order (elimination order does not change the result); only
-the right-hand sides, the solution and the reduced (S, C, Ω) are dense.
+C it needs and factors η − S_ii densely.  From there on, when at most a
+matkit.SPARSE_FILL share of S and of C is nonzero, as in a network of
+many small components, it sorts the nonzeros of S and C into sparse
+blocks and lets SuperLU factor η − S_ii in a fill-reducing order
+(elimination order does not change the result); only the right-hand
+sides, the solution and the reduced (S, C, Ω) are dense.  The direct sum
+of two dense components, as in a series product, is half full and stays
+on the dense kernel.
 The two paths agree to rounding, about 1e-14 relative on the networks
 tested, but not bit for bit, since their pivot orders differ.
 """
@@ -151,7 +154,7 @@ def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
     matkit.factor finds it singular, with the 1-norm condition estimate
     (inf when the pivot rule fired).  From k = matkit.SPARSE_MIN internal
     channels on, where the dense LU's k³ starts to cost more than a
-    sparse LU, a sparse S_ii takes :func:`_eliminate_sparse` instead.
+    sparse LU, a sparse S and C take :func:`_eliminate_sparse` instead.
     """
     if len(i_out) >= matkit.SPARSE_MIN:
         reduced = _eliminate_sparse(S, C, Omega, i_out, i_in, perm, e_out, e_in)
@@ -177,9 +180,9 @@ def _positions(size: int, index) -> np.ndarray:
     return pos
 
 
-def _nonzeros(M: np.ndarray):
-    """Row indices, column indices and values of the nonzero entries of M."""
-    flat = np.flatnonzero(M != 0)
+def _nonzeros(M: np.ndarray, nonzero: np.ndarray):
+    """Row indices, column indices and values of the entries of M where nonzero (M != 0) holds."""
+    flat = np.flatnonzero(nonzero)
     return (*np.divmod(flat, M.shape[1]), M.ravel().take(flat))
 
 
@@ -192,10 +195,13 @@ def _block(entries, row_pos: np.ndarray, col_pos: np.ndarray):
 
 
 def _eliminate_sparse(S, C, Omega, i_out, i_in, perm, e_out, e_in):
-    """_eliminate by a sparse LU; None when S_ii is not sparse.
+    """_eliminate by a sparse LU; None when S or C is not sparse.
 
-    S_ii counts as sparse while at most a 16/SPARSE_MIN share of its
-    entries is nonzero (1/8): a denser loop fills the factor in.
+    S and C count as sparse while at most a matkit.SPARSE_FILL share of
+    the entries of each is nonzero.  The share is of all of S and C, since
+    S_ii, S_ei and C_i†η all become sparse matrices here: a fuller S_ii
+    fills the factor in, and a full S_ei, as in a series product, where
+    S_ii is zero, makes S_ei·X a scalar loop in place of one BLAS product.
 
     The nonzeros of S and C are sorted into blocks by index arithmetic, so
     no block with k rows is copied dense: S_ii, S_ei and C_i†η are sparse,
@@ -203,21 +209,23 @@ def _eliminate_sparse(S, C, Omega, i_out, i_in, perm, e_out, e_in):
     outputs are dense.  SuperLU picks its own pivot order, so the results
     agree with the dense kernel's to rounding, not bit for bit.
     """
+    S_mask, C_mask = S != 0, C != 0
+    if max(np.count_nonzero(S_mask) / S.size,
+           np.count_nonzero(C_mask) / max(C.size, 1)) > matkit.SPARSE_FILL:
+        return None
     k, n_e, n_m = len(i_out), len(e_in), C.shape[1]
     io, ii, eo, ei = (_positions(len(S), index) for index in (i_out, i_in, e_out, e_in))
-    S_nz = _nonzeros(S)
-    rows, cols, values = _block(S_nz, io, ii)
-    if matkit.SPARSE_MIN * len(values) > 16 * k * k:
-        return None
+    S_nz = _nonzeros(S, S_mask)
     from scipy import sparse
     perm = np.asarray(perm)
+    rows, cols, values = _block(S_nz, io, ii)
     lu = _factor_loop(sparse.csc_array((np.concatenate([np.ones(k), -values]),
                                         (np.concatenate([np.arange(k), rows]),
                                          np.concatenate([perm, cols]))), shape=(k, k)))
     rhs = np.zeros((k, n_e + n_m), dtype=complex, order="F")
     rows, cols, values = _block(S_nz, io, ei)
     rhs[rows, cols] = values
-    c_rows, c_cols, c_values = _block(_nonzeros(C), io, np.arange(n_m))
+    c_rows, c_cols, c_values = _block(_nonzeros(C, C_mask), io, np.arange(n_m))
     rhs[c_rows, n_e + c_cols] = c_values
     X = lu.solve(rhs)
     del rhs, lu

@@ -494,9 +494,9 @@ class TestPathExpansion:
         del S
 
 
-def _reduce_on(pc: PartitionedComponent, crossover: int):
-    """feedback_reduce with matkit.SPARSE_MIN = crossover: the result, or None on
-    AlgebraicLoop, and whether each factorization was given a sparse matrix."""
+def _reduce_on(pc: PartitionedComponent, sparse_min: int, sparse_fill: float):
+    """feedback_reduce with matkit.SPARSE_MIN and matkit.SPARSE_FILL set: the result,
+    or None on AlgebraicLoop, and whether each factorization was given a sparse matrix."""
     kinds = []
     factor = matkit.factor
 
@@ -505,7 +505,8 @@ def _reduce_on(pc: PartitionedComponent, crossover: int):
         return factor(m)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matkit, "SPARSE_MIN", crossover)
+        mp.setattr(matkit, "SPARSE_MIN", sparse_min)
+        mp.setattr(matkit, "SPARSE_FILL", sparse_fill)
         mp.setattr(matkit, "factor", spy)
         try:
             return feedback_reduce(pc), kinds
@@ -517,8 +518,8 @@ def _assert_sparse_matches_dense(pc: PartitionedComponent) -> bool:
     """The sparse path against the dense kernel: same decision, S, C and Ω within
     1e-12·max(1, ‖·‖_max), Ω exactly hermitian; True when the loop was accepted."""
     k = len(pc.internal_out)
-    want, dense = _reduce_on(pc, k + 1)
-    got, kinds = _reduce_on(pc, 1)
+    want, dense = _reduce_on(pc, k + 1, matkit.SPARSE_FILL)
+    got, kinds = _reduce_on(pc, 1, 1.0)
     assert dense == [False] * len(dense) and kinds == [k > 0]
     assert (got is None) == (want is None)
     if got is None:
@@ -532,9 +533,10 @@ def _assert_sparse_matches_dense(pc: PartitionedComponent) -> bool:
 
 
 class TestSparsePath:
-    """From matkit.SPARSE_MIN channels on, η − S_ii is factored by SuperLU.
+    """From matkit.SPARSE_MIN channels on, η − S_ii of a sparse S and C is factored
+    by SuperLU.
 
-    Setting the crossover to 1 sends every reduction with a loop there.
+    SPARSE_MIN = 1 with SPARSE_FILL = 1 sends every reduction with a loop there.
     """
 
     @given(seed=st.integers(0, 2**32 - 1),
@@ -547,7 +549,7 @@ class TestSparsePath:
     def test_large_network_above_the_crossover(self, seed):
         pc = build_partitioned(random_network(np.random.default_rng(seed), units=300))
         assert len(pc.internal_out) >= matkit.SPARSE_MIN
-        got, kinds = _reduce_on(pc, matkit.SPARSE_MIN)
+        got, kinds = _reduce_on(pc, matkit.SPARSE_MIN, matkit.SPARSE_FILL)
         assert kinds == [True]
         assert _assert_sparse_matches_dense(pc)
 
@@ -555,23 +557,53 @@ class TestSparsePath:
         (9, True), (10, True), (11, True),
         (12, False), (13, False), (14, False), (15, False)])
     def test_near_singular_splitter_loop_decisions(self, exponent, accepted):
-        got, kinds = _reduce_on(_pi_phase_loop(10.0 ** -exponent), 1)
+        got, kinds = _reduce_on(_pi_phase_loop(10.0 ** -exponent), 1, 1.0)
         assert kinds == [True] and (got is not None) is accepted
 
     @pytest.mark.parametrize("k, accepted", [
         (30, True), (33, True), (35, True), (37, False), (38, False), (44, False)])
     def test_condition_gate_decisions_with_unit_pivots(self, k, accepted):
-        got, kinds = _reduce_on(_unit_pivot_loop(k), 1)
+        got, kinds = _reduce_on(_unit_pivot_loop(k), 1, 1.0)
         assert kinds == [True] and (got is not None) is accepted
 
     def test_condition_gate_reports_the_same_estimate(self, monkeypatch):
         monkeypatch.setattr(matkit, "SPARSE_MIN", 1)
+        monkeypatch.setattr(matkit, "SPARSE_FILL", 1.0)
         with pytest.raises(AlgebraicLoop, match="condition estimate 1.237e"):
             feedback_reduce(_unit_pivot_loop(36))
 
+    def test_fill_share_boundary(self):
+        # the sparse path takes S and C while neither has more than a SPARSE_FILL share nonzero
+        pc = build_partitioned(random_network(np.random.default_rng(401), units=300))
+        S, C = pc.comp.S, pc.comp.C
+        fill = max(np.count_nonzero(S) / S.size, np.count_nonzero(C) / C.size)
+        assert fill <= matkit.SPARSE_FILL
+        assert _reduce_on(pc, matkit.SPARSE_MIN, fill)[1] == [True]
+        assert _reduce_on(pc, matkit.SPARSE_MIN, fill * (1 - 1e-9))[1] == [False]
+
+    def test_full_coupling_matrix_stays_dense(self):
+        pc = build_partitioned(random_network(np.random.default_rng(402), units=300))
+        comp = pc.comp
+        full = LinearComponent(comp.S, np.ones_like(comp.C), comp.Omega,
+                               comp.port_labels, comp.mode_labels)
+        pc = PartitionedComponent(full, pc.internal_out, pc.internal_in, pc._perm)
+        assert _reduce_on(pc, matkit.SPARSE_MIN, matkit.SPARSE_FILL)[1] == [False]
+
+    def test_series_product_of_dense_components_stays_dense(self, monkeypatch):
+        # the direct sum is half full; S_ii is zero but S_ei is a full block
+        rng = np.random.default_rng(439)
+        g1, g2 = (random_component(rng, matkit.SPARSE_MIN, 3) for _ in range(2))
+        kinds = []
+        factor = matkit.factor
+        monkeypatch.setattr(matkit, "factor",
+                            lambda m: kinds.append(sparse.issparse(m)) or factor(m))
+        series_product(g2, g1)
+        assert kinds == [False]
+
     def test_dense_loop_stays_dense(self):
         # S_ii = strict upper triangle of ones is half full: not sparse
-        got, kinds = _reduce_on(_unit_pivot_loop(matkit.SPARSE_MIN + 2), matkit.SPARSE_MIN)
+        got, kinds = _reduce_on(_unit_pivot_loop(matkit.SPARSE_MIN + 2), matkit.SPARSE_MIN,
+                                matkit.SPARSE_FILL)
         assert got is None and kinds == [False]
 
 
