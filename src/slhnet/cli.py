@@ -98,8 +98,11 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"bad grid {spec!r}: {exc}") from exc
     if count < 1:
         raise UsageError("grid count must be >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.linspace(start, stop, count)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(start, stop, count)
+    except MemoryError as exc:
+        raise UsageError(f"grid of {count} points does not fit in memory") from exc
     if not np.all(np.isfinite(grid)):
         raise UsageError(f"grid {spec!r} has non-finite points")
     return grid

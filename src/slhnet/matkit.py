@@ -9,9 +9,9 @@ interface: LAPACK's dense LU for an array and SuperLU's sparse LU for a
 ``scipy.sparse`` matrix.  Both apply the same pivot rule and the same
 1-norm condition gate.  A feedback reduction hands its loop matrix to
 the sparse backend from ``SPARSE_MIN`` internal channels on, when at most
-a ``SPARSE_FILL`` share of the entries of its S is nonzero: there
-SuperLU's fill-reducing order keeps the factor near O(k) entries, where
-the dense LU costs O(k³).
+a ``SPARSE_FILL`` share of the entries of its S and of its C is nonzero:
+there SuperLU's fill-reducing order keeps the factor near O(k) entries,
+where the dense LU costs O(k³).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from scipy.linalg import get_lapack_funcs
 STRUCT_TOL = 1e-9    # default tolerance for structural predicates
 EIG_MERGE_GAP = 1e-9  # relative gap under which eigenvalues share a projector
 PIVOT_REL = 1e-12    # least pivot / max column 1-norm, and least 1-norm rcond, to solve
-SPARSE_MIN = 128     # least k for a sparse LU of a k×k loop matrix; see network._eliminate
-SPARSE_FILL = 1 / 64  # largest share of nonzero entries of S for it; see network._eliminate
+SPARSE_MIN = 128     # least k for a sparse LU of a k×k loop matrix; see network._blocks
+SPARSE_FILL = 1 / 64  # largest share of nonzero entries of S and of C for it; see network._blocks
 
 _getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
 
@@ -34,13 +34,11 @@ class SingularMatrix(ValueError):
     """The LU factorization found M too close to singular to solve.
 
     ``condition`` is the 1-norm condition estimate of M, inf when a pivot
-    met the pivot rule (no estimate is taken then).  A caller that knows
-    which matrix M is re-raises with a ``message`` that names it.
+    met the pivot rule (no estimate is taken then).
     """
 
-    def __init__(self, condition: float,
-                 message: str = "matrix is singular to working precision"):
-        super().__init__(message)
+    def __init__(self, condition: float):
+        super().__init__("matrix is singular to working precision")
         self.condition = condition
 
 
@@ -69,15 +67,10 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
-
-
 def herm_real(m) -> np.ndarray:
-    """Hermitian part (M + M†)/2."""
+    """Hermitian part (M + M†)/2, halved before the sum so that it cannot overflow."""
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
+    return m / 2 + m.conj().T / 2
 
 
 def herm_imag(m) -> np.ndarray:

@@ -16,18 +16,15 @@ share its LU and singularity gate: series (g1's outputs feed g2's inputs),
 star (a's last k ports cross b's first k), beam-splitter loop (star of
 splitter and plant) and Möbius transform (S of the star of T and X).
 
-η is kept as the vector perm, η[s, perm[s]] = 1.  Below
-matkit.SPARSE_MIN internal channels the kernel copies the blocks of S and
-C it needs and factors η − S_ii densely.  From there on, when at most a
-matkit.SPARSE_FILL share of S and of C is nonzero, as in a network of
-many small components, it sorts the nonzeros of S and C into sparse
-blocks and lets SuperLU factor η − S_ii in a fill-reducing order
-(elimination order does not change the result); only the right-hand
-sides, the solution and the reduced (S, C, Ω) are dense.  The direct sum
-of two dense components, as in a series product, is half full and stays
-on the dense kernel.
-The two paths agree to rounding, about 1e-14 relative on the networks
-tested, but not bit for bit, since their pivot orders differ.
+η is kept as the vector perm, η[s, perm[s]] = 1.  The formula is written
+once, over blocks of S and C that are either dense copies or, from
+matkit.SPARSE_MIN internal channels on when at most a matkit.SPARSE_FILL
+share of S and of C is nonzero, as in a network of many small components,
+sparse matrices sorted out of their nonzeros; SuperLU then factors η − S_ii
+in a fill-reducing order (elimination order does not change the result).
+The direct sum of two dense components, as in a series product, is half
+full and stays dense.  The two agree to rounding, about 1e-14 relative on
+the networks tested, but not bit for bit, since their pivot orders differ.
 """
 
 from __future__ import annotations
@@ -152,95 +149,71 @@ def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
 
     One LU of (η − S_ii) gives the solve and the gate: AlgebraicLoop when
     matkit.factor finds it singular, with the 1-norm condition estimate
-    (inf when the pivot rule fired).  From k = matkit.SPARSE_MIN internal
-    channels on, where the dense LU's k³ starts to cost more than a
-    sparse LU, a sparse S and C take :func:`_eliminate_sparse` instead.
+    (inf when the pivot rule fired).  The blocks come from :func:`_blocks`,
+    dense or sparse.  S_ei multiplies the two parts of the solution in two
+    products: one product split afterwards rounds differently and loses
+    the exact S = S₂S₁ of a series product.
     """
-    if len(i_out) >= matkit.SPARSE_MIN:
-        reduced = _eliminate_sparse(S, C, Omega, i_out, i_in, perm, e_out, e_in)
-        if reduced is not None:
-            return reduced
     n_e = len(e_in)
-    S_i, C_i = S.take(i_out, axis=0), C.take(i_out, axis=0)
-    lu = _factor_loop(np.eye(len(i_out), dtype=complex)[perm] - S_i.take(i_in, axis=1))
-    X = lu.solve(np.concatenate([S_i.take(e_in, axis=1), C_i], axis=1))
-    del S_i, lu   # X is all the Ω products need: free the k-row arrays first
-    S_e, C_e = S.take(e_out, axis=0), C.take(e_out, axis=0)
-    S_ei = S_e.take(i_in, axis=1)
+    loop, rhs, C_i, S_ei, S_ee = _blocks(S, C, i_out, i_in, perm, e_out, e_in)
+    X = _factor_loop(loop).solve(rhs)
+    del loop, rhs   # X is all the rest needs: free the k-row arrays first
+    C_e = C.take(e_out, axis=0)
     loop_C = X[:, n_e:]       # (η − S_ii)⁻¹ C_i
     coupled = S_ei @ loop_C
     Omega = Omega + matkit.herm_imag(C_i.conj().T @ loop_C[perm] + C_e.conj().T @ coupled)
-    return S_e.take(e_in, axis=1) + S_ei @ X[:, :n_e], C_e + coupled, Omega
+    return S_ee + S_ei @ X[:, :n_e], C_e + coupled, Omega
 
 
-def _positions(size: int, index) -> np.ndarray:
-    """pos with pos[index[j]] = j, and −1 at the other places of range(size)."""
-    pos = np.full(size, -1, dtype=np.intp)
-    pos[np.asarray(index, dtype=np.intp)] = np.arange(len(index))
-    return pos
+def _blocks(S, C, i_out, i_in, perm, e_out, e_in):
+    """η − S_ii, [S_ie, C_i], C_i, S_ei and S_ee of (S, C) for :func:`_eliminate`.
 
-
-def _nonzeros(M: np.ndarray, nonzero: np.ndarray):
-    """Row indices, column indices and values of the entries of M where nonzero (M != 0) holds."""
-    flat = np.flatnonzero(nonzero)
-    return (*np.divmod(flat, M.shape[1]), M.ravel().take(flat))
-
-
-def _block(entries, row_pos: np.ndarray, col_pos: np.ndarray):
-    """The entries whose row and column both have a position (≥ 0), at those positions."""
-    rows, cols, values = entries
-    rows, cols = row_pos.take(rows), col_pos.take(cols)
-    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-    return rows.take(keep), cols.take(keep), values.take(keep)
-
-
-def _eliminate_sparse(S, C, Omega, i_out, i_in, perm, e_out, e_in):
-    """_eliminate by a sparse LU; None when S or C is not sparse.
-
-    S and C count as sparse while at most a matkit.SPARSE_FILL share of
-    the entries of each is nonzero.  The share is of all of S and C, since
-    S_ii, S_ei and C_i†η all become sparse matrices here: a fuller S_ii
-    fills the factor in, and a full S_ei, as in a series product, where
-    S_ii is zero, makes S_ei·X a scalar loop in place of one BLAS product.
-
-    The nonzeros of S and C are sorted into blocks by index arithmetic, so
-    no block with k rows is copied dense: S_ii, S_ei and C_i†η are sparse,
-    and only the right-hand side [S_ie, C_i], its solution X and the
-    outputs are dense.  SuperLU picks its own pivot order, so the results
-    agree with the dense kernel's to rounding, not bit for bit.
+    Below matkit.SPARSE_MIN internal channels, or when more than a
+    matkit.SPARSE_FILL share of S or of C is nonzero, these are C-ordered
+    dense copies.  Otherwise the nonzeros of S and C are sorted into the
+    blocks by index arithmetic, so no block with k rows is copied dense:
+    η − S_ii, C_i and S_ei are ``scipy.sparse`` matrices, and only the
+    right-hand side [S_ie, C_i] and S_ee are dense.  The share counts all
+    of S and C: a fuller S_ii fills the factor in, and a full S_ei, as in a
+    series product, where S_ii is zero, makes S_ei·X a scalar loop in place
+    of one BLAS product.
     """
-    S_mask, C_mask = S != 0, C != 0
-    if max(np.count_nonzero(S_mask) / S.size,
-           np.count_nonzero(C_mask) / max(C.size, 1)) > matkit.SPARSE_FILL:
-        return None
-    k, n_e, n_m = len(i_out), len(e_in), C.shape[1]
-    io, ii, eo, ei = (_positions(len(S), index) for index in (i_out, i_in, e_out, e_in))
-    S_nz = _nonzeros(S, S_mask)
+    k, n = len(i_out), len(S)
+    nonzero = k >= matkit.SPARSE_MIN and (S != 0, C != 0)
+    if not nonzero or max(np.count_nonzero(nz) / max(nz.size, 1)
+                          for nz in nonzero) > matkit.SPARSE_FILL:
+        S_i, S_e, C_i = S.take(i_out, axis=0), S.take(e_out, axis=0), C.take(i_out, axis=0)
+        return (np.eye(k, dtype=complex)[perm] - S_i.take(i_in, axis=1),
+                np.concatenate([S_i.take(e_in, axis=1), C_i], axis=1), C_i,
+                S_e.take(i_in, axis=1), S_e.take(e_in, axis=1))
     from scipy import sparse
-    perm = np.asarray(perm)
-    rows, cols, values = _block(S_nz, io, ii)
-    lu = _factor_loop(sparse.csc_array((np.concatenate([np.ones(k), -values]),
-                                        (np.concatenate([np.arange(k), rows]),
-                                         np.concatenate([perm, cols]))), shape=(k, k)))
+    n_e, n_m = len(e_in), C.shape[1]
+    # positions in [internal, external] order: a block index is < k iff internal
+    out_pos, in_pos = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    out_pos[np.concatenate([i_out, e_out]).astype(np.intp)] = np.arange(n)
+    in_pos[np.concatenate([i_in, e_in]).astype(np.intp)] = np.arange(n)
+    flat = np.flatnonzero(nonzero[0])
+    rows, cols = np.divmod(flat, n)
+    rows, cols, values = out_pos.take(rows), in_pos.take(cols), S.ravel().take(flat)
+    quadrant = 2 * (rows >= k) + (cols >= k)    # S_ii, S_ie, S_ei, S_ee
+    ii, ie, ei, ee = np.split(np.argsort(quadrant, kind="stable"),
+                              np.cumsum(np.bincount(quadrant, minlength=4))[:3])
+    loop = sparse.csc_array((np.concatenate([np.ones(k), -values.take(ii)]),
+                             (np.concatenate([np.arange(k), rows.take(ii)]),
+                              np.concatenate([perm, cols.take(ii)]))), shape=(k, k))
+    flat = np.flatnonzero(nonzero[1])
+    c_rows, c_cols = np.divmod(flat, n_m)
+    c_rows = out_pos.take(c_rows)
+    inner = np.flatnonzero(c_rows < k)     # C_i; C_e is taken dense
+    c_rows, c_cols, c_values = c_rows.take(inner), c_cols.take(inner), C.ravel().take(flat[inner])
     rhs = np.zeros((k, n_e + n_m), dtype=complex, order="F")
-    rows, cols, values = _block(S_nz, io, ei)
-    rhs[rows, cols] = values
-    c_rows, c_cols, c_values = _block(_nonzeros(C, C_mask), io, np.arange(n_m))
+    rhs[rows.take(ie), cols.take(ie) - k] = values.take(ie)
     rhs[c_rows, n_e + c_cols] = c_values
-    X = lu.solve(rhs)
-    del rhs, lu
-    rows, cols, values = _block(S_nz, eo, ii)
-    S_ei = sparse.csr_array((values, (rows, cols)), shape=(len(e_out), k))
-    S_ee = np.zeros((len(e_out), n_e), dtype=complex)
-    rows, cols, values = _block(S_nz, eo, ei)
-    S_ee[rows, cols] = values
-    SX = S_ei @ X
-    coupled = SX[:, n_e:]
-    C_e = C.take(e_out, axis=0)
-    C_i_eta = sparse.csr_array((c_values.conj(), (c_cols, perm.take(c_rows))),
-                               shape=(n_m, k))      # C_i† η
-    Omega = Omega + matkit.herm_imag(C_i_eta @ X[:, n_e:] + C_e.conj().T @ coupled)
-    return S_ee + SX[:, :n_e], C_e + coupled, Omega
+    S_ee = np.zeros((n_e, n_e), dtype=complex)
+    S_ee[rows.take(ee) - k, cols.take(ee) - k] = values.take(ee)
+    return (loop, rhs, sparse.csr_array((c_values, (c_rows, c_cols)), shape=(k, n_m)),
+            sparse.csr_array((values.take(ei), (rows.take(ei) - k, cols.take(ei))),
+                             shape=(n_e, k)), S_ee)
 
 
 def feedback_reduce(pc: PartitionedComponent) -> LinearComponent:
@@ -315,22 +288,6 @@ class BeamSplitter:
             raise ValueError("beam splitter matrix must be unitary")
         T.flags.writeable = False
         object.__setattr__(self, "T", T)
-
-    @property
-    def T11(self) -> np.ndarray:
-        return self.T[:self.n1, :self.n1]
-
-    @property
-    def T12(self) -> np.ndarray:
-        return self.T[:self.n1, self.n1:]
-
-    @property
-    def T21(self) -> np.ndarray:
-        return self.T[self.n1:, :self.n1]
-
-    @property
-    def T22(self) -> np.ndarray:
-        return self.T[self.n1:, self.n1:]
 
     def to_component(self) -> LinearComponent:
         """The splitter as a static component: S = T, no modes."""

@@ -10,9 +10,10 @@ two are linked by the consistency system
     −½C†C − iΩ = −iK − (i/2)F†C
 
 whose solution is the Cayley transform S = (I − iE/2)(I + iE/2)⁻¹ with
-C = −i(I + iE/2)⁻¹F; Ω follows from the third equation.  The residuals of
-these three equations are the single source of truth for both directions
-and are exposed directly for use as an oracle.
+C = −i(I + iE/2)⁻¹F, taken in the eigenbasis of E; Ω follows from the
+third equation.  The residuals of these three equations are the single
+source of truth for both directions and are exposed directly for use as
+an oracle.
 """
 
 from __future__ import annotations
@@ -76,24 +77,20 @@ class StratonovichModel:
 def strat_to_ito(sm: StratonovichModel) -> LinearComponent:
     """Solve the consistency system for (S, C, Omega).
 
-    S is the Cayley transform of E (always unitary for hermitian E), and
-    Omega is the hermitian solution of the third equation; the returned
-    component leaves all three residuals at roundoff level.  I + iE/2 is
-    nonsingular for hermitian E in exact arithmetic, but its condition
-    grows like ‖E‖/2: for ‖E‖ ≳ 1e12 matkit.factor rejects it, and this
-    raises matkit.SingularMatrix with a message that names it.
+    With herm_real(E) = U·diag(λ)·U†, S = U·diag((1 − iλ/2)/(1 + iλ/2))·U†
+    and C = −i·U·diag(1/(1 + iλ/2))·U†·F: no matrix is inverted, so every
+    hermitian E is accepted, and S is unitary to roundoff however large
+    ‖E‖ is.  Omega is the hermitian solution of the third equation.  The
+    residuals are at roundoff level, c·u·max(1, ‖E‖₂)·max(1, ‖F‖₂)² with
+    u the unit roundoff (c = 64 covers n ≤ 4, tests/test_stratcal.py),
+    plus what E's own anti-hermitian part A = (E − E†)/2 (at most
+    matkit.STRUCT_TOL per entry) leaves: ‖A‖₂·(1 + ‖S − I‖₂/2) ≤ 2‖A‖₂ in
+    the scattering equation and ‖A‖₂·‖C‖₂/2 in the coupling one.
     """
-    n = sm.n_ports
-    P = np.eye(n) + 0.5j * sm.E
-    rhs = np.concatenate([np.eye(n) - 0.5j * sm.E, -1j * sm.F], axis=1)
-    try:
-        X = matkit.solve(P, rhs)
-    except matkit.SingularMatrix as exc:
-        raise matkit.SingularMatrix(
-            exc.condition, "(I + iE/2) is too ill-conditioned to solve "
-            f"(condition estimate {exc.condition:.3e})") from exc
-    S = X[:, :n]
-    C = X[:, n:]
+    lam, U = np.linalg.eigh(matkit.herm_real(sm.E))
+    inverse = 1 / (1 + 0.5j * lam)     # the eigenvalues of (I + iE/2)⁻¹
+    S = (U * ((1 - 0.5j * lam) * inverse)) @ U.conj().T
+    C = -1j * ((U * inverse) @ (U.conj().T @ sm.F))
     Omega = matkit.herm_real(sm.K + 0.5 * sm.F.conj().T @ C
                              + 0.5j * C.conj().T @ C)
     return LinearComponent(S, C, Omega)

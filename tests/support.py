@@ -216,6 +216,12 @@ def closed_form_series(g2: LinearComponent, g1: LinearComponent,
                            g1.mode_labels + g2.mode_labels)
 
 
+def splitter_blocks(T: BeamSplitter) -> tuple[np.ndarray, ...]:
+    """T₁₁, T₁₂, T₂₁, T₂₂ of a splitter: its external block first, then the in-loop one."""
+    n1 = T.n1
+    return T.T[:n1, :n1], T.T[:n1, n1:], T.T[n1:, :n1], T.T[n1:, n1:]
+
+
 def closed_form_loop(T: BeamSplitter, plant: LinearComponent) -> LinearComponent:
     """Beam-splitter loop from its closed form, gated by matkit.solve.
 
@@ -227,15 +233,16 @@ def closed_form_loop(T: BeamSplitter, plant: LinearComponent) -> LinearComponent
         raise DimensionMismatch(
             f"plant has {plant.n_ports} ports, splitter loop block expects {T.n2}")
     S0, C0 = plant.S, plant.C
-    loop = np.eye(T.n2) - S0 @ T.T22
+    T11, T12, T21, T22 = splitter_blocks(T)
+    loop = np.eye(T.n2) - S0 @ T22
     try:
-        X = matkit.solve(loop, np.concatenate([S0 @ T.T21, C0], axis=1))
+        X = matkit.solve(loop, np.concatenate([S0 @ T21, C0], axis=1))
     except matkit.SingularMatrix as exc:
         raise AlgebraicLoop("(1 - S0 T22) is singular") from exc
     loop_S = X[:, :T.n1]
     loop_C = X[:, T.n1:]
-    S = T.T11 + T.T12 @ loop_S
-    C = T.T12 @ loop_C
+    S = T11 + T12 @ loop_S
+    C = T12 @ loop_C
     Omega = plant.Omega + matkit.herm_imag(C0.conj().T @ loop_C)
     return LinearComponent(S, C, Omega, mode_labels=plant.mode_labels)
 
@@ -243,11 +250,12 @@ def closed_form_loop(T: BeamSplitter, plant: LinearComponent) -> LinearComponent
 def closed_form_mobius(T: BeamSplitter, X) -> np.ndarray:
     """T₁₁ + T₁₂(I − X·T₂₂)⁻¹X·T₂₁, gated by matkit.solve."""
     X = matkit.as_matrix(X, rows=T.n2, cols=T.n2, name="X")
+    T11, T12, T21, T22 = splitter_blocks(T)
     try:
-        inner = matkit.solve(np.eye(T.n2) - X @ T.T22, X @ T.T21)
+        inner = matkit.solve(np.eye(T.n2) - X @ T22, X @ T21)
     except matkit.SingularMatrix as exc:
         raise OutsideDomain("(I - X T22) is singular") from exc
-    return T.T11 + T.T12 @ inner
+    return T11 + T12 @ inner
 
 
 def reference_star(a: LinearComponent, b: LinearComponent, channels: int) -> LinearComponent:

@@ -37,3 +37,25 @@ def test_claim_rule():
     result = compare(parent, close, higher_is_better=True)
     assert result["wins"] == 9 and result["parent_iqr"] == 2.25 and result["gain"] == 1.5
     assert not result["holds"]
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    compare = _load_tool().compare
+    # parent IQR 3.5 on a median of 10: 35% of it, wider than a 25% bound
+    parent = [4.0, 6.0, 8.0, 9.0, 10.0, 10.0, 11.0, 12.0, 14.0, 16.0]
+    assert compare(parent, [p * 1.05 for p in parent], True, bound=0.25)["unresolved"]
+    assert not compare(parent, parent, True, bound=0.5)["unresolved"]
+    # unless every run of the change is better than every run of the parent
+    better = [p + 12.1 for p in parent]
+    assert not compare(parent, better, True, bound=0.25)["unresolved"]
+    assert compare(parent, better, False, bound=0.25)["unresolved"]
+    assert compare(parent, [16.0] + parent[1:], True, bound=0.25)["unresolved"]
+
+
+def test_bench10_reports_the_wide_algebra_setup_as_unresolved():
+    proc = subprocess.run([sys.executable, TOOL, os.path.join(ROOT, "BENCH_10.json")],
+                          capture_output=True, text=True, timeout=60, check=True)
+    lines = proc.stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("algebra_mix "))
+    row = next(line for line in lines[start:] if line.split()[0] == "setup_s")
+    assert "unresolved: parent IQR 0.1068 > bound 0.25 × median 0.4194" in row

@@ -282,6 +282,14 @@ component pair {
         assert main(["freqresp", cavity_file, "--grid", "1:2"]) == 4
         assert main(["freqresp", cavity_file, "--grid", "1:2:0"]) == 4
 
+    def test_grid_too_large_for_memory_usage(self, cavity_file, capsys):
+        # 1e15 float64 points are 7 PiB: the allocation fails at once and commits nothing
+        assert main(["freqresp", cavity_file, "--grid", "0:1:1000000000000000"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("usage error: grid of 1000000000000000 points "
+                                "does not fit in memory\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "-inf:0:1",
                                       "-1e308:1e308:3"])
     def test_non_finite_grid_usage(self, cavity_file, grid, capsys):
@@ -365,15 +373,21 @@ class TestStratCommands:
         gen.write_text("E = [[0,1],[0,0]];\nF = [[1],[1]];\nK = [[0]];\n")
         assert main(["strat2ito", str(gen)]) == 1
 
-    def test_strat2ito_names_ill_conditioned_cayley_matrix(self, tmp_path, capsys):
-        # hermitian E, but κ₁(I + iE/2) ≈ ‖E‖/2 is past the singularity gate
+    def test_strat2ito_accepts_large_generator(self, tmp_path, capsys):
+        # hermitian E with κ₁(I + iE/2) ≈ ‖E‖/2 = 5e12: solved in E's eigenbasis
         gen = tmp_path / "gen.txt"
         gen.write_text("E = [[1e13, 0], [0, 1]];\nF = [[1], [0]];\nK = [[0]];\n")
-        assert main(["strat2ito", str(gen)]) == 3
+        assert main(["strat2ito", str(gen)]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: (I + iE/2) is too ill-conditioned to solve "
-                                "(condition estimate inf)\n")
+        assert captured.err == ""
+        got = parse_matrix_assignments(
+            "\n".join(l for l in captured.out.splitlines() if not l.startswith("#")))
+        cayley = (1 - 0.5j * np.array([1e13, 1])) / (1 + 0.5j * np.array([1e13, 1]))
+        assert matkit.max_abs(got["S"] - np.diag(cayley)) <= 1e-15
+        assert matkit.max_abs(got["C"] - [[-1j / (1 + 5e12j)], [0]]) <= 1e-28
+        residuals = captured.out.splitlines()[-1]
+        assert residuals.startswith("# residuals: ")
+        assert all(float(word.split("=")[1]) <= 1e-15 for word in residuals.split()[2:])
 
     def test_ito2strat_cayley_pole(self, tmp_path, capsys):
         triple = tmp_path / "triple.txt"

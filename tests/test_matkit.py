@@ -20,25 +20,6 @@ def _complex_matrices(n):
     return st.tuples(reals, reals).map(lambda ab: ab[0] + 1j * ab[1])
 
 
-class TestAdjoint:
-    def test_conjugates_scalar(self):
-        assert matkit.adjoint(np.array([[1j]]))[0, 0] == -1j
-
-    def test_identity_self_adjoint(self):
-        eye = np.eye(2, dtype=complex)
-        assert np.array_equal(matkit.adjoint(eye), eye)
-
-    def test_hand_conjugate_transpose(self):
-        m = np.array([[1, 2j], [0, 1]])
-        expected = np.array([[1, 0], [-2j, 1]])
-        assert np.array_equal(matkit.adjoint(m), expected)
-
-    @given(_complex_matrices(3))
-    @settings(max_examples=50, deadline=None)
-    def test_involution(self, m):
-        assert np.array_equal(matkit.adjoint(matkit.adjoint(m)), m)
-
-
 class TestSolve:
     def test_identity(self):
         rhs = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)

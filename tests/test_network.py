@@ -17,7 +17,7 @@ from slhnet.network import AlgebraicLoop, BadPartition, DimensionMismatch, \
 from support import (cascade_transfer_check, haar_unitary, path_expansion_check,
                      random_component, random_network, random_partitioned,
                      random_rhp_points, random_splitter, reference_feedback_reduce,
-                     sequential_star)
+                     sequential_star, splitter_blocks)
 
 
 def _series_wiring(g1, g2):
@@ -373,7 +373,8 @@ class TestBeamSplitterLoop:
         T = random_splitter(rng, 1, 1)
         plant = LinearComponent([[1.0]], [[0.0]], [[0.4]])
         loop = beamsplitter_loop(T, plant)
-        expected_S = T.T11 + T.T12 @ np.linalg.solve(np.eye(1) - T.T22, T.T21)
+        T11, T12, T21, T22 = splitter_blocks(T)
+        expected_S = T11 + T12 @ np.linalg.solve(np.eye(1) - T22, T21)
         assert matkit.max_abs(loop.S - expected_S) <= 1e-12
         assert matkit.max_abs(loop.C) == 0.0
 
@@ -599,6 +600,15 @@ class TestSparsePath:
                             lambda m: kinds.append(sparse.issparse(m)) or factor(m))
         series_product(g2, g1)
         assert kinds == [False]
+
+    def test_dense_kernel_is_exact_above_the_sparse_minimum(self):
+        # k = SPARSE_MIN, but the direct sum is half full: the dense blocks must
+        # still give the reference's S and C bit for bit
+        rng = np.random.default_rng(443)
+        g1, g2 = (random_component(rng, matkit.SPARSE_MIN, 3) for _ in range(2))
+        pc = _series_wiring(g1, g2)
+        assert _reduce_on(pc, matkit.SPARSE_MIN, matkit.SPARSE_FILL)[1] == [False]
+        assert _assert_same_reduction(pc)
 
     def test_dense_loop_stays_dense(self):
         # S_ii = strict upper triangle of ones is half full: not sparse

@@ -45,6 +45,43 @@ class TestStratToIto:
             assert matkit.max_abs(comp.S - cayley_from_generator(sm.E)) <= 1e-9
             assert validate(comp).ok
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(0, 3),
+           log_top=st.floats(-3.0, 14.0))
+    @settings(max_examples=200, deadline=None)
+    def test_large_generators_are_accepted(self, seed, n, m, log_top):
+        # eigenvalues of E spread over 10^[-3, log_top], either sign, in a random basis
+        rng = np.random.default_rng(seed)
+        lam = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, log_top, n)
+        U = haar_unitary(rng, n)
+        F = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        sm = StratonovichModel(E=matkit.herm_real((U * lam) @ U.conj().T), F=F,
+                               K=random_hermitian(rng, m))
+        comp = strat_to_ito(sm)
+        u = np.finfo(float).eps / 2
+        assert matkit.unitarity_residual(comp.S) <= 64 * u
+        scale = max(1.0, np.linalg.norm(sm.E, 2)) * max(1.0, np.linalg.norm(F, 2)) ** 2
+        assert ito_table_residuals(sm, comp).worst <= 64 * u * scale
+
+    def test_nearly_hermitian_generator_uses_its_hermitian_part(self):
+        rng = np.random.default_rng(233)
+        H = random_hermitian(rng, 3)
+        A = 1e-10 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        F = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        K = random_hermitian(rng, 2)
+        sm = StratonovichModel(E=H + A, F=F, K=K)
+        comp = strat_to_ito(sm)
+        exact = strat_to_ito(StratonovichModel(E=matkit.herm_real(sm.E), F=F, K=K))
+        for a, b in ((comp.S, exact.S), (comp.C, exact.C), (comp.Omega, exact.Omega)):
+            assert a.tobytes() == b.tobytes()
+        # the anti-hermitian part A = (E − E†)/2 shows in the residuals, above roundoff
+        skew = np.linalg.norm(sm.E - matkit.herm_real(sm.E), 2)
+        floor = (32 * np.finfo(float).eps * max(1.0, np.linalg.norm(sm.E, 2))
+                 * max(1.0, np.linalg.norm(F, 2)) ** 2)
+        res = ito_table_residuals(sm, comp)
+        assert floor < res.scattering <= 2 * skew + floor
+        assert res.coupling <= skew * np.linalg.norm(comp.C, 2) / 2 + floor
+        assert res.drift <= floor
+
 
 class TestItoToStrat:
     def test_identity_scattering(self):

@@ -10,7 +10,10 @@ the claim rule's verdict: a gain holds when the change wins at least 9 of
 every 10 pairs and its median is better than the parent's by more than the
 parent's interquartile range.  Which direction is better, and the bound a
 median may worsen by, come from BENCHMARK.json (by default the one beside
-the BENCH file).  Standard library only.
+the BENCH file).  A metric whose parent IQR is a larger share of the
+parent median than that bound is "unresolved": its runs spread too widely
+to tell a change within the bound, unless every run of the change is
+better than every run of the parent.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def compare(parent: list[float], change: list[float], higher_is_better: bool) -> dict:
-    """Pair wins, quartiles and the claim rule for one metric."""
+def compare(parent: list[float], change: list[float], higher_is_better: bool,
+            bound: float = float("inf")) -> dict:
+    """Pair wins, quartiles, the claim rule and whether the spread exceeds ``bound``."""
     sign = 1 if higher_is_better else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
@@ -42,7 +46,9 @@ def compare(parent: list[float], change: list[float], higher_is_better: bool) ->
             "parent": (p1, pm, p3), "change": (c1, cm, c3),
             "gain": gain, "parent_iqr": p3 - p1,
             "relative": (cm - pm) / pm if pm else 0.0,
-            "holds": 10 * wins >= 9 * len(parent) and gain > p3 - p1}
+            "holds": 10 * wins >= 9 * len(parent) and gain > p3 - p1,
+            "unresolved": (p3 - p1 > bound * abs(pm)
+                           and min(sign * c for c in change) <= max(sign * p for p in parent))}
 
 
 def _side(q: tuple[float, float, float]) -> str:
@@ -67,13 +73,17 @@ def main(argv: list[str] | None = None) -> int:
         for metric, sides in entry["metrics"].items():
             if metric not in spec:
                 continue
-            higher = spec[metric]["better"] == "higher"
-            r = compare(sides["parent"], sides["change"], higher)
-            verdict = (f"gain holds: {r['gain']:.4g} > parent IQR {r['parent_iqr']:.4g}"
-                       if r["holds"] else
-                       f"no gain: {r['gain']:.4g}, parent IQR {r['parent_iqr']:.4g}")
-            if -r["relative"] * (1 if higher else -1) > spec[metric]["bound"]:
-                verdict += f"; WORSE than the bound {spec[metric]['bound']}"
+            higher, bound = spec[metric]["better"] == "higher", spec[metric]["bound"]
+            r = compare(sides["parent"], sides["change"], higher, bound)
+            if r["holds"]:
+                verdict = f"gain holds: {r['gain']:.4g} > parent IQR {r['parent_iqr']:.4g}"
+            elif r["unresolved"]:
+                verdict = (f"unresolved: parent IQR {r['parent_iqr']:.4g} > bound {bound}"
+                           f" × median {r['parent'][1]:.4g}")
+            else:
+                verdict = f"no gain: {r['gain']:.4g}, parent IQR {r['parent_iqr']:.4g}"
+                if -r["relative"] * (1 if higher else -1) > bound:
+                    verdict += f"; WORSE than the bound {bound}"
             print(f"  {metric:<12} {_side(r['parent']):<32} {_side(r['change']):<32}"
                   f" {r['wins']:>3}/{r['pairs']:<2}  {verdict}")
     return 0
