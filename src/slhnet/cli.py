@@ -17,6 +17,7 @@ singularity, 4 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -247,7 +248,9 @@ def _cmd_ito2strat(args) -> int:
 # ---------------------------------------------------------------------------
 # driver
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The qnet parser, built once per process: parsing leaves it unchanged."""
     parser = _ArgumentParser(prog="qnet",
                              description="Linear quantum network toolbox")
     sub = parser.add_subparsers(dest="command", required=True)

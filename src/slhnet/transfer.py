@@ -12,19 +12,38 @@ imaginary axis stays within tolerance; Xi itself is never evaluated.
 A single point costs one LU solve of the m×m resolvent, gated by
 matkit.factor: s is a pole when a pivot of sI − A, or its 1-norm
 reciprocal condition estimate, is ≤ 1e-12.  A frequency sweep over G
-points instead factors the drift once, A = Q T Q† (complex Schur form,
-Laub 1981), and pays one O(m³) factorization plus one O(n·m²)
-triangular solve per point.  The sweep marks s as a pole when
-min_i |s − T_ii| ≤ 1e-12 × (largest column 1-norm of sI − A).
+points instead brings the drift to triangular form once, A = Q T Q†
+(Laub 1981), and pays one O(n·m²) triangular solve per point.  The
+sweep marks s as a pole when min_i |s − T_ii| ≤ 1e-12 × (largest column
+1-norm of sI − A).
+
+The triangular form is found block by block (``block_schur``).  In a
+network, instance j's modes drive instance l's only along a wired path
+from j to l, so the strongly connected components of the drift's graph,
+in topological order (Tarjan 1972), make A block upper triangular.  An
+entry |a_ij| ≤ m·u·‖A‖₁ makes no edge: below the block diagonal such
+entries are rounding of exact zeros (≤ 0.9·u·‖A‖₁ in random cascades),
+and dropping them moves A by less than m²·u·‖A‖₁ in the 1-norm.  Only
+diagonal blocks larger than 1×1 get a complex Schur form, each with a
+backward error of a few m·u·‖A‖₁.  A strongly connected drift (a dense
+component) is one block and gets scipy's Schur form of the whole of A,
+unchanged.  A cascade of one-mode units splits into 1×1 blocks: Q is a
+permutation, the Schur form costs nothing, and T_ii are the drift's
+diagonal, the units' own drift eigenvalues.
 
 Since σ_min(sI − A) ≤ min_i |s − T_ii|, a sweep pole is a pole for the
 single point as well, up to the factor ≤ √m between the 1- and 2-norms
-of (sI − A)⁻¹; no scan has met that factor (a property in
-tests/test_transfer.py).  The converse fails in a band: for a
-far-from-normal A, σ_min can lie well below the eigenvalue gap.  Of
-3000 random components probed at 10^[−1.5, 1.5] times the sweep's
-threshold from a drift eigenvalue, 216 were poles for eval_transfer
-alone and none for the sweep alone.
+of (sI − A)⁻¹ and the backward error of T; no scan has met that factor
+(properties in tests/test_transfer.py, for random components and for
+cascades).  The converse fails in a band: for a far-from-normal A,
+σ_min can lie well below the eigenvalue gap.  Of 3000 random dense
+components probed at 10^[−1.5, 1.5] times the sweep's threshold from a
+drift eigenvalue, 216 were poles for eval_transfer alone and none for
+the sweep alone.  A cascade's drift is far from normal as well, so one
+Schur form of the whole of it returns eigenvalues up to 0.16 from the
+units' own at 64 and 128 units; swept through a unit's pole, 16 of 20
+random 64-unit cascades missed it that way, where the block form flags
+all 20, as eval_transfer does.
 """
 
 from __future__ import annotations
@@ -122,11 +141,15 @@ def freq_response(comp: LinearComponent, omegas,
                   sigma: float = SIGMA_MIN) -> list[FreqPoint]:
     """Evaluate along s = sigma + iω for each ω, in grid order.
 
-    One Schur factorization of the drift serves the whole grid (see the
-    module docstring for the cost and the pole rule).  Poles are reported
-    per point (evaluation None) rather than aborting the sweep; a flagged
-    point is truly near-singular, because σ_min(sI − A) ≤ |s − λ| for
-    every eigenvalue λ of A.  Raises ValueError on a non-finite ω or sigma.
+    One triangular form of the drift, A = Q T Q† from one Schur form per
+    strongly connected block (``block_schur``), serves the whole grid; see
+    the module docstring for the cost, the pole rule and the entries the
+    form drops.  Poles are reported per point (evaluation None) rather
+    than aborting the sweep; a flagged point is truly near-singular,
+    because σ_min(sI − A) ≤ |s − λ| for every eigenvalue λ of A.  In a
+    cascade of one-mode units the T_ii are the units' drift eigenvalues
+    themselves, so a grid point on a unit's pole is flagged.  Raises
+    ValueError on a non-finite ω or sigma.
     """
     omegas = np.array([float(w) for w in omegas])
     sigma = float(sigma)
@@ -135,7 +158,7 @@ def freq_response(comp: LinearComponent, omegas,
     if omegas.size == 0:
         return []
     A = drift(comp)
-    T, Q = schur(A, output="complex")
+    T, Q, order = block_schur(A)
     s = sigma + 1j * omegas
     t = np.diag(T)
     # column 1-norms of sI − A from its diagonal and the fixed off-diagonal part
@@ -147,20 +170,120 @@ def freq_response(comp: LinearComponent, omegas,
 
     # Y = C Q (sI − T)⁻¹ solves (sI − T)ᵀ Yᵀ = (C Q)ᵀ; only the diagonal of
     # the working copy of −T changes from point to point.  With no ports or
-    # no modes Y is empty, and LAPACK rejects zero-size systems.
-    CQ_t = (comp.C @ Q).T
+    # no modes Y is empty, and LAPACK rejects zero-size systems.  C is taken
+    # in T's mode order, and Q is None when that order alone triangularizes A.
+    C = comp.C[:, order]
+    CQ_t = (C if Q is None else C @ Q).T
     shifted = np.asfortranarray(-T)
     Y = np.zeros((omegas.size, comp.n_ports, comp.m_modes), dtype=complex)
     trtrs, = get_lapack_funcs(("trtrs",), (shifted, CQ_t))
     for k in np.flatnonzero(~singular) if CQ_t.size else ():
         np.fill_diagonal(shifted, s[k] - t)
         Y[k] = trtrs(shifted, CQ_t, trans=1)[0].T
-    Xi = comp.S - Y @ (Q.conj().T @ comp.C.conj().T @ comp.S)
-    xi = Y @ Q.conj().T
+    CQ_h = C.conj().T if Q is None else Q.conj().T @ C.conj().T
+    Xi = comp.S - Y @ (CQ_h @ comp.S)
+    xi = np.empty_like(Y)
+    xi[..., order] = Y if Q is None else Y @ Q.conj().T
     return [FreqPoint(omega=float(omegas[k]),
                       evaluation=None if singular[k] else
                       TransferEvaluation(s=complex(s[k]), Xi=Xi[k], xi=xi[k]))
             for k in range(omegas.size)]
+
+
+def block_schur(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | slice]:
+    """(T, Q, order) with A[order][:, order] = Q T Q†, T upper triangular.
+
+    The modes are ordered by the strongly connected components of the
+    graph in which mode j drives mode i when |a_ij| > m·u·‖A‖₁, each
+    component after every component it drives, so that A[order][:, order]
+    is block upper triangular.  Only diagonal blocks larger than 1×1 get
+    a Schur form; Q is block diagonal, and None when every block is 1×1.
+    A strongly connected A returns ``schur(A, output="complex")`` itself
+    with order ``slice(None)``.  The entries below the block diagonal,
+    each at most m·u·‖A‖₁, are dropped from T.
+    """
+    m = A.shape[0]
+    magnitude = np.abs(A)
+    drives = (magnitude > m * np.finfo(float).eps
+              * np.max(np.sum(magnitude, axis=0), initial=0.0)).T
+    np.fill_diagonal(drives, False)
+    if m <= 1 or (_reaches_all(drives) and _reaches_all(drives.T)):
+        T, Q = schur(A, output="complex")
+        return T, Q, slice(None)
+    order, bounds = _components(drives)
+    T = A[np.ix_(order, order)]
+    Q = None
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop - start == 1:
+            continue
+        Tb, Qb = schur(T[start:stop, start:stop], output="complex")
+        T[start:stop, stop:] = Qb.conj().T @ T[start:stop, stop:]
+        T[:start, start:stop] = T[:start, start:stop] @ Qb
+        T[start:stop, start:stop] = Tb
+        if Q is None:
+            Q = np.eye(m, dtype=complex)
+        Q[start:stop, start:stop] = Qb
+    return np.triu(T), Q, order
+
+
+def _reaches_all(drives: np.ndarray) -> bool:
+    """Whether a path of ``drives`` leads from mode 0 to every mode."""
+    seen = np.zeros(len(drives), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = np.any(drives[frontier], axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def _components(drives: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The strongly connected components of ``drives`` (Tarjan 1972).
+
+    Returns the modes component by component, each component after every
+    component it drives, and the bounds of the components in that order.
+    The search takes a vertex's next unvisited successor with one vector
+    operation and its lowest on-stack successor once, when it finishes:
+    a successor on the stack then was on it when the edge was met, or
+    has an index above the vertex's.
+    """
+    m = len(drives)
+    index = np.full(m, -1)
+    low = np.zeros(m, dtype=int)
+    unseen = np.ones(m, dtype=bool)
+    on_stack = np.zeros(m, dtype=bool)
+    stack, path, order, bounds = [], [], [], [0]
+
+    def visit(v):
+        index[v] = low[v] = len(order) + len(stack)
+        unseen[v] = False
+        on_stack[v] = True
+        stack.append(v)
+        path.append(v)
+
+    for root in range(m):
+        if not unseen[root]:
+            continue
+        visit(root)
+        while path:
+            v = path[-1]
+            fresh = np.flatnonzero(drives[v] & unseen)
+            if fresh.size:
+                visit(int(fresh[0]))
+                continue
+            path.pop()
+            low[v] = min(low[v], np.min(index[drives[v] & on_stack], initial=m))
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    order.append(w)
+                    if w == v:
+                        break
+                bounds.append(len(order))
+            elif path:
+                low[path[-1]] = min(low[path[-1]], low[v])
+    return np.array(order, dtype=int), bounds
 
 
 def axis_xi(points: list[FreqPoint], n: int) -> np.ndarray:

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from slhnet import (LinearComponent, build_partitioned, check_unitary_on_axis,
-                    feedback_reduce, matkit, parse)
-from slhnet.cli import main
+from slhnet import (LinearComponent, build_partitioned, check_unitary_on_axis, drift,
+                    feedback_reduce, matkit, parse, series_product)
+from slhnet.cli import _build_parser, main
 from slhnet.netfile import (component_document, parse_matrix_assignments,
                             serialize)
 from slhnet.transfer import axis_residual, freq_response
 
-from support import format_float, haar_unitary, random_network
+from support import format_float, haar_unitary, random_component, random_network
 
 CAVITY = """\
 component cavity {
@@ -282,6 +282,22 @@ component pair {
         assert main(["freqresp", cavity_file, "--grid", "1:2"]) == 4
         assert main(["freqresp", cavity_file, "--grid", "1:2:0"]) == 4
 
+    def test_cascade_unit_pole_marked_na(self, tmp_path, capsys):
+        # a 64-unit cascade swept through one unit's drift eigenvalue λ, at sigma = Re λ
+        rng = np.random.default_rng(1)
+        units = [random_component(rng, 2, 1) for _ in range(64)]
+        lam = complex(drift(units[rng.integers(64)])[0, 0])
+        comp = units[0]
+        for unit in units[1:]:
+            comp = series_product(unit, comp)
+        path = tmp_path / "cascade.qnet"
+        path.write_text(serialize(component_document("cascade", comp)))
+        grid = f"{lam.imag - 0.5!r}:{lam.imag + 0.5!r}:3"
+        assert main(["freqresp", str(path), "--grid", grid, "--sigma", repr(lam.real)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[1] == "NA" for row in rows[1:]] == [False, True, False]
+        assert set(rows[2][1:]) == {"NA"}
+
     def test_grid_too_large_for_memory_usage(self, cavity_file, capsys):
         # 1e15 float64 points are 7 PiB: the allocation fails at once and commits nothing
         assert main(["freqresp", cavity_file, "--grid", "0:1:1000000000000000"]) == 4
@@ -485,3 +501,26 @@ class TestOverflowingModel:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert [(r[0], r[-1]) for r in rows[1:]] == [("-1", "inf"), ("0", "inf"), ("1", "inf")]
+
+
+class TestParserReuse:
+    def test_reused_parser_answers_as_a_fresh_one(self, cavity_file, capsys):
+        # a usage error, a good run and --help, each on a new parser and then in turn on one
+        calls = [["freqresp", cavity_file], ["check", cavity_file], ["--help"]]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _, _ in fresh] == [4, 0, 0]
+        parser = _build_parser()
+        assert [run(argv) for argv in calls] == fresh
+        assert _build_parser() is parser

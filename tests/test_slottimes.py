@@ -1,0 +1,29 @@
+"""tools/slottimes.py: which slot perfbench's percentile ranks fall on."""
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "slottimes.py")
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("slottimes", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_percentile_ranks_map_to_slots():
+    percentile_slots = _load_tool().percentile_slots
+    # 15 slots, slot i taking (7·i mod 15) + 1 ms: the k-th fastest is slot 13·(k − 1) mod 15
+    times = [(7 * i) % 15 + 1.0 for i in range(15)]
+    # nearest rank: p50 is the 8th fastest of 15 (8 ms) and p90 the 14th (14 ms)
+    assert percentile_slots(times) == {0.5: 1, 0.9: 4}
+    assert times[1] == 8.0 and times[4] == 14.0
+    # 10 slots: p50 is the 5th fastest and p90 the 9th
+    ten = [10.0, 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0, 5.0]
+    assert percentile_slots(ten) == {0.5: 9, 0.9: 2}
+    assert percentile_slots(ten, quantiles=(0.0, 1.0)) == {0.0: 1, 1.0: 0}
+    # one slot is every percentile
+    assert percentile_slots([3.0]) == {0.5: 0, 0.9: 0}

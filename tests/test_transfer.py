@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag, schur
+from scipy.optimize import linear_sum_assignment
 
-from slhnet import (SIGMA_MIN, CommutingForm, LinearComponent, check_unitary_on_axis,
-                    commuting_form, drift, eval_transfer, freq_response,
-                    make_cavity, matkit, poles_zeros_commuting, series_product)
-from slhnet.transfer import NotCommuting, SingularAtS, ZeroModeAmbiguity
+from slhnet import (SIGMA_MIN, CommutingForm, LinearComponent, build_partitioned,
+                    check_unitary_on_axis, commuting_form, drift, eval_transfer,
+                    feedback_reduce, freq_response, make_cavity, matkit,
+                    poles_zeros_commuting, series_product)
+from slhnet.netfile import Edge, NetDocument
+from slhnet.transfer import NotCommuting, SingularAtS, ZeroModeAmbiguity, block_schur
 
 from support import haar_unitary, random_component, random_hermitian
 
@@ -105,12 +109,17 @@ class TestFreqResponse:
             assert abs(abs(np.linalg.det(p.evaluation.Xi)) - 1.0) <= 1e-8
 
 
+def _chain(units):
+    """Series chain of ``units``, the first one upstream."""
+    comp = units[0]
+    for unit in units[1:]:
+        comp = series_product(unit, comp)
+    return comp
+
+
 def _cascade(rng, n, units):
     """Series chain of one-mode units: triangular, strongly non-normal drift."""
-    comp = random_component(rng, n, 1)
-    for _ in range(units - 1):
-        comp = series_product(random_component(rng, n, 1), comp)
-    return comp
+    return _chain([random_component(rng, n, 1) for _ in range(units)])
 
 
 @st.composite
@@ -186,6 +195,138 @@ class TestSweepProperties:
         if freq_response(comp, [s.imag], sigma=s.real)[0].singular:
             with pytest.raises(SingularAtS):
                 eval_transfer(comp, s)
+
+
+class TestCascadePoles:
+    """A sweep through a unit's pole flags it, as eval_transfer does."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sweep_through_a_unit_pole_flags_exactly_that_point(self, seed):
+        rng = np.random.default_rng(seed)
+        units = [random_component(rng, 2, 1) for _ in range(64)]
+        lam = complex(drift(units[rng.integers(64)])[0, 0])
+        comp = _chain(units)
+        points = freq_response(comp, [lam.imag - 0.5, lam.imag, lam.imag + 0.5],
+                               sigma=lam.real)
+        assert [p.singular for p in points] == [False, True, False]
+        with pytest.raises(SingularAtS):
+            eval_transfer(comp, lam)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), units=st.integers(2, 24),
+           log_offset=st.floats(-1.5, 1.5), angle=st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_cascade_sweep_pole_is_a_pole_for_eval_transfer(self, seed, n, units,
+                                                            log_offset, angle):
+        # probe next to a unit's drift eigenvalue λ, at 10^log_offset times the sweep's threshold
+        rng = np.random.default_rng(seed)
+        chain = [random_component(rng, n, 1) for _ in range(units)]
+        comp = _chain(chain)
+        A = drift(comp)
+        lam = drift(chain[rng.integers(units)])[0, 0]
+        threshold = matkit.PIVOT_REL * np.abs(lam * np.eye(units) - A).sum(axis=0).max()
+        s = lam + 10 ** log_offset * threshold * np.exp(1j * angle)
+        if freq_response(comp, [s.imag], sigma=s.real)[0].singular:
+            with pytest.raises(SingularAtS):
+                eval_transfer(comp, s)
+
+
+def _unit_xi(comp, s):
+    """Xi(s) of one component from a dense solve."""
+    resolvent = np.linalg.solve(s * np.eye(comp.m_modes) - drift(comp), comp.C.conj().T)
+    return comp.S - comp.C @ resolvent @ comp.S
+
+
+def _network_xi(pc, units, s):
+    """Xi(s) of the reduced network from its units' Xi(s), the wiring eliminated at s."""
+    X = block_diag(*[_unit_xi(u, s) for u in units])
+    i_out, i_in = list(pc.internal_out), list(pc.internal_in)
+    e_out, e_in = list(pc.external_out), list(pc.external_in)
+    loop = pc.eta - X[np.ix_(i_out, i_in)]
+    return (X[np.ix_(e_out, e_in)]
+            + X[np.ix_(e_out, i_in)] @ np.linalg.solve(loop, X[np.ix_(i_out, e_in)]))
+
+
+@st.composite
+def _networks(draw):
+    """(kind, component, units, partition) over three families of drift.
+
+    "acyclic": 1 to 8 units of 1-3 ports and 1-3 modes, each after the first
+    fed by a free output of an earlier one.  "loop": the same with the last
+    unit also feeding the first, which closes a loop through every unit on
+    the path between them.  "dense": one random component (units and
+    partition None).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["acyclic", "loop", "dense"]))
+    if kind == "dense":
+        return kind, random_component(rng, draw(st.integers(1, 4)), draw(st.integers(1, 8))), \
+            None, None
+    units = [random_component(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+             for _ in range(draw(st.integers(1, 8)))]
+    free_out = [(0, port) for port in range(units[0].n_ports)]
+    edges = []
+    for j, unit in enumerate(units[1:], start=1):
+        src, port = free_out.pop(int(rng.integers(len(free_out))))
+        edges.append(Edge(f"u{src}", port, f"u{j}", int(rng.integers(unit.n_ports))))
+        free_out += [(j, p) for p in range(unit.n_ports)]
+    if kind == "loop":
+        edges.append(Edge(f"u{len(units) - 1}", 0, "u0", 0))
+    doc = NetDocument(components={f"c{j}": u for j, u in enumerate(units)},
+                      instances={f"u{j}": f"c{j}" for j in range(len(units))},
+                      edges=tuple(edges), externals=())
+    pc = build_partitioned(doc)
+    return kind, feedback_reduce(pc), units, pc
+
+
+class TestBlockSchur:
+    @given(_networks())
+    @settings(max_examples=80, deadline=None)
+    def test_factorization(self, case):
+        kind, comp, units, _ = case
+        A = drift(comp)
+        m = A.shape[0]
+        T, Q, order = block_schur(A)
+        U = np.zeros((m, m), dtype=complex)
+        U[order] = np.eye(m) if Q is None else Q
+        u, norm = np.finfo(float).eps, np.abs(A).sum(axis=0).max()
+        # fewer than m dropped entries per column, each ≤ m·u·‖A‖₁, plus the
+        # Schur form's own error: ≤ 4.4·m·u·‖A‖₁ and ≤ 3.7·m·u from unitary
+        # over 3000 random drifts with m ≤ 24
+        bound = (m + 8) * m * u
+        assert matkit.max_abs(U.conj().T @ U - np.eye(m)) <= bound
+        assert np.abs(A - U @ T @ U.conj().T).sum(axis=0).max() <= bound * norm
+        assert np.array_equal(T, np.triu(T))
+        if kind == "acyclic":
+            spectra = np.concatenate([np.linalg.eigvals(drift(unit)) for unit in units])
+            dist = np.abs(spectra[:, None] - np.diag(T)[None, :])
+            rows, cols = linear_sum_assignment(dist)
+            assert dist[rows, cols].max() <= 64 * u * norm
+        if kind == "dense":
+            assert isinstance(order, slice)
+            T_ref, Q_ref = schur(A, output="complex")
+            assert np.array_equal(T, T_ref) and np.array_equal(Q, Q_ref)
+
+    @given(_networks(), st.sampled_from([SIGMA_MIN, 0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_the_unit_oracle(self, case, sigma):
+        kind, comp, units, pc = case
+        grid = np.linspace(-5, 5, 7)
+        for p in freq_response(comp, grid, sigma=sigma):
+            s = sigma + 1j * p.omega
+            want = _unit_xi(comp, s) if units is None else _network_xi(pc, units, s)
+            assert not p.singular
+            assert matkit.max_abs(p.evaluation.Xi - want) <= 1e-12
+
+    def test_cascade_of_one_mode_units_needs_only_the_order(self):
+        rng = np.random.default_rng(5)
+        units = [random_component(rng, 2, 1) for _ in range(16)]
+        A = drift(_chain(units))
+        T, Q, order = block_schur(A)
+        assert Q is None
+        # each unit drives every unit downstream: the most downstream comes first
+        assert order.tolist() == list(range(15, -1, -1))
+        assert np.array_equal(T, np.triu(A[np.ix_(order, order)]))
+        assert matkit.max_abs(np.diag(T) - [drift(u)[0, 0] for u in units[::-1]]) <= 1e-14
 
 
 class TestUnitaryOnAxis:
