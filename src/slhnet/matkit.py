@@ -47,9 +47,12 @@ class NotHermitian(ValueError):
 
 
 def as_matrix(value, rows: int | None = None, cols: int | None = None,
-              name: str = "matrix") -> np.ndarray:
-    """Coerce ``value`` to a 2-D complex128 array, rejecting NaN/Inf entries."""
-    m = np.array(value, dtype=complex, copy=True)
+              name: str = "matrix", copy: bool = True) -> np.ndarray:
+    """Coerce ``value`` to a 2-D complex128 array, rejecting NaN/Inf entries.
+
+    With ``copy=False`` a complex128 array is returned itself, not copied.
+    """
+    m = np.array(value, dtype=complex) if copy else np.asarray(value, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):

@@ -47,6 +47,13 @@ that product cannot settle (a remainder within 1e-9 of a tie), a nonzero
 |x| outside [1e-290, 1e290) (subnormals included), inf and nan are
 formatted by "%" itself instead, and so is an array of fewer than
 _VECTOR_MIN numbers; either way the bytes are those of "%.17g".
+
+A square complex matrix whose mirror entries print as conjugates (real
+parts equal bit for bit, imaginary parts exact negatives, as in every
+hermitian Omega the library builds) is formatted from its upper triangle
+alone, (n² + n)/2 entries: an entry below the diagonal takes the bytes of
+its mirror entry with the sign of the imaginary part flipped.  Any other
+matrix is formatted entry by entry.
 """
 
 from __future__ import annotations
@@ -391,7 +398,7 @@ class _Parser:
                 self.check_shape(entries[key][0], entries[key][1], shape, key)
             S, C, Omega = (_to_array(entries[key][1], shape) for key, shape in shapes.items())
             try:
-                components[name] = LinearComponent(S, C, Omega)
+                components[name] = LinearComponent._adopt(S, C, Omega)
             except ValueError as exc:
                 self.fail(name_tok.start, f"invalid component {name!r}: {exc}")
 
@@ -470,10 +477,15 @@ def parse(source: str) -> NetDocument:
 # _number_words writes each number into _WORDS uint64 words, NUL-padded;
 # _text drops the NULs.  In byte order the words hold:
 #
-#   word 0      sign, "0." and up to three leading zeros; the first digit (byte 6)
+#   word 0      the sign (byte 0, NUL when there is none), "0." and up to three
+#               leading zeros; the first digit (byte 6)
 #   words 1-2   the digits after the first up to the decimal point; the point (byte 15)
 #   words 3-4   the digits after the point, up to the last nonzero one
 #   word 5      "e" and the signed exponent, in scientific notation
+#
+# An entry (_entry_words) is the words of its real part, then those of its
+# imaginary part, then a tail word; a part that is not printed is all NUL.
+# So the conjugate entry differs in one byte, byte 0 of the imaginary part.
 #
 # The digits are the integer D nearest |x|·10^(16-E), E = ⌊log10 |x|⌋,
 # from Dekker's double-double product (Numer. Math. 18:224, 1971) with
@@ -487,6 +499,11 @@ _TIE = 1e-9              # a fraction this close to ½ is left to "%"
 _WORDS = 6
 _K_MIN, _K_MAX = -275, 308     # 10^(16-E) for every E of |x| in [1e-290, 1e290)
 _E = np.arange(16 - _K_MAX, 18 - _K_MIN)     # those E, and E + 1 after a rounding carry
+
+
+def _items(words: np.ndarray) -> np.ndarray:
+    """The rows of a word array, each one item: a copy moves whole rows at once."""
+    return words.view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
 
 
 def _ascii_words(texts) -> np.ndarray:
@@ -526,10 +543,11 @@ class _Tables(NamedTuple):
     QUAD: np.ndarray          # the 4 ASCII digits of n < 10000, as one uint32
     SIGNIFICANT: np.ndarray   # row k, group n: digits up to the group's last nonzero one
     SPLIT: np.ndarray         # by E: digits after the first that precede the point
-    PREFIX: np.ndarray        # by sign and E: the sign, and "0.000" for a small E
+    PREFIX: np.ndarray        # by sign and E: the sign or NUL, and "0.000" for a small E
     FIRST: np.ndarray         # by digit: that digit in byte 6 of word 0
     EXPONENT: np.ndarray      # by E: "e" and the exponent, in scientific notation
-    MASKS: np.ndarray         # by split and significant digits: masks of words 1-4
+    MASKS: np.ndarray         # by split and significant digits: masks of words 1-4, one item
+    POINT: np.ndarray         # by split and significant digits: the point in word 2, or 0
 
 
 @functools.cache
@@ -547,7 +565,7 @@ def _tables() -> _Tables:
     # 17 for "0.000d...", whose point is in word 0
     split = np.where(sci, 0, np.where(_E < 0, 17, np.minimum(_E, 16)))
     prefix = _ascii_words([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
-                           for sign in (b"", b"-", b"+") for e in _E.tolist()])
+                           for sign in (b"\0", b"-", b"+") for e in _E.tolist()])
     first = _ascii_words([b"\0" * 6 + bytes([48 + d]) for d in range(10)])
     exponent = _ascii_words([b"e%+03d" % e if s else b""
                              for e, s in zip(_E.tolist(), sci.tolist())])
@@ -558,8 +576,10 @@ def _tables() -> _Tables:
     masks[:17, :, 2:4] = head[None, :] & ~head[:, None]
     masks[:17, :, 4] = np.where(n[:17] > n[:17, None], _ascii_words([b"\0" * 7 + b"."])[0], 0)
     masks[17, :, 2:4] = head                   # "0.000d...": no digits before the point
+    masks = masks.reshape(-1, 5)
     tables = _Tables(_pow10_table(), quad.view(np.uint32).ravel(), significant, split, prefix,
-                     first, exponent, masks.reshape(-1, 5))
+                     first, exponent, _items(np.ascontiguousarray(masks[:, :4])),
+                     masks[:, 4].copy())
     for table in tables:                       # shared by every caller from now on
         table.flags.writeable = False
     return tables
@@ -578,11 +598,12 @@ def _scaled(a: np.ndarray, E: np.ndarray):
 
 
 def _scalar_words(x: np.ndarray, plus) -> np.ndarray:
-    """The words of x formatted one number at a time by "%"."""
+    """The words of x formatted one number at a time by "%", byte 0 the sign or NUL."""
     forms = (["%.17g"] * len(x) if plus is None
              else [("%.17g", "%+.17g")[p] for p in plus.tolist()])
-    text = b"".join((form % v).encode().ljust(8 * _WORDS, b"\0")
-                    for form, v in zip(forms, x.tolist()))
+    texts = (form % v for form, v in zip(forms, x.tolist()))
+    text = b"".join((t if t[0] in "+-" else "\0" + t).encode().ljust(8 * _WORDS, b"\0")
+                    for t in texts)
     return np.frombuffer(bytearray(text), np.uint64).reshape(len(x), _WORDS)
 
 
@@ -613,23 +634,23 @@ def _number_words(x: np.ndarray, plus=None) -> np.ndarray:
     low = D - top * 10**8
     first = top // 10**8
     mid = top - first * 10**8
-    quads = np.empty((len(x), 4), np.uint32)
+    quads = np.empty((len(x), 8), np.uint32)          # the 16 digits, for words 1-2 and 3-4
     significant = np.zeros(len(x), np.int64)
     g1, g3 = mid // 10**4, low // 10**4
     for k, g in enumerate((g1, mid - g1 * 10**4, g3, low - g3 * 10**4)):
-        quads[:, k] = t.QUAD.take(g)
+        quads[:, k] = quads[:, k + 4] = t.QUAD.take(g)
         np.maximum(significant, t.SIGNIFICANT[k].take(g), out=significant)
     e = E - _E[0]
-    digits = np.take(t.MASKS, t.SPLIT.take(e) * 17 + significant, axis=0)
-    digits[:, 0:2] &= quads.view(np.uint64)
-    digits[:, 2:4] &= quads.view(np.uint64)
-    digits[:, 1] |= digits[:, 4]
+    layout = t.SPLIT.take(e) * 17 + significant
+    digits = t.MASKS.take(layout).view(np.uint64).reshape(-1, 4)
+    digits &= quads.view(np.uint64)
+    digits[:, 1] |= t.POINT.take(layout)
     sign = np.signbit(x).astype(np.intp)             # "", "-", "+"
     if plus is not None:
         sign[plus & (sign == 0)] = 2
     words = np.empty((len(x), _WORDS), np.uint64)
     words[:, 0] = t.PREFIX.take(sign * len(_E) + e) | t.FIRST.take(first)
-    words[:, 1:5] = digits[:, :4]
+    _items(words[:, 1:5])[:] = _items(digits)
     words[:, 5] = t.EXPONENT.take(e)
     slow = np.flatnonzero(~(fast | zero))
     if len(slow):
@@ -649,10 +670,11 @@ def _entry_words(z: np.ndarray) -> np.ndarray:
     has_re = (z.real != 0.0) | ~has_im
     parts = _number_words(np.concatenate([z.real, z.imag]),   # one call: half the fixed cost
                           plus=np.concatenate([np.zeros(n, dtype=bool), has_re]))
+    parts[np.concatenate([~has_re, ~has_im])] = 0
+    parts[n:, -1] |= has_im * _I
     words = np.empty((n, 2 * _WORDS + 1), np.uint64)
-    words[:, :_WORDS] = parts[:n] * has_re[:, None]
-    words[:, _WORDS:-1] = parts[n:] * has_im[:, None]
-    words[:, 2 * _WORDS - 1] |= has_im * _I
+    _items(words[:, :_WORDS])[:] = _items(parts[:n])
+    _items(words[:, _WORDS:-1])[:] = _items(parts[n:])
     return words
 
 
@@ -667,23 +689,24 @@ def _text(words: np.ndarray) -> str:
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _row_pieces(size: int, cols: int, words_of, tails: np.ndarray) -> list[str]:
+def _row_pieces(size: int, cols: int, chunks, tails: np.ndarray) -> list[str]:
     """Text of ``size`` entries in rows of ``cols``, one piece per chunk.
 
-    ``words_of(start, stop)`` gives the entries' words with a last tail
+    ``chunks`` yields the entries' words in order, each with a last tail
     word that is set here: tails[0] inside a row, tails[1] after a row and
     tails[2] after the last one.
     """
     pieces = []
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        words = words_of(start, stop)
-        end = np.zeros(stop - start, np.intp)
+    start = 0
+    for words in chunks:
+        stop = start + len(words)
+        end = np.zeros(len(words), np.intp)
         end[(cols - 1 - start) % cols::cols] = 1
         if stop == size:
             end[-1] = 2
         words[:, -1] = tails.take(end)
         pieces.append(_text(words))
+        start = stop
     return pieces
 
 
@@ -692,21 +715,79 @@ _TABLE_TAILS = _ascii_words([b",", b"\n", b"\n"])
 _NA = _ascii_words([b"NA"] + [b""] * (_WORDS - 1))
 
 
+def _is_hermitian(m: np.ndarray) -> bool:
+    """Whether each mirror pair of the square complex m prints as a conjugate pair.
+
+    The real parts must agree bit for bit (0 and -0 compare equal but
+    print differently) and the imaginary parts be exact negatives.
+    """
+    re = m.real.view(np.uint64)
+    return bool(np.array_equal(re, re.T) and np.array_equal(m.imag, -m.imag.T))
+
+
+def _conjugate(words: np.ndarray) -> None:
+    """Turn entry words, in place, into the words of the conjugate entries.
+
+    Only byte 0 of the imaginary part changes: "+" and "-" swap (XOR 0x06)
+    after a printed real part, NUL and "-" (XOR 0x2D) when the imaginary
+    part stands alone, and nothing when it is not printed.
+    """
+    flip = np.where(words[..., 0] != 0, np.uint8(0x06), np.uint8(0x2D))
+    flip[words[..., _WORDS] == 0] = 0
+    words.view(np.uint8)[..., 8 * _WORDS] ^= flip
+
+
+def _hermitian_chunks(m: np.ndarray):
+    """Entry words of a matrix that passed _is_hermitian, in blocks of whole rows.
+
+    Only the (n² + n)/2 entries on and above the diagonal are formatted.
+    Their words, without the tail word, go into one store, row by row; an
+    entry below the diagonal takes the words of its mirror entry from the
+    store, conjugated.  The store is the only array that outlives a block,
+    and it is freed after the last one.
+    """
+    n = len(m)
+    rows = max(1, _CHUNK // n)
+    r = np.arange(n + 1)
+    start = r * n - r * (r - 1) // 2                    # where row r starts in the store
+    store = np.empty((start[n], 2 * _WORDS), np.uint64)
+    triangle = np.triu(np.ones((rows, n), dtype=bool))
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        upper = triangle[:b - a, :n - a]
+        new = _entry_words(m[a:b, a:][upper])
+        store[start[a]:start[b]] = new[:, :-1]
+        words = np.empty((b - a, n, 2 * _WORDS + 1), np.uint64)
+        _items(words)[:, a:][upper] = _items(new)
+        # entry (i, j) below the diagonal mirrors (j, i), stored at start[j] + i - j
+        i, j = np.arange(a, b)[:, None], np.arange(b)
+        lower = j < i
+        mirrored = store[(start[:b] + i - j)[lower]]
+        _conjugate(mirrored)
+        _items(words[:, :b, :-1])[lower] = _items(mirrored)
+        yield words.reshape(-1, 2 * _WORDS + 1)
+
+
 def _matrix_pieces(m) -> list[str]:
-    """The canonical matrix literal in pieces of at most _CHUNK entries.
+    """The canonical matrix literal in pieces of at most _CHUNK entries, or of one row.
 
     A real array is formatted as its real parts alone: the imaginary
     parts of its entries would all be zero, which an entry leaves out.
+    A square complex array whose mirror pairs print as conjugates (every
+    hermitian Omega) formats only its upper triangle (_hermitian_chunks).
     """
     m = np.asarray(m)
     if m.size == 0:
         return ["[]"]
     real = m.dtype.kind in "biuf"
-    flat = np.ascontiguousarray(m, dtype=float if real else complex).reshape(-1)
-    words_of = _real_words if real else _entry_words
-    return ["[[", *_row_pieces(flat.size, m.shape[1],
-                               lambda start, stop: words_of(flat[start:stop]),
-                               _MATRIX_TAILS)]
+    m = np.ascontiguousarray(m, dtype=float if real else complex)
+    if not real and m.shape[0] == m.shape[1] and _is_hermitian(m):
+        chunks = _hermitian_chunks(m)
+    else:
+        flat = m.reshape(-1)
+        words_of = _real_words if real else _entry_words
+        chunks = (words_of(flat[start:start + _CHUNK]) for start in range(0, flat.size, _CHUNK))
+    return ["[[", *_row_pieces(m.size, m.shape[1], chunks, _MATRIX_TAILS)]
 
 
 def format_cnum(z: complex) -> str:
@@ -731,12 +812,13 @@ def format_table(table: np.ndarray, missing: np.ndarray) -> str:
     na[missing, 1:] = True
     flat, na = table.reshape(-1), na.reshape(-1)
 
-    def words_of(start, stop):
-        words = _real_words(flat[start:stop])
-        words[na[start:stop], :-1] = _NA
-        return words
+    def chunks():
+        for start in range(0, flat.size, _CHUNK):
+            words = _real_words(flat[start:start + _CHUNK])
+            words[na[start:start + _CHUNK], :-1] = _NA
+            yield words
 
-    return "".join(_row_pieces(flat.size, table.shape[1], words_of, _TABLE_TAILS))
+    return "".join(_row_pieces(flat.size, table.shape[1], chunks(), _TABLE_TAILS))
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +891,10 @@ def build_partitioned(doc: NetDocument) -> PartitionedComponent:
         g = offsets[ext.instance] + ext.port
         port_labels[g] = ext.alias
         declared.append(g)
-    combined = LinearComponent(block_diag(c.S for c in parts),
-                               block_diag(c.C for c in parts),
-                               block_diag(c.Omega for c in parts),
-                               tuple(port_labels), tuple(mode_labels))
+    combined = LinearComponent._adopt(block_diag(c.S for c in parts),
+                                      block_diag(c.C for c in parts),
+                                      block_diag(c.Omega for c in parts),
+                                      tuple(port_labels), tuple(mode_labels))
 
     src = np.array([offsets[e.src_instance] + e.src_port for e in doc.edges], dtype=np.intp)
     dst = np.array([offsets[e.dst_instance] + e.dst_port for e in doc.edges], dtype=np.intp)

@@ -221,8 +221,9 @@ def feedback_reduce(pc: PartitionedComponent) -> LinearComponent:
     comp = pc.comp
     S, C, Omega = _eliminate(comp.S, comp.C, comp.Omega, pc.internal_out, pc.internal_in,
                              pc._perm, pc.external_out, pc.external_in)
-    return LinearComponent(S, C, Omega, tuple(comp.port_labels[i] for i in pc.external_in),
-                           comp.mode_labels)
+    return LinearComponent._adopt(S, C, Omega,
+                                  tuple(comp.port_labels[i] for i in pc.external_in),
+                                  comp.mode_labels)
 
 
 def _prefixed(prefix: str | None, labels: tuple[str, ...]) -> tuple[str, ...]:
@@ -245,8 +246,8 @@ def series_product(g2: LinearComponent, g1: LinearComponent,
     up, down = np.arange(g1.n_ports), np.arange(g1.n_ports, 2 * g1.n_ports)   # g1's, g2's ports
     pairs = zip((g1.S, g1.C, g1.Omega), (g2.S, g2.C, g2.Omega))
     S, C, Omega = _eliminate(*map(block_diag, pairs), up, down, up, down, up)
-    return LinearComponent(S, C, Omega, _prefixed(p2, g2.port_labels),
-                           _prefixed(p1, g1.mode_labels) + _prefixed(p2, g2.mode_labels))
+    return LinearComponent._adopt(S, C, Omega, _prefixed(p2, g2.port_labels),
+                                  _prefixed(p1, g1.mode_labels) + _prefixed(p2, g2.mode_labels))
 
 
 def _static(S: np.ndarray):
@@ -329,7 +330,7 @@ def beamsplitter_loop(T: BeamSplitter, plant: LinearComponent) -> LinearComponen
         raise DimensionMismatch(
             f"plant has {plant.n_ports} ports, splitter loop block expects {T.n2}")
     S, C, Omega = _star(_static(T.T), (plant.S, plant.C, plant.Omega), T.n2)
-    return LinearComponent(S, C, Omega, mode_labels=plant.mode_labels)
+    return LinearComponent._adopt(S, C, Omega, mode_labels=plant.mode_labels)
 
 
 def beamsplitter_network(T: BeamSplitter, plant: LinearComponent) -> PartitionedComponent:
@@ -366,6 +367,6 @@ def redheffer_star(a: LinearComponent, b: LinearComponent,
         raise DimensionMismatch(
             f"cannot cross {k} channels between {a.n_ports}- and {b.n_ports}-port components")
     S, C, Omega = _star((a.S, a.C, a.Omega), (b.S, b.C, b.Omega), k)
-    return LinearComponent(S, C, Omega, _prefixed("a", a.port_labels[:a.n_ports - k])
-                           + _prefixed("b", b.port_labels[k:]),
-                           _prefixed("a", a.mode_labels) + _prefixed("b", b.mode_labels))
+    return LinearComponent._adopt(S, C, Omega, _prefixed("a", a.port_labels[:a.n_ports - k])
+                                  + _prefixed("b", b.port_labels[k:]),
+                                  _prefixed("a", a.mode_labels) + _prefixed("b", b.mode_labels))

@@ -34,21 +34,36 @@ class LinearComponent:
     mode_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        S = matkit.as_matrix(self.S, name="S")
+        self._store(self.S, self.C, self.Omega, self.port_labels, self.mode_labels, copy=True)
+
+    @classmethod
+    def _adopt(cls, S, C, Omega, port_labels: tuple[str, ...] = (),
+               mode_labels: tuple[str, ...] = ()) -> "LinearComponent":
+        """A component that keeps S, C and Omega without copying them.
+
+        For complex arrays that the caller has just built and never touches
+        again: they are checked as by the constructor and made read-only.
+        """
+        comp = object.__new__(cls)
+        comp._store(S, C, Omega, port_labels, mode_labels, copy=False)
+        return comp
+
+    def _store(self, S, C, Omega, port_labels, mode_labels, copy: bool):
+        S = matkit.as_matrix(S, name="S", copy=copy)
         if S.shape[0] != S.shape[1]:
             raise ValueError(f"S must be square, got shape {S.shape}")
         n = S.shape[0]
-        Omega = matkit.as_matrix(self.Omega, name="Omega")
+        Omega = matkit.as_matrix(Omega, name="Omega", copy=copy)
         if Omega.shape[0] != Omega.shape[1]:
             raise ValueError(f"Omega must be square, got shape {Omega.shape}")
         m = Omega.shape[0]
-        C = np.asarray(self.C, dtype=complex)
+        C = np.asarray(C, dtype=complex)
         if C.size == 0 and n * m == 0:
             C = np.zeros((n, m), dtype=complex)
         else:
-            C = matkit.as_matrix(C, rows=n, cols=m, name="C")
-        ports = tuple(self.port_labels) or tuple(f"p{i}" for i in range(n))
-        modes = tuple(self.mode_labels) or tuple(f"m{j}" for j in range(m))
+            C = matkit.as_matrix(C, rows=n, cols=m, name="C", copy=copy)
+        ports = tuple(port_labels) or tuple(f"p{i}" for i in range(n))
+        modes = tuple(mode_labels) or tuple(f"m{j}" for j in range(m))
         if len(ports) != n:
             raise ValueError(f"expected {n} port labels, got {len(ports)}")
         if len(modes) != m:

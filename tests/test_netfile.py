@@ -12,13 +12,14 @@ from hypothesis.extra.numpy import arrays
 from slhnet import (LinearComponent, beamsplitter_loop, feedback_reduce,
                     make_cavity, matkit, mixing_splitter, netfile, series_product,
                     validate)
-from slhnet.netfile import (NetDocument, ParseError, build_partitioned,
+from slhnet.netfile import (Edge, NetDocument, ParseError, build_partitioned,
                             component_document, format_cnum, format_matrix,
                             format_matrix_assignments, format_table, parse,
                             parse_matrix_assignments, serialize)
 
 from support import (entrywise_format_cnum, entrywise_format_matrix,
-                     fold_partitioned, format_float, random_network, reference_parse,
+                     fold_partitioned, format_float, haar_unitary, random_component,
+                     random_network, reference_parse,
                      reference_parse_matrix_assignments, respell)
 
 CAVITY = """\
@@ -692,6 +693,125 @@ class TestCanonicalNumbers:
         table = np.arange(12.0).reshape(4, 3) / 8
         assert format_table(table, np.array([False, True, False, True])) == (
             "0,0.125,0.25\n0.375,NA,NA\n0.75,0.875,1\n1.125,NA,NA\n")
+
+
+# Parts of a hermitian matrix: both zeros, subnormals, extremes, a 17-digit tie
+_MIRROR_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -3e-320, 1e300, -1e300, 26215 / 2**18, 1e17, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False))
+# 1×1; every number of the upper triangle on the "%" route (n ≤ 8); the
+# array route; and 8281 entries, more than one _CHUNK
+_MIRROR_SIZES = [1, 2, 5, 12, 91]
+# an edit of an exactly hermitian matrix, and whether every mirror pair
+# still prints as a conjugate pair afterwards
+_MIRROR_EDITS = {"none": True, "real ulp": False, "imag ulp": False, "signed zero real": False,
+                 "nan real": True, "nan imag": False, "imaginary only": True,
+                 "diagonal imag": False}
+
+
+@st.composite
+def _near_hermitian(draw):
+    """(m, whether m's mirror pairs print as conjugates): hermitian, or one edit off."""
+    n = draw(st.sampled_from(_MIRROR_SIZES))
+    entries = draw(st.lists(st.builds(complex, _MIRROR_PARTS, _MIRROR_PARTS),
+                            min_size=1, max_size=20))
+    m = np.resize(np.array(entries), (n, n))
+    rows, cols = np.triu_indices(n, 1)
+    m[cols, rows] = m[rows, cols].conj()
+    m.imag[np.diag_indices(n)] = draw(st.sampled_from([0.0, -0.0]))
+    edit = draw(st.sampled_from(sorted(_MIRROR_EDITS)))
+    if n == 1 and edit not in ("none", "imaginary only", "diagonal imag"):
+        edit = "none"
+    i = draw(st.integers(0, max(n - 2, 0)))
+    j = draw(st.integers(i + 1, n - 1)) if n > 1 else 0
+    up, down = m[i, j], m[j, i]
+    if edit == "real ulp":
+        m[i, j] = complex(np.nextafter(up.real, np.inf), up.imag)
+    elif edit == "imag ulp":
+        m[i, j] = complex(up.real, np.nextafter(up.imag, np.inf))
+    elif edit == "signed zero real":
+        m[i, j], m[j, i] = complex(0.0, up.imag), complex(-0.0, down.imag)
+    elif edit == "nan real":
+        m[i, j], m[j, i] = complex(np.nan, up.imag), complex(np.nan, down.imag)
+    elif edit == "nan imag":
+        m[i, j], m[j, i] = complex(up.real, np.nan), complex(down.real, np.nan)
+    elif edit == "imaginary only":
+        m.real[:] = 0.0
+    elif edit == "diagonal imag":
+        m[j, j] = complex(m[j, j].real, 0.5)
+    return m, _MIRROR_EDITS[edit]
+
+
+def _chain_document(rng: np.random.Generator, units: int) -> NetDocument:
+    """A one-port chain of cavities; every fourth unit is a splitter loop around one."""
+    components = {"cav": random_component(rng, 1, 1),
+                  "bs": LinearComponent(haar_unitary(rng, 2), np.zeros((2, 0)), np.zeros((0, 0)))}
+    instances: dict[str, str] = {}
+    edges: list[Edge] = []
+    prev = None
+    for j in range(units):
+        if j % 4 == 3:
+            head = f"b{j}"
+            instances[head], instances[f"c{j}"] = "bs", "cav"
+            edges += [Edge(head, 1, f"c{j}", 0), Edge(f"c{j}", 0, head, 1)]
+        else:
+            head = f"u{j}"
+            instances[head] = "cav"
+        if prev is not None:
+            edges.append(Edge(prev, 0, head, 0))
+        prev = head
+    return NetDocument(components, instances, tuple(edges), ())
+
+
+def _percent_format_matrix(m: np.ndarray) -> str:
+    """Matrix literal by "%" alone: "%.17g", and "%+.17g" for an imaginary part after a real one.
+
+    Unlike entrywise_format_cnum, which writes the sign of z.imag > 0, this
+    gives a NaN imaginary part the sign "%+.17g" gives it.
+    """
+    def entry(z: complex) -> str:
+        if z.imag == 0.0:
+            return "%.17g" % z.real
+        if z.real == 0.0:
+            return "%.17gi" % z.imag
+        return "%.17g%+.17gi" % (z.real, z.imag)
+
+    return "[" + ",".join("[" + ",".join(map(entry, row.tolist())) + "]" for row in m) + "]"
+
+
+class TestMirrorRoute:
+    """A matrix whose mirror pairs print as conjugates formats its upper triangle only."""
+
+    @given(_near_hermitian())
+    @settings(max_examples=80, deadline=None)
+    @example((np.array([[1.0, complex(0, 2)], [complex(0, -2), 1.0]]), True))  # byte 0 NUL
+    @example((np.array([[0.0, complex(0.0, 2)], [complex(-0.0, -2), 0.0]]), False))  # 0 vs -0
+    @example((np.array([[complex(0.5, -0.0)]]), True))
+    @example((np.array([[1.0, complex(np.nan, 1)], [complex(np.nan, -1), 1.0]]), True))
+    @example((np.array([[1.0, complex(1, np.nan)], [complex(1, np.nan), 1.0]]), False))
+    def test_matches_entrywise_join(self, case):
+        m, mirrored = case
+        assert netfile._is_hermitian(m) == mirrored
+        text = format_matrix(m)
+        _assert_same_text(text, _percent_format_matrix(m))
+        if not np.isnan(m.imag).any():
+            _assert_same_text(text, entrywise_format_matrix(m))
+
+    def test_reduced_chain_formats_upper_triangle_only(self, monkeypatch):
+        reduced = feedback_reduce(build_partitioned(_chain_document(np.random.default_rng(64), 64)))
+        m = reduced.m_modes
+        assert (reduced.n_ports, m) == (1, 64)
+        assert not reduced.Omega.flags.writeable
+        assert netfile._is_hermitian(reduced.Omega)
+        counts = []
+        entry_words = netfile._entry_words
+        monkeypatch.setattr(netfile, "_entry_words",
+                            lambda z: counts.append(len(z)) or entry_words(z))
+        text = serialize(component_document("reduced", reduced))
+        assert sum(counts) == 1 + m + (m * m + m) // 2      # S, C and half of Omega
+        back = parse(text).components["reduced"]
+        for got, want in ((back.S, reduced.S), (back.C, reduced.C), (back.Omega, reduced.Omega)):
+            assert np.array_equal(got, want)
 
 
 class TestMatrixAssignments:

@@ -156,3 +156,27 @@ class TestConstruction:
         comp = LinearComponent(np.eye(2), np.zeros((2, 1)), [[0.0]])
         assert comp.port_labels == ("p0", "p1")
         assert comp.mode_labels == ("m0",)
+
+    def test_public_constructor_copies(self):
+        S, C, Omega = np.eye(2), np.ones((2, 1)), np.array([[0.5]])
+        comp = LinearComponent(S, C, Omega)
+        S[0, 0], C[1, 0], Omega[0, 0] = 7.0, 7.0, 7.0
+        assert comp.S[0, 0] == 1.0 and comp.C[1, 0] == 1.0 and comp.Omega[0, 0] == 0.5
+        fresh = np.eye(2, dtype=complex)
+        LinearComponent(fresh, C, Omega)
+        assert fresh.flags.writeable     # the caller's array is not frozen
+
+    def test_adopted_arrays_are_kept_checked_and_frozen(self):
+        S, C, Omega = (np.eye(2, dtype=complex), np.ones((2, 1), dtype=complex),
+                       np.array([[0.5 + 0j]]))
+        comp = LinearComponent._adopt(S, C, Omega, ("in", "out"))
+        assert comp.S is S and comp.C is C and comp.Omega is Omega
+        assert not (S.flags.writeable or C.flags.writeable or Omega.flags.writeable)
+        assert comp.port_labels == ("in", "out") and comp.mode_labels == ("m0",)
+        assert comp == LinearComponent(np.eye(2), np.ones((2, 1)), [[0.5]], ("in", "out"))
+        with pytest.raises(ValueError, match="C must have 2 rows"):
+            LinearComponent._adopt(np.eye(2, dtype=complex), np.ones((3, 1), dtype=complex),
+                                   np.zeros((1, 1), dtype=complex))
+        with pytest.raises(ValueError, match="non-finite"):
+            LinearComponent._adopt(np.array([[np.inf + 0j]]), np.zeros((1, 0), dtype=complex),
+                                   np.zeros((0, 0), dtype=complex))

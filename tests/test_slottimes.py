@@ -27,3 +27,25 @@ def test_percentile_ranks_map_to_slots():
     assert percentile_slots(ten, quantiles=(0.0, 1.0)) == {0.0: 1, 1.0: 0}
     # one slot is every percentile
     assert percentile_slots([3.0]) == {0.5: 0, 0.9: 0}
+
+
+def _slot(digest: str) -> dict:
+    return {"kind": "reduce", "sizes": {"n": 1}, "digest": digest, "best_s": 0.001}
+
+
+def test_differing_output_digests_are_named(capsys):
+    tool = _load_tool()
+    parent = [_slot(d) for d in ("aa", "bb", "cc", "dd")]
+    change = [_slot(d) for d in ("aa", "b0", "cc", "d0")]
+    assert tool.differing_slots(parent, change) == [1, 3]
+    tool._report({"parent": parent, "change": change})
+    assert "outputs differ on slots 1, 3 (2 of 4)" in capsys.readouterr().out
+    tool._report({"parent": parent, "change": parent})
+    assert "outputs identical on all 4 slots" in capsys.readouterr().out
+
+
+def test_against_itself_reports_identical_outputs(capsys):
+    tool = _load_tool()
+    assert tool.main(["algebra_mix", "--seed", "3", "--repeat", "1", "--rounds", "1",
+                      "--against", ROOT]) == 0
+    assert "outputs identical on all 15 slots" in capsys.readouterr().out

@@ -15,7 +15,10 @@ With ``--against ROOT`` the same is measured for this checkout and for the
 checkout at ROOT, each in a fresh process, alternating which goes first
 for ``--rounds`` rounds; each side keeps its best time per slot over the
 rounds, and the ratio change/parent is printed per slot (this checkout is
-the change, ROOT the parent).  Standard library and numpy only.
+the change, ROOT the parent).  The digest of each slot's output (the
+workload's ``Job.digest`` of its first run) is compared between the two
+checkouts, and every slot whose bytes differ is named.  Standard library
+and numpy only.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def percentile_slots(times: list[float], quantiles=QUANTILES) -> dict[float, int
 
 
 def measure(root: str, workload: str, seed: int, repeat: int) -> list[dict]:
-    """Kind, sizes and best-of-``repeat`` seconds of every slot, run in this process."""
+    """Kind, sizes, output digest and best-of-``repeat`` seconds of every slot, run in this process."""
     sys.dont_write_bytecode = True     # leave no __pycache__ under perfbench/
     sys.path.insert(0, os.path.join(root, "src"))
     sys.path.insert(0, os.path.join(root, "perfbench"))
@@ -53,15 +56,20 @@ def measure(root: str, workload: str, seed: int, repeat: int) -> list[dict]:
     from workloads import WORKLOADS
     with tempfile.TemporaryDirectory() as workdir:
         jobs = WORKLOADS[workload].build(seed, workdir)
-        for job in jobs:
-            job.run()
+        digests = [job.digest(job.run()).hex() for job in jobs]
         best = [math.inf] * len(jobs)
         for _ in range(repeat):
             for slot, job in enumerate(jobs):
                 t0 = time.perf_counter()
                 job.run()
                 best[slot] = min(best[slot], time.perf_counter() - t0)
-    return [{"kind": job.kind, "sizes": job.sizes, "best_s": b} for job, b in zip(jobs, best)]
+    return [{"kind": job.kind, "sizes": job.sizes, "digest": d, "best_s": b}
+            for job, d, b in zip(jobs, digests, best)]
+
+
+def differing_slots(parent: list[dict], change: list[dict]) -> list[int]:
+    """The slots whose output digests differ between two measurements."""
+    return [slot for slot, (p, c) in enumerate(zip(parent, change)) if p["digest"] != c["digest"]]
 
 
 def _measure_in_subprocess(root: str, args) -> list[dict]:
@@ -89,6 +97,10 @@ def _report(sides: dict[str, list[dict]]) -> None:
         if len(names) == 2:
             line += f"  {times[1] / times[0]:.3f}"
         print(line)
+    if len(names) == 2:
+        differ = differing_slots(*sides.values())
+        print(f"outputs differ on slots {', '.join(map(str, differ))} ({len(differ)} of {len(first)})"
+              if differ else f"outputs identical on all {len(first)} slots")
     for name in names:
         times = [slot["best_s"] for slot in sides[name]]
         total = f"{name}: sum {sum(times) * 1e3:.3f} ms"
