@@ -30,10 +30,12 @@ two tokens.  Port indices are 0-based, and the canonical serialization
 round-trips exactly through the parser.
 
 The parser reads each matrix row and each network statement with one
-compiled pattern, so its cost is a few regex passes over the text plus
-one float() per number part.  Only a row or statement that its pattern
-rejects is walked token by token, to name the first offending token;
-errors carry the same line and column as a token-by-token parse would.
+compiled pattern, so its cost is a few regex passes over the text.  Once
+its pattern has accepted a row, numpy converts all of the row's numbers
+in one call, correctly rounded as float() rounds them.  Only a row or
+statement that its pattern rejects is walked token by token, to name the
+first offending token; errors carry the same line and column as a
+token-by-token parse would.
 
 The canonical number is Python's "%.17g" (17 significant digits, enough
 to round-trip any binary64 value), and "%+.17g" for an imaginary part
@@ -142,11 +144,12 @@ _TOKEN_KINDS = (None, "NUMBER", "NAME", None)   # by group; punctuation is its o
 # No two _SKIPs may stand side by side, so a sign owns the _SKIP after it:
 # a whitespace run that could split between two _SKIPs would make a
 # rejected row retry every split of every entry, exponential in its length.
-# _ENTRY reads the entries of a row _ROW accepted, one match per entry.
+# Stripped of comments and whitespace, and with "j" for "i", the entries of
+# a row _ROW accepted are numpy's complex text, read in one call.
 _CNUM = rf"(?:[+-]{_SKIP})?{_NUMBER}(?:i|{_SKIP}[+-]{_SKIP}{_NUMBER}i)?"
 _ROW = re.compile(rf"{_SKIP}\[({_SKIP}{_CNUM}{_SKIP}(?:,{_SKIP}{_CNUM}{_SKIP})*)\]{_SKIP}(,?)")
-_ENTRY = re.compile(rf"{_SKIP}(?:([+-]){_SKIP})?({_NUMBER})"
-                    rf"(?:(i)|{_SKIP}([+-]){_SKIP}({_NUMBER})i)?{_SKIP},?")
+_COMMENT = re.compile(r"#[^\n]*")
+_TO_NUMPY = str.maketrans({" ": None, "\t": None, "\r": None, "\n": None, "i": "j"})
 
 # Network statements, one step per token: a keyword, or the (kind, what)
 # of an expected token.  NAME and NUMBER steps are the statement's fields.
@@ -179,20 +182,6 @@ class _Token(NamedTuple):
     text: str          # an imaginary NUMBER keeps its "i"
     start: int         # offsets into the source
     end: int
-
-
-def _row_values(entries) -> list[float]:
-    """Interleaved (real, imag) parts of the _ENTRY matches of one row."""
-    out: list[float] = []
-    for sign, number, imag, imag_sign, imag_number in entries:
-        x = -float(number) if sign == "-" else float(number)
-        if imag:
-            out += (0.0, x)
-        elif imag_number:
-            out += (x, -float(imag_number) if imag_sign == "-" else float(imag_number))
-        else:
-            out += (x, 0.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +293,8 @@ class _Parser:
         self.expect("}")
         return name_tok, entries
 
-    def parse_matrix(self) -> list[list[float]]:
-        """Rows of a matrix literal, each as interleaved (real, imag) parts."""
+    def parse_matrix(self) -> list[np.ndarray]:
+        """Rows of a matrix literal, each a complex array."""
         self.expect("[", "matrix")
         if self.accept("]"):
             return []
@@ -315,7 +304,10 @@ class _Parser:
             m = _ROW.match(self.source, self.pos)
             if m is None:
                 self.reject_row()
-            rows.append(_row_values(_ENTRY.findall(self.source, m.start(1), m.end(1))))
+            row = m.group(1)
+            if "#" in row:
+                row = _COMMENT.sub("", row)
+            rows.append(np.fromstring(row.translate(_TO_NUMPY), dtype=complex, sep=","))
             self.pos = m.end()
             more = bool(m.group(2))
         self.expect("]")
@@ -376,7 +368,7 @@ class _Parser:
             if want_r * want_c != 0:
                 self.fail(key_at, f"{what} must be {want_r}x{want_c}, got empty matrix")
             return
-        widths = {len(r) // 2 for r in rows}
+        widths = {len(r) for r in rows}
         if len(widths) != 1:
             self.fail(key_at, f"{what} has rows of unequal length")
         got = (len(rows), widths.pop())
@@ -459,11 +451,11 @@ class _Parser:
                            edges=tuple(edges), externals=tuple(externals))
 
 
-def _to_array(rows: list[list[float]], shape: tuple[int, int]) -> np.ndarray:
+def _to_array(rows: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
     """Complex array of parsed rows; ``shape`` is used only when there are none."""
     if not rows:
         return np.zeros(shape, dtype=complex)
-    return np.array(rows, dtype=float).view(complex)
+    return np.array(rows, dtype=complex)
 
 
 def parse(source: str) -> NetDocument:

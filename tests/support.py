@@ -524,8 +524,7 @@ def entrywise_format_cnum(z: complex) -> str:
         return f"{z.real:.17g}"
     if z.real == 0.0:
         return f"{z.imag:.17g}i"
-    sign = "+" if z.imag > 0 else "-"
-    return f"{z.real:.17g}{sign}{abs(z.imag):.17g}i"
+    return f"{z.real:.17g}{z.imag:+.17g}i"      # the sign as "%+.17g" writes it, "+nan" too
 
 
 def entrywise_format_matrix(m) -> str:

@@ -493,6 +493,43 @@ network { use a : c; use b:c;
 """
 
 
+# Matrix literals of every entry form, spelled many ways: separators,
+# comments among them, may stand between any two tokens, a sign and its
+# number included.
+_LITERAL_GAPS = st.sampled_from(["", " ", "\n", "\t", "\r\n", "  # c [1, 2i];\n", "#\n"])
+_LITERAL_NUMBERS = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "00.000", ".5", "5.", "1.e5", "3E+2", "2.5e-310", "5e-324",
+                     "1e400", "1e-400", "1.7976931348623157e308"]),
+    st.from_regex(r"(?:[0-9]{1,25}(?:\.[0-9]{0,25})?|\.[0-9]{1,25})(?:[eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True))
+
+
+@st.composite
+def _matrix_literal(draw):
+    """(text of a matrix literal, (rows, entries in its first row)); rows may be ragged."""
+    def gap():
+        return draw(_LITERAL_GAPS)
+
+    def signed():
+        sign = draw(st.sampled_from(["", "-", "+"]))
+        return (sign + gap() if sign else "") + draw(_LITERAL_NUMBERS)
+
+    def entry():
+        form = draw(st.sampled_from(["real", "imaginary", "both"]))
+        if form == "real":
+            return signed()
+        if form == "imaginary":
+            return signed() + "i"
+        return signed() + gap() + draw(st.sampled_from("+-")) + gap() + draw(_LITERAL_NUMBERS) + "i"
+
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    if not draw(st.booleans()):
+        widths = [widths[0]] * len(widths)
+    rows = ["[" + ",".join(gap() + entry() + gap() for _ in range(w)) + "]" for w in widths]
+    return "[" + ",".join(gap() + row + gap() for row in rows) + "]", (len(rows), widths[0])
+
+
 class TestParserEquivalence:
     """``parse`` against the character-loop reference in ``support``."""
 
@@ -511,6 +548,20 @@ class TestParserEquivalence:
         text = format_matrix_assignments([("S", comp.S), ("C", comp.C), ("K", comp.Omega),
                                           ("Z", np.zeros((0, 0)))])
         _assert_same_assignments(_edit(respell(text, rng) if respelled else text, edits))
+
+    @given(_matrix_literal())
+    @settings(max_examples=300, deadline=None)
+    @example(("[[-0, -0i, -2i, 1 - 0i]]", (1, 4)))     # -2i has real part +0
+    @example(("[[- # c\n 1.5e1, 1.e5i], [.5, 5.]]", (2, 2)))
+    @example(("[[2.5e-310], [1e400]]", (2, 1)))         # 1e400 makes the component invalid
+    @pytest.mark.filterwarnings("error")                 # numpy warns on no accepted row
+    def test_matrix_rows_match_reference(self, case):
+        """Each row's numbers, read in one conversion, equal the reference's bit for bit."""
+        literal, (n, m) = case
+        _assert_same_assignments(f"M = {literal};")
+        _assert_same_document(f"component c {{ inputs = {n}; modes = {m}; "
+                              f"S = {format_matrix(np.eye(n))}; C = {literal}; "
+                              f"Omega = {format_matrix(np.zeros((m, m)))}; }}")
 
     @pytest.mark.parametrize("text", [
         SPELLED,
@@ -709,6 +760,11 @@ _MIRROR_EDITS = {"none": True, "real ulp": False, "imag ulp": False, "signed zer
                  "diagonal imag": False}
 
 
+def _ulp_off(x: float) -> float:
+    """A neighbour of x: one ulp toward zero, which cannot overflow, or 5e-324 at ±0."""
+    return float(np.nextafter(x, 0.0)) if x else 5e-324
+
+
 @st.composite
 def _near_hermitian(draw):
     """(m, whether m's mirror pairs print as conjugates): hermitian, or one edit off."""
@@ -726,9 +782,9 @@ def _near_hermitian(draw):
     j = draw(st.integers(i + 1, n - 1)) if n > 1 else 0
     up, down = m[i, j], m[j, i]
     if edit == "real ulp":
-        m[i, j] = complex(np.nextafter(up.real, np.inf), up.imag)
+        m[i, j] = complex(_ulp_off(up.real), up.imag)
     elif edit == "imag ulp":
-        m[i, j] = complex(up.real, np.nextafter(up.imag, np.inf))
+        m[i, j] = complex(up.real, _ulp_off(up.imag))
     elif edit == "signed zero real":
         m[i, j], m[j, i] = complex(0.0, up.imag), complex(-0.0, down.imag)
     elif edit == "nan real":
@@ -763,22 +819,6 @@ def _chain_document(rng: np.random.Generator, units: int) -> NetDocument:
     return NetDocument(components, instances, tuple(edges), ())
 
 
-def _percent_format_matrix(m: np.ndarray) -> str:
-    """Matrix literal by "%" alone: "%.17g", and "%+.17g" for an imaginary part after a real one.
-
-    Unlike entrywise_format_cnum, which writes the sign of z.imag > 0, this
-    gives a NaN imaginary part the sign "%+.17g" gives it.
-    """
-    def entry(z: complex) -> str:
-        if z.imag == 0.0:
-            return "%.17g" % z.real
-        if z.real == 0.0:
-            return "%.17gi" % z.imag
-        return "%.17g%+.17gi" % (z.real, z.imag)
-
-    return "[" + ",".join("[" + ",".join(map(entry, row.tolist())) + "]" for row in m) + "]"
-
-
 class TestMirrorRoute:
     """A matrix whose mirror pairs print as conjugates formats its upper triangle only."""
 
@@ -792,10 +832,7 @@ class TestMirrorRoute:
     def test_matches_entrywise_join(self, case):
         m, mirrored = case
         assert netfile._is_hermitian(m) == mirrored
-        text = format_matrix(m)
-        _assert_same_text(text, _percent_format_matrix(m))
-        if not np.isnan(m.imag).any():
-            _assert_same_text(text, entrywise_format_matrix(m))
+        _assert_same_text(format_matrix(m), entrywise_format_matrix(m))
 
     def test_reduced_chain_formats_upper_triangle_only(self, monkeypatch):
         reduced = feedback_reduce(build_partitioned(_chain_document(np.random.default_rng(64), 64)))
