@@ -554,7 +554,7 @@ class TestParserEquivalence:
     @example(("[[-0, -0i, -2i, 1 - 0i]]", (1, 4)))     # -2i has real part +0
     @example(("[[- # c\n 1.5e1, 1.e5i], [.5, 5.]]", (2, 2)))
     @example(("[[2.5e-310], [1e400]]", (2, 1)))         # 1e400 makes the component invalid
-    @pytest.mark.filterwarnings("error")                 # numpy warns on no accepted row
+    @pytest.mark.filterwarnings("error")                 # numpy may warn on no accepted row
     def test_matrix_rows_match_reference(self, case):
         """Each row's numbers, read in one conversion, equal the reference's bit for bit."""
         literal, (n, m) = case
