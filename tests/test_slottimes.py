@@ -49,3 +49,30 @@ def test_against_itself_reports_identical_outputs(capsys):
     assert tool.main(["algebra_mix", "--seed", "3", "--repeat", "1", "--rounds", "1",
                       "--against", ROOT]) == 0
     assert "outputs identical on all 15 slots" in capsys.readouterr().out
+
+
+def test_rounds_keep_the_best_time_and_name_varying_digests():
+    merge_rounds = _load_tool().merge_rounds
+    rounds = [[dict(_slot(d), best_s=t) for d, t in zip(digests, times)]
+              for digests, times in ((("aa", "bb", "cc"), (3.0, 1.0, 2.0)),
+                                     (("aa", "b1", "cc"), (2.0, 4.0, 2.5)),
+                                     (("aa", "bb", "c2"), (5.0, 0.5, 1.0)))]
+    merged, varying = merge_rounds(rounds)
+    assert [slot["best_s"] for slot in merged] == [2.0, 0.5, 1.0]
+    assert [slot["digest"] for slot in merged] == ["aa", "bb", "cc"]
+    assert varying == [1, 2]
+    assert rounds[0][1]["best_s"] == 1.0      # the measured rounds are left as they were
+    assert merge_rounds(rounds[:1]) == (rounds[0], [])
+
+
+def test_against_names_slots_that_vary_in_a_later_round(monkeypatch, capsys):
+    tool = _load_tool()
+    # parent, change, then change, parent: the second parent process writes other bytes on slot 2
+    runs = iter([["aa", "bb", "cc"], ["aa", "bb", "cc"], ["aa", "bb", "cc"], ["aa", "bb", "c2"]])
+    monkeypatch.setattr(tool, "_measure_in_subprocess",
+                        lambda root, args: [_slot(d) for d in next(runs)])
+    assert tool.main(["algebra_mix", "--rounds", "2", "--against", ROOT]) == 0
+    out = capsys.readouterr().out
+    assert "outputs identical on all 3 slots" in out
+    assert "parent outputs vary between rounds on slots 2 (1 of 3)" in out
+    assert "change outputs vary" not in out

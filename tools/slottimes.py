@@ -16,9 +16,9 @@ checkout at ROOT, each in a fresh process, alternating which goes first
 for ``--rounds`` rounds; each side keeps its best time per slot over the
 rounds, and the ratio change/parent is printed per slot (this checkout is
 the change, ROOT the parent).  The digest of each slot's output (the
-workload's ``Job.digest`` of its first run) is compared between the two
-checkouts, and every slot whose bytes differ is named.  Standard library
-and numpy only.
+workload's ``Job.digest`` of its first run in each process) is compared
+between the two checkouts and between the rounds of each side, and every
+slot whose bytes differ is named.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -72,6 +72,14 @@ def differing_slots(parent: list[dict], change: list[dict]) -> list[int]:
     return [slot for slot, (p, c) in enumerate(zip(parent, change)) if p["digest"] != c["digest"]]
 
 
+def merge_rounds(rounds: list[list[dict]]) -> tuple[list[dict], list[int]]:
+    """One side's slots with the best time over its rounds, and the slots whose digest varies."""
+    first = rounds[0]
+    merged = [dict(slot, best_s=min(r[k]["best_s"] for r in rounds)) for k, slot in enumerate(first)]
+    varying = sorted({k for r in rounds[1:] for k in differing_slots(first, r)})
+    return merged, varying
+
+
 def _measure_in_subprocess(root: str, args) -> list[dict]:
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), args.workload, "--seed", str(args.seed),
@@ -84,7 +92,11 @@ def _sizes(slot: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in slot["sizes"].items())
 
 
-def _report(sides: dict[str, list[dict]]) -> None:
+def _slot_list(slots: list[int], total: int) -> str:
+    return f"slots {', '.join(map(str, slots))} ({len(slots)} of {total})"
+
+
+def _report(sides: dict[str, list[dict]], varying: dict[str, list[int]] | None = None) -> None:
     names = list(sides)
     first = sides[names[0]]
     print(f"{'slot':>4}  {'kind':<18} {'sizes':<24}"
@@ -99,8 +111,11 @@ def _report(sides: dict[str, list[dict]]) -> None:
         print(line)
     if len(names) == 2:
         differ = differing_slots(*sides.values())
-        print(f"outputs differ on slots {', '.join(map(str, differ))} ({len(differ)} of {len(first)})"
+        print(f"outputs differ on {_slot_list(differ, len(first))}"
               if differ else f"outputs identical on all {len(first)} slots")
+    for name, slots in (varying or {}).items():
+        if slots:
+            print(f"{name} outputs vary between rounds on {_slot_list(slots, len(first))}")
     for name in names:
         times = [slot["best_s"] for slot in sides[name]]
         total = f"{name}: sum {sum(times) * 1e3:.3f} ms"
@@ -130,16 +145,13 @@ def main(argv: list[str] | None = None) -> int:
             _report({"time": slots})
         return 0
     roots = {"parent": os.path.abspath(args.against), "change": os.path.abspath(args.root)}
-    best: dict[str, list[dict]] = {}
+    rounds: dict[str, list[list[dict]]] = {"parent": [], "change": []}
     for round_no in range(args.rounds):
         for name in (["parent", "change"] if round_no % 2 == 0 else ["change", "parent"]):
-            slots = _measure_in_subprocess(roots[name], args)
-            if name in best:
-                for kept, new in zip(best[name], slots):
-                    kept["best_s"] = min(kept["best_s"], new["best_s"])
-            else:
-                best[name] = slots
-    _report(best)
+            rounds[name].append(_measure_in_subprocess(roots[name], args))
+    merged = {name: merge_rounds(runs) for name, runs in rounds.items()}
+    _report({name: slots for name, (slots, _) in merged.items()},
+            {name: varying for name, (_, varying) in merged.items()})
     return 0
 
 
