@@ -246,11 +246,12 @@ def _blocks(drives: np.ndarray) -> tuple[np.ndarray, list[int]] | None:
     changing (Fischer & Meyer 1971); path counts are at most m, which
     float32 holds exactly.  Each product doubles the paths covered, so a
     transitively closed graph (a cascade, a chain) takes one product and a
-    path graph, where mode j drives only j + 1, all ⌈log₂ m⌉ + 1 of them:
-    95 ms at m = 800 against 43 ms for a graph search in Python.  A mode's
-    component is R & Rᵀ, labelled by its least mode.  A component driven by
-    another is reached from strictly more modes, so the modes go by the
-    count that reach them, largest first, and by label among equal counts.
+    path graph, where mode j drives only j + 1, all ⌈log₂ m⌉ + 1: 90 ms at
+    m = 800 on one BLAS thread, where a depth-first search takes 18 ms.  A
+    mode's component is R & Rᵀ, labelled by its least mode.  A component
+    driven by another is reached from strictly more modes, so the modes go
+    by the count that reach them, largest first, and by label among equal
+    counts.
     """
     reach, closed = None, drives | np.eye(len(drives), dtype=bool)
     while not np.array_equal(reach, closed):
