@@ -1,51 +1,57 @@
 """Transfer-function evaluation and the all-pass spectral closed form.
 
 The transfer matrix of a component is Xi(s) = S − C(sI − A)⁻¹C†S with
-A the drift matrix; the initial-condition kernel is xi(s) = C(sI − A)⁻¹.
-On the imaginary axis (approached from the right half-plane) Xi is
-unitary for every valid component; when Omega is a function of C†C the
-whole matrix collapses to a sum of scalar all-pass factors over the
-spectrum of CC†, which this module extracts.  It accepts that form only
-when an algebraic first-order bound on |form − Xi| over the whole
-imaginary axis stays within tolerance; Xi itself is never evaluated.
+A = −½C†C − iΩ the drift matrix; the initial-condition kernel is
+xi(s) = C(sI − A)⁻¹.  On the imaginary axis (approached from the right
+half-plane) Xi is unitary for every valid component; when Omega is a
+function of C†C the whole matrix collapses to a sum of scalar all-pass
+factors over the spectrum of CC†, which this module extracts.  It accepts
+that form only when an algebraic first-order bound on |form − Xi| over the
+whole imaginary axis stays within tolerance; Xi itself is never evaluated.
 
-A single point costs one LU solve of the m×m resolvent, gated by
-matkit.factor: s is a pole when a pivot of sI − A, or its 1-norm
-reciprocal condition estimate, is ≤ 1e-12.  A frequency sweep over G
-points instead brings the drift to triangular form once, A = Q T Q†
-(Laub 1981), and pays one O(n·m²) triangular solve per point.  The
-sweep takes s for a pole candidate when min_i |s − T_ii| ≤ 1e-12 ×
-(largest column 1-norm of sI − A), and hands each candidate to
-eval_transfer: it stays a pole only if eval_transfer rejects it too, and
-otherwise takes eval_transfer's Xi and xi.
+A single point costs one LU solve of sI − A, gated by matkit.factor: s is
+a pole when a pivot is ≤ PIVOT_REL = 1e-12 times ‖sI − A‖₁, or the 1-norm
+reciprocal condition estimate is ≤ PIVOT_REL.  A sweep over G points flags
+pole candidates by one of two routes and hands each to eval_transfer: it
+stays a pole only if eval_transfer rejects it too, and otherwise takes
+eval_transfer's Xi and xi, so a sweep pole is an eval_transfer pole.
 
-The triangular form is found block by block (``block_schur``).  In a
-network, instance j's modes drive instance l's only along a wired path
-from j to l, so the strongly connected components of the drift's graph,
-in topological order, make A block upper triangular; one reachability
-closure by Boolean squaring finds them.  An entry |a_ij| ≤ m·u·‖A‖₁
-makes no edge: below the block diagonal such entries are rounding of
-exact zeros (≤ 0.9·u·‖A‖₁ in random cascades), and dropping them moves A
-by less than m²·u·‖A‖₁ in the 1-norm.  Only diagonal blocks larger than
-1×1 get a complex Schur form, each with a backward error of a few
-m·u·‖A‖₁.  A strongly connected drift (a dense component) is one block
-and gets scipy's Schur form of the whole of A, unchanged.  A cascade of
-one-mode units splits into 1×1 blocks: Q is a permutation, the Schur form
-costs nothing, and T_ii are the drift's diagonal, the units' own drift
-eigenvalues.
+Triangular route.  Mode j drives mode i when |a_ij| > m·u·‖A‖₁.  When every
+strongly connected component of that graph is one mode, as in a cascade of
+one-mode units, the components in topological order (one reachability
+closure by Boolean squaring) permute A to upper triangular T (Laub 1981),
+and each point costs one O(n·m²) triangular solve.  The entries dropped
+are rounding of exact zeros (≤ 0.9·u·‖A‖₁ in random cascades).  T_ii are
+the units' own drift eigenvalues, and s is a candidate when min_i |s − T_ii|
+≤ PIVOT_REL·‖sI − A‖₁.  The converse fails in a band: σ_min(sI − A) of a
+far-from-normal A can lie well below that gap.  Of 3000 random cascades of
+2–24 one-mode units probed at 10^[−1.5, 1.5] times the threshold from a
+drift eigenvalue, 1258 were poles for eval_transfer alone.
 
-A sweep pole is thus a pole for eval_transfer exactly; the gap alone
-(σ_min(sI − A) ≤ min_i |s − T_ii|) missed that at the threshold itself,
-where a 2-unit cascade met an rcond 1.4e-7 above it with a gap 3e-6
-below it.  The converse fails in a band: for a far-from-normal A, σ_min
-can lie well below the eigenvalue gap.  Of 3000 random dense
-components probed at 10^[−1.5, 1.5] times the sweep's threshold from a
-drift eigenvalue, 216 were poles for eval_transfer alone and none for
-the sweep alone.  A cascade's drift is far from normal as well, so one
-Schur form of the whole of it returns eigenvalues up to 0.16 from the
-units' own at 64 and 128 units; swept through a unit's pole, 16 of 20
-random 64-unit cascades missed it that way, where the block form flags
-all 20, as eval_transfer does.
+Cayley route.  Every other drift (a dense component, a loop, a cascade of
+multi-mode units) is swept in the eigenbasis of Ω = UΛU†, with no Schur
+form of the non-normal A.  With W = CU, d_j = s + iλ_j, D = diag(d) and
+K = W D⁻¹W†, sI − A = U(D + ½W†W)U†, so push-through gives, for
+M = I + K/2, xi = M⁻¹W D⁻¹U† and Xi = M⁻¹(I − K/2)S = (2M⁻¹ − I)S.  One
+eigh serves the grid, then batched products over all points.  The form
+loses up to u·|w_j|²/|d_j| next to an eigenvalue of Ω (at most 0.57× that
+over 1600 probes 1e-9 to 1e-6 from one).  A mode where that reaches
+PIVOT_REL/10·max(1, ‖A‖₁), a tenth of the 1e-12·max(1, ‖A‖₂) the tests
+allow, gets d_j' = 1 + |s| instead, and e_j = d_j − d_j' joins a per-point
+Woodbury core Z = I + B D'⁻¹B†H of size n + p in M's place: B is W over
+rows √(2|e_j|)·e_jᵀ, and H = ½·diag(1, …, 1, e_j/|e_j|, …).
+  eval_transfer rejects s only when κ₁(sI − A) ≥ 1/(m·PIVOT_REL): a pivot
+u_ii of P·L·U gives ‖U⁻¹‖₁ ≥ 1/|u_ii| and ‖U⁻¹‖₁ ≤ m·‖(sI − A)⁻¹‖₁, as
+|l_ij| ≤ 1, and zgecon's estimate of ‖(sI − A)⁻¹‖₁ is a lower bound.  By
+Woodbury, ‖(sI − A)⁻¹‖₂ ≤ ρ = 1/min|d_j'| + ½‖B D'⁻¹‖_F²·‖Z⁻¹‖_F, and
+κ₁ ≤ (|s| + ‖A‖₁)·√m·ρ.  So s is a candidate when (|s| + ‖A‖₁)·ρ ≥
+½/(m^1.5·PIVOT_REL), the ½ covering the rounding of ρ and of
+eval_transfer's LU: the candidates hold every eval_transfer pole, and both
+decide every point alike.  An Ω that is not bitwise hermitian (an invalid
+component), or a Z that LAPACK finds exactly singular, makes every point a
+candidate.  Triangular drifts keep their route: on the 128-unit benchmark
+cascade the Cayley route took 1.4–1.7× as long (an eigh of the 128×128 Ω,
+and more candidates), and sat up to 6e-13 from the unit oracle, not 1.6e-13.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, schur
+from scipy.linalg import get_lapack_funcs
 
 from . import matkit
 from .slh import LinearComponent, drift
@@ -143,16 +149,12 @@ def freq_response(comp: LinearComponent, omegas,
                   sigma: float = SIGMA_MIN) -> list[FreqPoint]:
     """Evaluate along s = sigma + iω for each ω, in grid order.
 
-    One triangular form of the drift, A = Q T Q† from one Schur form per
-    strongly connected block (``block_schur``), serves the whole grid; see
-    the module docstring for the cost, the pole rule and the entries the
-    form drops.  Poles are reported per point (evaluation None) rather
-    than aborting the sweep; a point is a pole exactly when its eigenvalue
-    gap flags it and eval_transfer raises SingularAtS there, and a flagged
-    point eval_transfer accepts takes its Xi and xi.  In a cascade of
-    one-mode units the T_ii are the units' drift eigenvalues themselves,
-    so a grid point on a unit's pole is flagged.  Raises ValueError on a
-    non-finite ω or sigma.
+    Poles are reported per point (evaluation None) rather than aborting
+    the sweep: a point is a pole exactly when its route (triangular when the
+    drift permutes to triangular form, Cayley otherwise; see the module
+    docstring) flags it and eval_transfer raises SingularAtS there.  A
+    flagged point eval_transfer accepts takes its Xi and xi.  Raises
+    ValueError on a non-finite ω or sigma.
     """
     omegas = np.array([float(w) for w in omegas])
     sigma = float(sigma)
@@ -161,33 +163,11 @@ def freq_response(comp: LinearComponent, omegas,
     if omegas.size == 0:
         return []
     A = drift(comp)
-    T, Q, order = block_schur(A)
     s = sigma + 1j * omegas
-    t = np.diag(T)
-    # column 1-norms of sI − A from its diagonal and the fixed off-diagonal part
-    a = np.diag(A)
-    off = np.sum(np.abs(A - np.diag(a)), axis=0)
-    col_scale = np.max(np.abs(s[:, None] - a) + off, axis=1, initial=0.0)
-    gap = np.min(np.abs(s[:, None] - t), axis=1, initial=np.inf)
-    singular = gap <= matkit.PIVOT_REL * col_scale
-
-    # Y = C Q (sI − T)⁻¹ solves (sI − T)ᵀ Yᵀ = (C Q)ᵀ; only the diagonal of
-    # the working copy of −T changes from point to point.  With no ports or
-    # no modes Y is empty, and LAPACK rejects zero-size systems.  C is taken
-    # in T's mode order, and Q is None when that order alone triangularizes A.
-    C = comp.C[:, order]
-    CQ_t = (C if Q is None else C @ Q).T
-    shifted = np.asfortranarray(-T)
-    Y = np.zeros((omegas.size, comp.n_ports, comp.m_modes), dtype=complex)
-    trtrs, = get_lapack_funcs(("trtrs",), (shifted, CQ_t))
-    for k in np.flatnonzero(~singular) if CQ_t.size else ():
-        np.fill_diagonal(shifted, s[k] - t)
-        Y[k] = trtrs(shifted, CQ_t, trans=1)[0].T
-    CQ_h = C.conj().T if Q is None else Q.conj().T @ C.conj().T
-    Xi = comp.S - Y @ (CQ_h @ comp.S)
-    xi = np.empty_like(Y)
-    xi[..., order] = Y if Q is None else Y @ Q.conj().T
-    # a point the gap flags stays a pole only if eval_transfer rejects it too
+    order = _triangular_order(A)
+    Xi, xi, singular = (_cayley_sweep(comp, A, s) if order is None
+                        else _triangular_sweep(comp, A, s, order))
+    # a flagged point stays a pole only if eval_transfer rejects it too
     for k in np.flatnonzero(singular):
         try:
             evaluation = eval_transfer(comp, s[k])
@@ -201,39 +181,89 @@ def freq_response(comp: LinearComponent, omegas,
             for k in range(omegas.size)]
 
 
-def block_schur(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | slice]:
-    """(T, Q, order) with A[order][:, order] = Q T Q†, T upper triangular.
+def _triangular_sweep(comp: LinearComponent, A: np.ndarray, s: np.ndarray, order: np.ndarray):
+    """Xi, xi and the pole candidates from one triangular solve per point; see freq_response."""
+    T = np.triu(A[np.ix_(order, order)])
+    t = np.diag(T)
+    # column 1-norms of sI − A from its diagonal and the fixed off-diagonal part
+    a = np.diag(A)
+    off = np.sum(np.abs(A - np.diag(a)), axis=0)
+    col_scale = np.max(np.abs(s[:, None] - a) + off, axis=1, initial=0.0)
+    gap = np.min(np.abs(s[:, None] - t), axis=1, initial=np.inf)
+    singular = gap <= matkit.PIVOT_REL * col_scale
+    # Y = C (sI − T)⁻¹ in T's mode order solves (sI − T)ᵀ Yᵀ = Cᵀ; only the diagonal
+    # of −T changes per point.  LAPACK rejects the zero-size systems of n or m = 0.
+    C = comp.C[:, order]
+    shifted = np.asfortranarray(-T)
+    Y = np.zeros((s.size, comp.n_ports, comp.m_modes), dtype=complex)
+    trtrs, = get_lapack_funcs(("trtrs",), (shifted, C.T))
+    for k in np.flatnonzero(~singular) if C.size else ():
+        np.fill_diagonal(shifted, s[k] - t)
+        Y[k] = trtrs(shifted, C.T, trans=1)[0].T
+    Xi = comp.S - Y @ (C.conj().T @ comp.S)
+    xi = np.empty_like(Y)
+    xi[..., order] = Y
+    return Xi, xi, singular
 
-    The modes are ordered by the strongly connected components of the
-    graph in which mode j drives mode i when |a_ij| > m·u·‖A‖₁, each
-    component after every component it drives, so that A[order][:, order]
-    is block upper triangular.  Only diagonal blocks larger than 1×1 get
-    a Schur form; Q is block diagonal, and None when every block is 1×1.
-    A strongly connected A returns ``schur(A, output="complex")`` itself
-    with order ``slice(None)``.  The entries below the block diagonal,
-    each at most m·u·‖A‖₁, are dropped from T.
+
+def _cayley_sweep(comp: LinearComponent, A: np.ndarray, s: np.ndarray):
+    """Xi, xi and the pole candidates in the eigenbasis of Omega; see freq_response."""
+    G, n, m = s.size, comp.n_ports, comp.m_modes
+    lam, U = np.linalg.eigh(comp.Omega)
+    W = comp.C @ U
+    norm = np.abs(A).sum(axis=0).max()
+    d = s[:, None] + 1j * lam
+    near = (np.finfo(float).eps * np.sum(np.abs(W) ** 2, axis=0)
+            / (matkit.PIVOT_REL / 10 * max(1.0, norm)) >= np.abs(d))
+    shift = 1 + np.abs(s)
+    shifted = np.where(near, shift[:, None], d)
+    corner, R, rho = _core(W, 0.5, shifted, n)
+    for k in np.flatnonzero(near.any(axis=1)):    # the rows of these points are redone
+        e = d[k, near[k]] - shift[k]
+        B = np.vstack([W, np.sqrt(2 * np.abs(e))[:, None] * np.eye(m)[near[k]]])
+        h = np.r_[np.full(n, 0.5), e / np.abs(e) / 2]
+        corner[k], R[k], rho[k] = (x[0] for x in _core(B, h, shifted[k:k + 1], n))
+    Xi = ((2 * corner - np.eye(n)).reshape(G * n, n) @ comp.S).reshape(G, n, n)
+    xi = (R.reshape(G * n, m) @ U.conj().T).reshape(G, n, m)
+    invalid = not np.array_equal(comp.Omega, comp.Omega.conj().T)
+    return Xi, xi, ~(rho < 0.5 / (m ** 1.5 * matkit.PIVOT_REL) / (np.abs(s) + norm)) | invalid
+
+
+def _core(B: np.ndarray, h, d: np.ndarray, n: int):
+    """Z⁻¹'s leading n×n block, the first n rows of Z⁻¹·B·diag(1/d) and ρ, per row of d.
+
+    Z = I + B·diag(1/d)·B†·diag(h).  If LAPACK finds some Z exactly
+    singular, every ρ reads inf and both blocks read 0.
     """
-    m = A.shape[0]
+    (g, m), r = d.shape, len(B)
+    inv_d = 1 / d
+    outer = (B.T[:, :, None] * B.T.conj()[:, None, :]).reshape(m, r * r)   # row j: b_j b_j†
+    Z = np.eye(r) + (inv_d @ outer).reshape(g, r, r) * h
+    try:
+        Zinv = np.linalg.inv(Z)
+    except np.linalg.LinAlgError:
+        return np.zeros((g, n, n), dtype=complex), np.zeros((g, n, m), dtype=complex), \
+            np.full(g, np.inf)
+    R = (Zinv[:, :n].reshape(g * n, r) @ B).reshape(g, n, m) * inv_d[:, None, :]
+    size = np.abs(inv_d)    # ‖B·diag(1/d)‖_F² from the column norms of B
+    rho = (size.max(axis=1) + size ** 2 @ np.sum(np.abs(B) ** 2, axis=0) / 2
+           * np.linalg.norm(Zinv, axis=(1, 2)))
+    return Zinv[:, :n, :n], R, rho
+
+
+def _triangular_order(A: np.ndarray) -> np.ndarray | None:
+    """``_blocks``' order of A's modes when it makes A upper triangular, else None.
+
+    Mode j drives mode i when |a_ij| > m·u·‖A‖₁; the entries this drops are at most that.
+    """
+    m = len(A)
     magnitude = np.abs(A)
     blocks = _blocks((magnitude > m * np.finfo(float).eps
                       * np.max(np.sum(magnitude, axis=0), initial=0.0)).T)
     if blocks is None:
-        T, Q = schur(A, output="complex")
-        return T, Q, slice(None)
+        return np.arange(m) if m < 2 else None
     order, bounds = blocks
-    T = A[np.ix_(order, order)]
-    Q = None
-    for start, stop in zip(bounds, bounds[1:]):
-        if stop - start == 1:
-            continue
-        Tb, Qb = schur(T[start:stop, start:stop], output="complex")
-        T[start:stop, stop:] = Qb.conj().T @ T[start:stop, stop:]
-        T[:start, start:stop] = T[:start, start:stop] @ Qb
-        T[start:stop, start:stop] = Tb
-        if Q is None:
-            Q = np.eye(m, dtype=complex)
-        Q[start:stop, start:stop] = Qb
-    return np.triu(T), Q, order
+    return order if len(bounds) == m + 1 else None
 
 
 def _blocks(drives: np.ndarray) -> tuple[np.ndarray, list[int]] | None:

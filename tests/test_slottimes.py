@@ -3,6 +3,8 @@
 import importlib.util
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "slottimes.py")
 
@@ -76,3 +78,20 @@ def test_against_names_slots_that_vary_in_a_later_round(monkeypatch, capsys):
     assert "outputs identical on all 3 slots" in out
     assert "parent outputs vary between rounds on slots 2 (1 of 3)" in out
     assert "change outputs vary" not in out
+
+
+@pytest.mark.parametrize("flag", ["--rounds", "--repeat"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_rounds_and_repeat_below_one_are_usage_errors(flag, value, monkeypatch, capsys):
+    tool = _load_tool()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing is measured after a usage error")
+
+    monkeypatch.setattr(tool, "_measure_in_subprocess", refuse)
+    monkeypatch.setattr(tool, "measure", refuse)
+    for against in ([], ["--against", ROOT]):
+        with pytest.raises(SystemExit) as info:
+            tool.main(["algebra_mix", flag, value, *against])
+        assert info.value.code == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err

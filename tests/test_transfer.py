@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag, schur
+from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from slhnet import (SIGMA_MIN, CommutingForm, LinearComponent, build_partitioned,
                     check_unitary_on_axis, commuting_form, drift, eval_transfer,
                     feedback_reduce, freq_response, make_cavity, matkit,
-                    poles_zeros_commuting, series_product)
+                    poles_zeros_commuting, series_product, transfer)
 from slhnet.netfile import Edge, NetDocument
 from slhnet.transfer import (NotCommuting, SingularAtS, ZeroModeAmbiguity, _blocks,
-                             block_schur)
+                             _triangular_order)
 
 from support import haar_unitary, random_component, random_hermitian
 
@@ -252,8 +252,8 @@ def _network_xi(pc, units, s):
 
 
 @st.composite
-def _networks(draw):
-    """(kind, component, units, partition) over three families of drift.
+def _networks(draw, kinds=("acyclic", "loop", "dense")):
+    """(kind, component, units, partition) over three families of drift, or those in ``kinds``.
 
     "acyclic": 1 to 8 units of 1-3 ports and 1-3 modes, each after the first
     fed by a free output of an earlier one.  "loop": the same with the last
@@ -262,7 +262,7 @@ def _networks(draw):
     partition None).
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["acyclic", "loop", "dense"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "dense":
         return kind, random_component(rng, draw(st.integers(1, 4)), draw(st.integers(1, 8))), \
             None, None
@@ -283,33 +283,29 @@ def _networks(draw):
     return kind, feedback_reduce(pc), units, pc
 
 
-class TestBlockSchur:
+class TestTriangularOrder:
     @given(_networks())
     @settings(max_examples=80, deadline=None)
     def test_factorization(self, case):
         kind, comp, units, _ = case
         A = drift(comp)
         m = A.shape[0]
-        T, Q, order = block_schur(A)
-        U = np.zeros((m, m), dtype=complex)
-        U[order] = np.eye(m) if Q is None else Q
         u, norm = np.finfo(float).eps, np.abs(A).sum(axis=0).max()
-        # fewer than m dropped entries per column, each ≤ m·u·‖A‖₁, plus the
-        # Schur form's own error: ≤ 4.4·m·u·‖A‖₁ and ≤ 3.7·m·u from unitary
-        # over 3000 random drifts with m ≤ 24
-        bound = (m + 8) * m * u
-        assert matkit.max_abs(U.conj().T @ U - np.eye(m)) <= bound
-        assert np.abs(A - U @ T @ U.conj().T).sum(axis=0).max() <= bound * norm
-        assert np.array_equal(T, np.triu(T))
+        order = _triangular_order(A)
+        _, label = connected_components((np.abs(A) > m * u * norm).astype(int),
+                                        connection="strong")
+        # None exactly when some strong component is larger than one mode
+        assert (order is None) == (np.bincount(label).max() > 1)
+        if order is None:
+            return
+        P = A[np.ix_(order, order)]
+        # every entry dropped below the diagonal is at most m·u·‖A‖₁
+        assert np.abs(np.tril(P, -1)).max(initial=0.0) <= m * u * norm
         if kind == "acyclic":
             spectra = np.concatenate([np.linalg.eigvals(drift(unit)) for unit in units])
-            dist = np.abs(spectra[:, None] - np.diag(T)[None, :])
+            dist = np.abs(spectra[:, None] - np.diag(P)[None, :])
             rows, cols = linear_sum_assignment(dist)
             assert dist[rows, cols].max() <= 64 * u * norm
-        if kind == "dense":
-            assert isinstance(order, slice)
-            T_ref, Q_ref = schur(A, output="complex")
-            assert np.array_equal(T, T_ref) and np.array_equal(Q, Q_ref)
 
     @given(_networks(), st.sampled_from([SIGMA_MIN, 0.5]))
     @settings(max_examples=60, deadline=None)
@@ -326,12 +322,140 @@ class TestBlockSchur:
         rng = np.random.default_rng(5)
         units = [random_component(rng, 2, 1) for _ in range(16)]
         A = drift(_chain(units))
-        T, Q, order = block_schur(A)
-        assert Q is None
+        order = _triangular_order(A)
         # each unit drives every unit downstream: the most downstream comes first
         assert order.tolist() == list(range(15, -1, -1))
-        assert np.array_equal(T, np.triu(A[np.ix_(order, order)]))
+        T = A[np.ix_(order, order)]
+        bound = 16 * np.finfo(float).eps * np.abs(A).sum(axis=0).max()   # m·u·‖A‖₁
+        assert np.abs(np.tril(T, -1)).max() <= bound
         assert matkit.max_abs(np.diag(T) - [drift(u)[0, 0] for u in units[::-1]]) <= 1e-14
+
+
+@st.composite
+def _non_triangular(draw):
+    """A component whose drift has no triangular order.
+
+    A dense component with 1-4 ports and 1-8 modes, a "loop" network of
+    ``_networks``, or a cascade of 2-8 two-mode units with 1-3 ports.
+    """
+    kind = draw(st.sampled_from(["dense", "loop", "cascade"]))
+    if kind == "loop":
+        comp = draw(_networks(kinds=("loop",)))[1]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "dense":
+            n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+            C = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
+            comp = LinearComponent(haar_unitary(rng, n), C, random_hermitian(rng, m))
+        else:
+            n = draw(st.integers(1, 3))
+            comp = _chain([random_component(rng, n, 2) for _ in range(draw(st.integers(2, 8)))])
+    assume(_triangular_order(drift(comp)) is None)
+    return comp
+
+
+def _refuse_eval_transfer(comp, s):
+    raise AssertionError(f"the sweep handed s = {s} to eval_transfer")
+
+
+class TestCayleySweep:
+    """Drifts with no triangular order, swept in the eigenbasis of Omega."""
+
+    @given(_non_triangular(), st.integers(0, 2**32 - 1), st.floats(-1.5, 1.5),
+           st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_pole_exactly_when_eval_transfer_pole(self, comp, seed, log_offset, angle):
+        # probe next to a drift eigenvalue λ, at 10^log_offset times the sweep's threshold
+        rng = np.random.default_rng(seed)
+        A = drift(comp)
+        m = A.shape[0]
+        lam = np.linalg.eigvals(A)[rng.integers(m)]
+        threshold = matkit.PIVOT_REL * np.abs(lam * np.eye(m) - A).sum(axis=0).max()
+        s = lam + 10 ** log_offset * threshold * np.exp(1j * angle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            singular = freq_response(comp, [s.imag], sigma=s.real)[0].singular
+        try:
+            eval_transfer(comp, s)
+        except SingularAtS:
+            assert singular
+        else:
+            assert not singular
+
+    @pytest.mark.parametrize("sigma", [0.0, SIGMA_MIN, 0.5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_points_on_and_near_omega_eigenvalues(self, seed, sigma, monkeypatch):
+        # s = sigma − iλ_j(Omega) + i·offset, where a mode's term |w_j|²/(s + iλ_j) peaks
+        rng = np.random.default_rng(seed)
+        comp = random_component(rng, int(rng.integers(1, 5)), int(rng.integers(2, 9)))
+        assert _triangular_order(drift(comp)) is None
+        offsets = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+        grid = (offsets - np.linalg.eigvalsh(comp.Omega)[:, None]).ravel()
+        # the sweep evaluates every point itself: none is a pole candidate
+        monkeypatch.setattr(transfer, "eval_transfer", _refuse_eval_transfer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = freq_response(comp, grid, sigma=sigma)
+        scale = max(1.0, np.linalg.norm(drift(comp), 2))
+        for p in points:
+            ev = eval_transfer(comp, sigma + 1j * p.omega)
+            assert not p.singular
+            assert matkit.max_abs(p.evaluation.Xi - ev.Xi) <= 1e-12 * scale
+            assert matkit.max_abs(p.evaluation.xi - ev.xi) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grid_point_on_a_coupled_pole(self, seed):
+        rng = np.random.default_rng(seed)
+        comp = random_component(rng, 2, 4)
+        lam = np.linalg.eigvals(drift(comp))[rng.integers(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = freq_response(comp, [lam.imag - 0.5, lam.imag, lam.imag + 0.5],
+                                   sigma=lam.real)
+        assert [p.singular for p in points] == [False, True, False]
+        with pytest.raises(SingularAtS):
+            eval_transfer(comp, lam)
+
+    def test_exactly_singular_core(self):
+        # A = −½·[[1, 1], [1, 1]] has poles at −1 and 0.  With Omega = 0 its
+        # eigenbasis is exact, and at s = −1 the core 1 + ½(1/s + 1/s) is 0.
+        comp = LinearComponent([[1.0]], [[1.0, 1.0]], np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coupled = freq_response(comp, [-0.5, 0.0, 0.5], sigma=-1.0)
+            dark = freq_response(comp, [-0.5, 0.0, 0.5], sigma=0.0)
+        assert [p.singular for p in coupled] == [False, True, False]
+        assert [p.singular for p in dark] == [False, True, False]
+        for p in coupled[::2] + dark[::2]:
+            ev = eval_transfer(comp, p.evaluation.s)
+            assert matkit.max_abs(p.evaluation.Xi - ev.Xi) <= 1e-15
+
+    def test_no_ports(self):
+        rng = np.random.default_rng(3)
+        Omega = random_hermitian(rng, 4)
+        comp = LinearComponent(np.zeros((0, 0)), np.zeros((0, 4)), Omega)
+        assert _triangular_order(drift(comp)) is None
+        # Omega's eigenvalue −ω is a pole, uncoupled from every port
+        grid = [-np.linalg.eigvalsh(Omega)[1], 0.3, 7.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = freq_response(comp, grid, sigma=0.0)
+        assert [p.singular for p in points] == [True, False, False]
+        for p in points[1:]:
+            ev = eval_transfer(comp, p.evaluation.s)
+            assert p.evaluation.Xi.shape == (0, 0) and p.evaluation.xi.shape == (0, 4)
+            assert np.array_equal(p.evaluation.xi, ev.xi)
+
+    def test_omega_one_bit_off_hermitian_takes_eval_transfer_everywhere(self):
+        rng = np.random.default_rng(11)
+        valid = random_component(rng, 2, 3)
+        Omega = valid.Omega.copy()
+        Omega[0, 1] = complex(np.nextafter(Omega[0, 1].real, np.inf), Omega[0, 1].imag)
+        comp = LinearComponent(valid.S, valid.C, Omega)
+        for p in freq_response(comp, np.linspace(-3, 3, 7)):
+            ev = eval_transfer(comp, p.evaluation.s)
+            assert np.array_equal(p.evaluation.Xi, ev.Xi)
+            assert np.array_equal(p.evaluation.xi, ev.xi)
 
 
 @st.composite
@@ -379,11 +503,13 @@ class TestBlocks:
         count, label = connected_components(drives.astype(int), connection="strong") \
             if m else (0, None)
         blocks = _blocks(drives)
-        order = block_schur(A)[2]
+        order = _triangular_order(A)
         if blocks is None:
-            assert count <= 1 and order == slice(None)
+            assert count <= 1 and (order is None) == (m > 1)
             return
-        assert np.array_equal(order, blocks[0])
+        # the drift has a triangular order exactly when every block is one mode
+        assert (order is None) == (len(blocks[1]) <= m)
+        order = blocks[0]
         spans = list(zip(blocks[1], blocks[1][1:]))
         assert ({frozenset(order[a:b].tolist()) for a, b in spans}
                 == {frozenset(np.flatnonzero(label == c).tolist()) for c in range(count)})

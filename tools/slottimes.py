@@ -137,6 +137,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="processes per side with --against")
     parser.add_argument("--json", action="store_true", help="print the slots as JSON")
     args = parser.parse_args(argv)
+    for flag in ("repeat", "rounds"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be at least 1")
     if args.against is None:
         slots = measure(os.path.abspath(args.root), args.workload, args.seed, args.repeat)
         if args.json:
