@@ -218,7 +218,7 @@ def _cayley_sweep(comp: LinearComponent, A: np.ndarray, s: np.ndarray):
     shift = 1 + np.abs(s)
     shifted = np.where(near, shift[:, None], d)
     corner, R, rho = _core(W, 0.5, shifted, n)
-    for k in np.flatnonzero(near.any(axis=1)):    # the rows of these points are redone
+    for k in np.flatnonzero(near.any(axis=1)):    # the batch left out e_j at these points
         e = d[k, near[k]] - shift[k]
         B = np.vstack([W, np.sqrt(2 * np.abs(e))[:, None] * np.eye(m)[near[k]]])
         h = np.r_[np.full(n, 0.5), e / np.abs(e) / 2]
@@ -229,7 +229,7 @@ def _cayley_sweep(comp: LinearComponent, A: np.ndarray, s: np.ndarray):
     return Xi, xi, ~(rho < 0.5 / (m ** 1.5 * matkit.PIVOT_REL) / (np.abs(s) + norm)) | invalid
 
 
-def _core(B: np.ndarray, h, d: np.ndarray, n: int):
+def _core(B: np.ndarray, h: float | np.ndarray, d: np.ndarray, n: int):
     """Z⁻¹'s leading n×n block, the first n rows of Z⁻¹·B·diag(1/d) and ρ, per row of d.
 
     Z = I + B·diag(1/d)·B†·diag(h).  If LAPACK finds some Z exactly

@@ -503,12 +503,13 @@ class TestBlocks:
         count, label = connected_components(drives.astype(int), connection="strong") \
             if m else (0, None)
         blocks = _blocks(drives)
-        order = _triangular_order(A)
+        triangular = _triangular_order(A)
         if blocks is None:
-            assert count <= 1 and (order is None) == (m > 1)
+            assert count <= 1 and (triangular is None) == (m > 1)
             return
-        # the drift has a triangular order exactly when every block is one mode
-        assert (order is None) == (len(blocks[1]) <= m)
+        # the drift has a triangular order, _blocks' own, exactly when every block is one mode
+        assert (triangular is None) == (len(blocks[1]) <= m)
+        assert triangular is None or np.array_equal(triangular, blocks[0])
         order = blocks[0]
         spans = list(zip(blocks[1], blocks[1][1:]))
         assert ({frozenset(order[a:b].tolist()) for a, b in spans}
