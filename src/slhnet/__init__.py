@@ -8,9 +8,8 @@ parameterizations, and reads/writes the QNET text format.
 
 from .slh import (LinearComponent, ValidationIssue, ValidationReport, concatenate,
                   drift, make_cavity, validate)
-from .transfer import (CommutingForm, FreqPoint, SIGMA_MIN, TransferEvaluation,
-                       check_unitary_on_axis, commuting_form, eval_transfer,
-                       freq_response, poles_zeros_commuting)
+from .transfer import (CommutingForm, SIGMA_MIN, TransferEvaluation, check_unitary_on_axis,
+                       commuting_form, eval_transfer, freq_response, poles_zeros_commuting)
 from .network import (BeamSplitter, PartitionedComponent, beamsplitter_loop,
                       beamsplitter_network, feedback_reduce, mixing_splitter,
                       mobius, redheffer_star, series_product)
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LinearComponent", "ValidationIssue", "ValidationReport",
     "concatenate", "drift", "make_cavity", "validate",
-    "CommutingForm", "FreqPoint", "SIGMA_MIN", "TransferEvaluation",
+    "CommutingForm", "SIGMA_MIN", "TransferEvaluation",
     "check_unitary_on_axis", "commuting_form", "eval_transfer",
     "freq_response", "poles_zeros_commuting",
     "BeamSplitter", "PartitionedComponent", "beamsplitter_loop",

@@ -34,8 +34,7 @@ from .network import AlgebraicLoop, DimensionMismatch, OutsideDomain, \
 from .slh import LinearComponent, validate
 from .stratcal import CayleySingular, StratonovichModel, ito_table_residuals, \
     ito_to_strat, strat_to_ito
-from .transfer import SIGMA_MIN, SingularAtS, axis_residual, axis_xi, \
-    eval_transfer, freq_response
+from .transfer import SIGMA_MIN, SingularAtS, axis_residual, eval_transfer, freq_response
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -177,14 +176,11 @@ def _cmd_freqresp(args) -> int:
     labels.append("unitarity_residual")
     # labels contain commas, so header cells are CSV-quoted
     header = ",".join(c if "," not in c else f'"{c}"' for c in labels)
-    points = freq_response(comp, omegas, sigma=args.sigma)
-    Xi = axis_xi(points, n)
-    # one row per point: omega, re/im of Xi in row order, then the residual
-    singular = np.array([point.singular for point in points], dtype=bool)
-    table = np.zeros((len(points), 2 * n * n + 2))
-    table[:, 0] = [point.omega for point in points]
-    table[~singular, 1:-1] = Xi.view(np.float64).reshape(len(Xi), 2 * n * n)
-    table[~singular, -1] = axis_residual(Xi)
+    Xi, _, singular = freq_response(comp, omegas, sigma=args.sigma)
+    # one row per point: omega, re/im of Xi in row order, then the residual;
+    # a pole's row reads NA after omega
+    table = np.column_stack([omegas, Xi.view(np.float64).reshape(len(Xi), 2 * n * n),
+                             axis_residual(Xi)])
     _emit(args.output, header + "\n", format_table(table, singular))
     return EXIT_OK
 

@@ -91,22 +91,11 @@ class TransferEvaluation:
 
 
 @dataclass(frozen=True)
-class FreqPoint:
-    """One grid point of a frequency response; evaluation is None at poles."""
-
-    omega: float
-    evaluation: TransferEvaluation | None
-
-    @property
-    def singular(self) -> bool:
-        return self.evaluation is None
-
-
-@dataclass(frozen=True)
 class ResidualReport:
     """Residuals at a set of points against a pass tolerance.
 
-    check_unitary_on_axis reports ‖Xi·Xi† − I‖_max per frequency ω.
+    check_unitary_on_axis reports ‖Xi·Xi† − I‖_max per frequency ω, inf at
+    a pole.
     """
 
     points: tuple
@@ -145,23 +134,23 @@ def eval_transfer(comp: LinearComponent, s: complex) -> TransferEvaluation:
     return TransferEvaluation(s=s, Xi=Xi, xi=xi)
 
 
-def freq_response(comp: LinearComponent, omegas,
-                  sigma: float = SIGMA_MIN) -> list[FreqPoint]:
-    """Evaluate along s = sigma + iω for each ω, in grid order.
+def freq_response(comp: LinearComponent, omegas, sigma: float = SIGMA_MIN
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Xi, xi and the poles along s = sigma + iω for each ω, in grid order.
 
-    Poles are reported per point (evaluation None) rather than aborting
-    the sweep: a point is a pole exactly when its route (triangular when the
-    drift permutes to triangular form, Cayley otherwise; see the module
-    docstring) flags it and eval_transfer raises SingularAtS there.  A
-    flagged point eval_transfer accepts takes its Xi and xi.  Raises
+    Returns (Xi, xi, singular) of shapes (G, n, n), (G, n, m) and (G,),
+    singular of dtype bool; an empty grid gives length-0 arrays.  Poles
+    are reported per point rather than aborting the sweep, their rows of
+    Xi and xi all NaN: a point is a pole exactly when its route (triangular
+    when the drift permutes to triangular form, Cayley otherwise; see the
+    module docstring) flags it and eval_transfer raises SingularAtS there.
+    A flagged point eval_transfer accepts takes its Xi and xi.  Raises
     ValueError on a non-finite ω or sigma.
     """
     omegas = np.array([float(w) for w in omegas])
     sigma = float(sigma)
     if not (np.isfinite(sigma) and np.all(np.isfinite(omegas))):
         raise ValueError("frequency grid and sigma must be finite")
-    if omegas.size == 0:
-        return []
     A = drift(comp)
     s = sigma + 1j * omegas
     order = _triangular_order(A)
@@ -172,13 +161,11 @@ def freq_response(comp: LinearComponent, omegas,
         try:
             evaluation = eval_transfer(comp, s[k])
         except SingularAtS:
+            Xi[k] = xi[k] = np.nan
             continue
         singular[k] = False
         Xi[k], xi[k] = evaluation.Xi, evaluation.xi
-    return [FreqPoint(omega=float(omegas[k]),
-                      evaluation=None if singular[k] else
-                      TransferEvaluation(s=complex(s[k]), Xi=Xi[k], xi=xi[k]))
-            for k in range(omegas.size)]
+    return Xi, xi, singular
 
 
 def _triangular_sweep(comp: LinearComponent, A: np.ndarray, s: np.ndarray, order: np.ndarray):
@@ -294,16 +281,11 @@ def _blocks(drives: np.ndarray) -> tuple[np.ndarray, list[int]] | None:
     return order, [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), len(order)]
 
 
-def axis_xi(points: list[FreqPoint], n: int) -> np.ndarray:
-    """The (G, n, n) stack of Xi at the points of a sweep that are not poles."""
-    stack = [p.evaluation.Xi for p in points if p.evaluation is not None]
-    return np.array(stack, dtype=complex).reshape(len(stack), n, n)
-
-
 def axis_residual(Xi: np.ndarray) -> np.ndarray:
     """‖Xi·Xi† − I‖_max of each matrix of a (G, n, n) stack, shape (G,); inf on overflow.
 
-    A finite Xi yields NaN only through overflow (inf − inf), so NaN reads inf.
+    A finite Xi yields NaN only through overflow (inf − inf), so NaN reads
+    inf, as does a pole's NaN row of freq_response.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         deviation = Xi @ Xi.conj().swapaxes(1, 2) - np.eye(Xi.shape[1])
@@ -316,13 +298,13 @@ def check_unitary_on_axis(comp: LinearComponent, omegas, tol: float = 1e-8,
                           sigma: float = SIGMA_MIN) -> ResidualReport:
     """Sweep the axis and report ‖Xi(iω)Xi(iω)† − I‖_max per frequency.
 
-    A pole on the grid counts as an infinite residual.
+    A pole on the grid counts as an infinite residual: axis_residual reads
+    its NaN row of Xi as inf, except with no ports, where the row is empty.
     """
-    points = freq_response(comp, omegas, sigma=sigma)
-    singular = np.array([p.singular for p in points], dtype=bool)
-    residuals = np.full(len(points), np.inf)
-    residuals[~singular] = axis_residual(axis_xi(points, comp.n_ports))
-    return ResidualReport(tuple(p.omega for p in points), tuple(residuals.tolist()), tol)
+    omegas = np.array([float(w) for w in omegas])
+    Xi, _, singular = freq_response(comp, omegas, sigma=sigma)
+    residuals = np.where(singular, np.inf, axis_residual(Xi))
+    return ResidualReport(tuple(omegas.tolist()), tuple(residuals.tolist()), tol)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import slhnet.network
 
 PUBLIC = [
     "BeamSplitter", "CommutingForm", "ConsistencyResiduals", "Edge", "ExternalPort",
-    "FreqPoint", "LinearComponent", "NetDocument", "ParseError", "PartitionedComponent",
+    "LinearComponent", "NetDocument", "ParseError", "PartitionedComponent",
     "SIGMA_MIN", "StratonovichModel", "TransferEvaluation", "ValidationIssue",
     "ValidationReport", "__version__", "beamsplitter_loop", "beamsplitter_network",
     "build_partitioned", "check_unitary_on_axis", "commuting_form", "concatenate",
@@ -28,7 +28,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 37
     assert sorted(slhnet.__all__) == PUBLIC
 
 

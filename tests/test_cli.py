@@ -261,14 +261,15 @@ component pair {
         rows = capsys.readouterr().out.splitlines()
         comp = parse(path.read_text()).components["cavity"]
         expected = ['omega,"re(Xi[0,0])","im(Xi[0,0])",unitarity_residual']
-        for point in freq_response(comp, np.linspace(-2, 0, 201), sigma=0.0):
-            if point.singular:
-                expected.append(format_float(point.omega) + ",NA,NA,NA")
+        grid = np.linspace(-2, 0, 201)
+        Xi, _, singular = freq_response(comp, grid, sigma=0.0)
+        for w, X, pole in zip(grid.tolist(), Xi, singular):
+            if pole:
+                expected.append(format_float(w) + ",NA,NA,NA")
                 continue
-            Xi = point.evaluation.Xi
-            residual = axis_residual(Xi[None])[0]
+            residual = axis_residual(X[None])[0]
             expected.append(",".join(format_float(v) for v in
-                                     (point.omega, Xi[0, 0].real, Xi[0, 0].imag, residual)))
+                                     (w, X[0, 0].real, X[0, 0].imag, residual)))
         assert [i for i, row in enumerate(rows) if "NA" in row] == [101]
         assert rows == expected
 

@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from slhnet import (SIGMA_MIN, CommutingForm, LinearComponent, build_partitioned,
-                    check_unitary_on_axis, commuting_form, drift, eval_transfer,
+                    check_unitary_on_axis, commuting_form, concatenate, drift, eval_transfer,
                     feedback_reduce, freq_response, make_cavity, matkit,
                     poles_zeros_commuting, series_product, transfer)
 from slhnet.netfile import Edge, NetDocument
@@ -84,15 +84,15 @@ class TestEvalTransfer:
 
 class TestFreqResponse:
     def test_cavity_three_points(self):
-        points = freq_response(make_cavity(1.0), [-1.0, 0.0, 1.0])
-        assert [p.omega for p in points] == [-1.0, 0.0, 1.0]
-        for p in points:
-            assert not p.singular
-            assert abs(abs(p.evaluation.Xi[0, 0]) - 1.0) <= 1e-8
-        assert abs(points[1].evaluation.Xi[0, 0] + 1.0) <= 1e-8
+        Xi, _, singular = freq_response(make_cavity(1.0), [-1.0, 0.0, 1.0])
+        assert Xi.shape == (3, 1, 1)
+        assert not singular.any()
+        assert np.all(np.abs(np.abs(Xi[:, 0, 0]) - 1.0) <= 1e-8)
+        assert abs(Xi[1, 0, 0] + 1.0) <= 1e-8
 
     def test_empty_grid(self):
-        assert freq_response(make_cavity(1.0), []) == []
+        Xi, xi, singular = freq_response(make_cavity(1.0), [])
+        assert (Xi.shape, xi.shape, singular.shape) == ((0, 1, 1), (0, 1, 1), (0,))
 
     @pytest.mark.parametrize("grid,sigma", [([0.0, np.nan], SIGMA_MIN),
                                             ([np.inf], SIGMA_MIN),
@@ -107,8 +107,8 @@ class TestFreqResponse:
     def test_unit_determinant_sweep(self):
         rng = np.random.default_rng(47)
         comp = random_component(rng, 3, 2)
-        for p in freq_response(comp, np.linspace(-5, 5, 101)):
-            assert abs(abs(np.linalg.det(p.evaluation.Xi)) - 1.0) <= 1e-8
+        for Xi in freq_response(comp, np.linspace(-5, 5, 101))[0]:
+            assert abs(abs(np.linalg.det(Xi)) - 1.0) <= 1e-8
 
 
 def _chain(units):
@@ -146,16 +146,15 @@ class TestSweepProperties:
     @settings(max_examples=60, deadline=None)
     def test_matches_pointwise_evaluation(self, case):
         comp, grid, sigma = case
-        points = freq_response(comp, grid, sigma=sigma)
-        assert [p.omega for p in points] == grid
+        Xi, xi, singular = freq_response(comp, grid, sigma=sigma)
+        assert len(Xi) == len(xi) == len(singular) == len(grid)
+        assert not singular.any()
         scale = max(1.0, np.linalg.norm(drift(comp), 2)) if comp.m_modes else 1.0
-        for p in points:
-            ev = eval_transfer(comp, sigma + 1j * p.omega)
-            assert not p.singular
-            assert p.evaluation.s == ev.s
-            assert matkit.max_abs(p.evaluation.Xi - ev.Xi) <= 1e-12 * scale
-            assert matkit.max_abs(p.evaluation.xi - ev.xi) <= 1e-12 * scale
-        assert freq_response(comp, [], sigma=sigma) == []
+        for w, X, x in zip(grid, Xi, xi):
+            ev = eval_transfer(comp, sigma + 1j * w)
+            assert matkit.max_abs(X - ev.Xi) <= 1e-12 * scale
+            assert matkit.max_abs(x - ev.xi) <= 1e-12 * scale
+        assert len(freq_response(comp, [], sigma=sigma)[0]) == 0
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), data=st.data(),
            dark=st.lists(st.integers(-8, 8), min_size=1, max_size=3))
@@ -178,9 +177,9 @@ class TestSweepProperties:
                                matkit.herm_real(V.conj().T @ Omega @ V))
         # quarter-spaced grid: a miss lies >= 0.25 from every uncoupled pole
         grid = np.arange(-40, 41) / 4
-        points = freq_response(comp, grid, sigma=0.0)
+        singular = freq_response(comp, grid, sigma=0.0)[2]
         # the uncoupled mode at frequency f has its pole at s = −i·f
-        assert [p.singular for p in points] == [-w in dark for w in grid]
+        assert singular.tolist() == [-w in dark for w in grid]
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 8),
            log_offset=st.floats(-1.5, 1.5), angle=st.floats(0.0, 2 * np.pi))
@@ -194,7 +193,7 @@ class TestSweepProperties:
         lam = np.linalg.eigvals(A)[rng.integers(m)]
         threshold = matkit.PIVOT_REL * np.abs(lam * np.eye(m) - A).sum(axis=0).max()
         s = lam + 10 ** log_offset * threshold * np.exp(1j * angle)
-        if freq_response(comp, [s.imag], sigma=s.real)[0].singular:
+        if freq_response(comp, [s.imag], sigma=s.real)[2][0]:
             with pytest.raises(SingularAtS):
                 eval_transfer(comp, s)
 
@@ -208,9 +207,9 @@ class TestCascadePoles:
         units = [random_component(rng, 2, 1) for _ in range(64)]
         lam = complex(drift(units[rng.integers(64)])[0, 0])
         comp = _chain(units)
-        points = freq_response(comp, [lam.imag - 0.5, lam.imag, lam.imag + 0.5],
-                               sigma=lam.real)
-        assert [p.singular for p in points] == [False, True, False]
+        singular = freq_response(comp, [lam.imag - 0.5, lam.imag, lam.imag + 0.5],
+                                 sigma=lam.real)[2]
+        assert singular.tolist() == [False, True, False]
         with pytest.raises(SingularAtS):
             eval_transfer(comp, lam)
 
@@ -230,7 +229,7 @@ class TestCascadePoles:
         lam = drift(chain[rng.integers(units)])[0, 0]
         threshold = matkit.PIVOT_REL * np.abs(lam * np.eye(units) - A).sum(axis=0).max()
         s = lam + 10 ** log_offset * threshold * np.exp(1j * angle)
-        if freq_response(comp, [s.imag], sigma=s.real)[0].singular:
+        if freq_response(comp, [s.imag], sigma=s.real)[2][0]:
             with pytest.raises(SingularAtS):
                 eval_transfer(comp, s)
 
@@ -312,11 +311,12 @@ class TestTriangularOrder:
     def test_sweep_matches_the_unit_oracle(self, case, sigma):
         kind, comp, units, pc = case
         grid = np.linspace(-5, 5, 7)
-        for p in freq_response(comp, grid, sigma=sigma):
-            s = sigma + 1j * p.omega
+        Xi, _, singular = freq_response(comp, grid, sigma=sigma)
+        assert not singular.any()
+        for w, X in zip(grid, Xi):
+            s = sigma + 1j * w
             want = _unit_xi(comp, s) if units is None else _network_xi(pc, units, s)
-            assert not p.singular
-            assert matkit.max_abs(p.evaluation.Xi - want) <= 1e-12
+            assert matkit.max_abs(X - want) <= 1e-12
 
     def test_cascade_of_one_mode_units_needs_only_the_order(self):
         rng = np.random.default_rng(5)
@@ -374,7 +374,7 @@ class TestCayleySweep:
         s = lam + 10 ** log_offset * threshold * np.exp(1j * angle)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            singular = freq_response(comp, [s.imag], sigma=s.real)[0].singular
+            singular = freq_response(comp, [s.imag], sigma=s.real)[2][0]
         try:
             eval_transfer(comp, s)
         except SingularAtS:
@@ -395,13 +395,13 @@ class TestCayleySweep:
         monkeypatch.setattr(transfer, "eval_transfer", _refuse_eval_transfer)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            points = freq_response(comp, grid, sigma=sigma)
+            Xi, xi, singular = freq_response(comp, grid, sigma=sigma)
+        assert not singular.any()
         scale = max(1.0, np.linalg.norm(drift(comp), 2))
-        for p in points:
-            ev = eval_transfer(comp, sigma + 1j * p.omega)
-            assert not p.singular
-            assert matkit.max_abs(p.evaluation.Xi - ev.Xi) <= 1e-12 * scale
-            assert matkit.max_abs(p.evaluation.xi - ev.xi) <= 1e-12 * scale
+        for w, X, x in zip(grid, Xi, xi):
+            ev = eval_transfer(comp, sigma + 1j * w)
+            assert matkit.max_abs(X - ev.Xi) <= 1e-12 * scale
+            assert matkit.max_abs(x - ev.xi) <= 1e-12 * scale
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grid_point_on_a_coupled_pole(self, seed):
@@ -410,9 +410,9 @@ class TestCayleySweep:
         lam = np.linalg.eigvals(drift(comp))[rng.integers(4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            points = freq_response(comp, [lam.imag - 0.5, lam.imag, lam.imag + 0.5],
-                                   sigma=lam.real)
-        assert [p.singular for p in points] == [False, True, False]
+            singular = freq_response(comp, [lam.imag - 0.5, lam.imag, lam.imag + 0.5],
+                                     sigma=lam.real)[2]
+        assert singular.tolist() == [False, True, False]
         with pytest.raises(SingularAtS):
             eval_transfer(comp, lam)
 
@@ -424,11 +424,11 @@ class TestCayleySweep:
             warnings.simplefilter("error")
             coupled = freq_response(comp, [-0.5, 0.0, 0.5], sigma=-1.0)
             dark = freq_response(comp, [-0.5, 0.0, 0.5], sigma=0.0)
-        assert [p.singular for p in coupled] == [False, True, False]
-        assert [p.singular for p in dark] == [False, True, False]
-        for p in coupled[::2] + dark[::2]:
-            ev = eval_transfer(comp, p.evaluation.s)
-            assert matkit.max_abs(p.evaluation.Xi - ev.Xi) <= 1e-15
+        for sigma, (Xi, _, singular) in ((-1.0, coupled), (0.0, dark)):
+            assert singular.tolist() == [False, True, False]
+            for w, X in zip([-0.5, 0.5], Xi[::2]):
+                ev = eval_transfer(comp, sigma + 1j * w)
+                assert matkit.max_abs(X - ev.Xi) <= 1e-15
 
     def test_no_ports(self):
         rng = np.random.default_rng(3)
@@ -439,12 +439,12 @@ class TestCayleySweep:
         grid = [-np.linalg.eigvalsh(Omega)[1], 0.3, 7.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            points = freq_response(comp, grid, sigma=0.0)
-        assert [p.singular for p in points] == [True, False, False]
-        for p in points[1:]:
-            ev = eval_transfer(comp, p.evaluation.s)
-            assert p.evaluation.Xi.shape == (0, 0) and p.evaluation.xi.shape == (0, 4)
-            assert np.array_equal(p.evaluation.xi, ev.xi)
+            Xi, xi, singular = freq_response(comp, grid, sigma=0.0)
+        assert singular.tolist() == [True, False, False]
+        assert Xi.shape == (3, 0, 0) and xi.shape == (3, 0, 4)
+        for w, x in zip(grid[1:], xi[1:]):
+            ev = eval_transfer(comp, 0.0 + 1j * w)
+            assert np.array_equal(x, ev.xi)
 
     def test_omega_one_bit_off_hermitian_takes_eval_transfer_everywhere(self):
         rng = np.random.default_rng(11)
@@ -452,10 +452,73 @@ class TestCayleySweep:
         Omega = valid.Omega.copy()
         Omega[0, 1] = complex(np.nextafter(Omega[0, 1].real, np.inf), Omega[0, 1].imag)
         comp = LinearComponent(valid.S, valid.C, Omega)
-        for p in freq_response(comp, np.linspace(-3, 3, 7)):
-            ev = eval_transfer(comp, p.evaluation.s)
-            assert np.array_equal(p.evaluation.Xi, ev.Xi)
-            assert np.array_equal(p.evaluation.xi, ev.xi)
+        grid = np.linspace(-3, 3, 7)
+        Xi, xi, _ = freq_response(comp, grid)
+        for w, X, x in zip(grid, Xi, xi):
+            ev = eval_transfer(comp, SIGMA_MIN + 1j * w)
+            assert np.array_equal(X, ev.Xi)
+            assert np.array_equal(x, ev.xi)
+
+
+@st.composite
+def _pole_sweeps(draw):
+    """(component, dark, grid, sigma) on both routes, with poles on the grid at sigma = 0.
+
+    The base is a dense component with 1-4 ports and 1-8 modes (Cayley
+    route from 2 modes), a "loop" network of ``_networks`` (Cayley route),
+    a cascade of 1-24 one-mode units with 1-3 ports (triangular route), an
+    undamped component with no ports, or one with no modes.  Next to it sit
+    0-3 uncoupled modes at the integer frequencies f in ``dark``, each with
+    its pole at s = −i·f.  The grid has 0-10 quarter-spaced points, some on those poles.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "loop", "cascade", "no_ports", "no_modes"]))
+    if kind == "dense":
+        comp = random_component(rng, draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    elif kind == "loop":
+        comp = draw(_networks(kinds=("loop",)))[1]
+    elif kind == "cascade":
+        comp = _cascade(rng, draw(st.integers(1, 3)), draw(st.integers(1, 24)))
+    elif kind == "no_ports":
+        m = draw(st.integers(1, 6))
+        comp = LinearComponent(np.zeros((0, 0)), np.zeros((0, m)), random_hermitian(rng, m))
+    else:
+        comp = random_component(rng, draw(st.integers(1, 4)), 0)
+    dark = draw(st.lists(st.integers(-8, 8), max_size=3))
+    if dark:
+        comp = concatenate(comp, LinearComponent(np.zeros((0, 0)), np.zeros((0, len(dark))),
+                                                 np.diag(np.array(dark, dtype=float))))
+    quarters = st.integers(-80, 80).map(lambda k: k / 4)
+    on_pole = st.sampled_from([-float(f) for f in dark]) if dark else quarters
+    grid = draw(st.lists(st.one_of(quarters, on_pole), max_size=10))
+    # sigma = 0, where the poles lie, half the time
+    return comp, dark, grid, draw(st.one_of(st.just(0.0), st.sampled_from([SIGMA_MIN, 0.5])))
+
+
+class TestSweepArrays:
+    """freq_response's (Xi, xi, singular): a pole's rows are NaN, every other row finite."""
+
+    @given(_pole_sweeps())
+    @settings(max_examples=150, deadline=None)
+    def test_pole_rows_are_nan_and_the_rest_match_eval_transfer(self, case):
+        comp, dark, grid, sigma = case
+        n, m, G = comp.n_ports, comp.m_modes, len(grid)
+        Xi, xi, singular = freq_response(comp, grid, sigma=sigma)
+        assert (Xi.shape, xi.shape, singular.shape) == ((G, n, n), (G, n, m), (G,))
+        assert singular.dtype == bool
+        assert np.isnan(Xi[singular]).all() and np.isnan(xi[singular]).all()
+        assert np.isfinite(Xi[~singular]).all() and np.isfinite(xi[~singular]).all()
+        if sigma == 0.0:
+            assert all(pole for w, pole in zip(grid, singular) if -w in dark)
+        scale = max(1.0, np.linalg.norm(drift(comp), 2)) if m else 1.0
+        for w, X, x, pole in zip(grid, Xi, xi, singular):
+            if not pole:
+                ev = eval_transfer(comp, sigma + 1j * w)
+                assert matkit.max_abs(X - ev.Xi) <= 1e-12 * scale
+                assert matkit.max_abs(x - ev.xi) <= 1e-12 * scale
+        report = check_unitary_on_axis(comp, grid, sigma=sigma)
+        assert report.points == tuple(grid)
+        assert np.isinf(report.residuals).tolist() == singular.tolist()
 
 
 @st.composite
@@ -640,6 +703,6 @@ def test_sweep_pole_rule_scale_does_not_overflow():
     comp = LinearComponent(np.eye(2), np.zeros((2, 2)), [[0.0, 1e200], [1e200, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        points = freq_response(comp, [0.0, 1.0])
-    assert not any(p.singular for p in points)
-    assert all(np.array_equal(p.evaluation.Xi, np.eye(2)) for p in points)
+        Xi, _, singular = freq_response(comp, [0.0, 1.0])
+    assert not singular.any()
+    assert all(np.array_equal(X, np.eye(2)) for X in Xi)
