@@ -467,9 +467,10 @@ def _pole_sweeps(draw):
     The base is a dense component with 1-4 ports and 1-8 modes (Cayley
     route from 2 modes), a "loop" network of ``_networks`` (Cayley route),
     a cascade of 1-24 one-mode units with 1-3 ports (triangular route), an
-    undamped component with no ports, or one with no modes.  Next to it sit
-    0-3 uncoupled modes at the integer frequencies f in ``dark``, each with
-    its pole at s = −i·f.  The grid has 0-10 quarter-spaced points, some on those poles.
+    undamped component with no ports and 0-6 modes, or one with no modes.
+    Next to it sit 0-3 uncoupled modes at the integer frequencies f in
+    ``dark``, each with its pole at s = −i·f.  The grid has 0-10
+    quarter-spaced points, some on those poles.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["dense", "loop", "cascade", "no_ports", "no_modes"]))
@@ -480,7 +481,7 @@ def _pole_sweeps(draw):
     elif kind == "cascade":
         comp = _cascade(rng, draw(st.integers(1, 3)), draw(st.integers(1, 24)))
     elif kind == "no_ports":
-        m = draw(st.integers(1, 6))
+        m = draw(st.integers(0, 6))
         comp = LinearComponent(np.zeros((0, 0)), np.zeros((0, m)), random_hermitian(rng, m))
     else:
         comp = random_component(rng, draw(st.integers(1, 4)), 0)
