@@ -127,8 +127,9 @@ def factor(m) -> LU:
     estimate of 1/κ₁(M) from the LU is ≤ ``PIVOT_REL``; an exactly
     singular M is rejected either way.  The estimate is Hager and
     Higham's iteration over solves with the LU (Higham, ACM TOMS 14:381,
-    1988): zgecon for a dense M, ``onenormest`` with one column, which
-    draws no random numbers, for a sparse one.  M itself is left unchanged.
+    1988): zgecon for a dense M; for a sparse one, ``onenormest`` with one
+    column (it draws no random numbers) and the alternative estimate that
+    ends zgecon's iteration.  M itself is left unchanged.
     """
     sparse = sys.modules.get("scipy.sparse")    # no sparse M exists before it is imported
     if sparse is not None and sparse.issparse(m):
@@ -169,8 +170,12 @@ def _factor_sparse(m) -> LU:
         inverse = LinearOperator((n, n), matvec=lu.solve, matmat=lu.solve, dtype=complex,
                                  rmatvec=lambda x: lu.solve(x, "H"),
                                  rmatmat=lambda x: lu.solve(x, "H"))
+        # onenormest leaves out the last step of the iteration (zlacn2's
+        # alternative estimate 2‖M⁻¹x‖₁/(3n), x_i = (−1)^i(1 + i/(n − 1)))
+        alternating = np.linspace(1, 2, n, dtype=complex) * (-1) ** np.arange(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            est = float(onenormest(inverse, t=1))
+            est = float(np.max([onenormest(inverse, t=1),
+                                2 * np.abs(lu.solve(alternating)).sum() / (3 * n)]))
         return 1 / (anorm * est) if est < np.inf else 0.0    # nan, inf: overflow
 
     return _gate(lu, lu.solve, anorm, lu.U.diagonal(), rcond)

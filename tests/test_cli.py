@@ -13,7 +13,7 @@ from slhnet import (LinearComponent, build_partitioned, check_unitary_on_axis, d
 from slhnet.cli import _build_parser, main
 from slhnet.netfile import (component_document, parse_matrix_assignments,
                             serialize)
-from slhnet.transfer import axis_residual, freq_response
+from slhnet.transfer import SingularAtS, axis_residual, eval_transfer, freq_response
 
 from support import format_float, haar_unitary, random_component, random_network
 
@@ -296,8 +296,20 @@ component pair {
         grid = f"{lam.imag - 0.5!r}:{lam.imag + 0.5!r}:3"
         assert main(["freqresp", str(path), "--grid", grid, "--sigma", repr(lam.real)]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert [row[1] == "NA" for row in rows[1:]] == [False, True, False]
         assert set(rows[2][1:]) == {"NA"}
+        # a neighbour is NA exactly when eval_transfer rejects it
+        for w, row in zip((lam.imag - 0.5, lam.imag + 0.5), rows[1::2]):
+            try:
+                eval_transfer(comp, lam.real + 1j * w)
+            except SingularAtS:
+                assert set(row[1:]) == {"NA"}
+            else:
+                assert "NA" not in row
+        # on the axis the cascade has no pole
+        grid = f"{lam.imag - 0.5!r}:{lam.imag + 0.5!r}:2"
+        assert main(["freqresp", str(path), "--grid", grid]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 3 and not any("NA" in row for row in rows)
 
     def test_grid_too_large_for_memory_usage(self, cavity_file, capsys):
         # 1e15 float64 points are 7 PiB: the allocation fails at once and commits nothing

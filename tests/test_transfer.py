@@ -7,16 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import connected_components
 
 from slhnet import (SIGMA_MIN, CommutingForm, LinearComponent, build_partitioned,
                     check_unitary_on_axis, commuting_form, concatenate, drift, eval_transfer,
                     feedback_reduce, freq_response, make_cavity, matkit,
                     poles_zeros_commuting, series_product, transfer)
 from slhnet.netfile import Edge, NetDocument
-from slhnet.transfer import (NotCommuting, SingularAtS, ZeroModeAmbiguity, _blocks,
-                             _triangular_order)
+from slhnet.transfer import NotCommuting, SingularAtS, ZeroModeAmbiguity
 
 from support import haar_unitary, random_component, random_hermitian
 
@@ -124,6 +121,14 @@ def _cascade(rng, n, units):
     return _chain([random_component(rng, n, 1) for _ in range(units)])
 
 
+def _eval_transfer_raises(comp, s):
+    try:
+        eval_transfer(comp, s)
+    except SingularAtS:
+        return True
+    return False
+
+
 @st.composite
 def _sweep_cases(draw):
     """(component, grid, sigma) over random, cascaded and mode-free components."""
@@ -144,6 +149,8 @@ def _sweep_cases(draw):
 class TestSweepProperties:
     @given(_sweep_cases())
     @settings(max_examples=60, deadline=None)
+    # no modes at a subnormal s: the pole rule must not overflow
+    @example((LinearComponent(np.eye(1), np.zeros((1, 0)), np.zeros((0, 0))), [5e-324], 0.0))
     def test_matches_pointwise_evaluation(self, case):
         comp, grid, sigma = case
         Xi, xi, singular = freq_response(comp, grid, sigma=sigma)
@@ -199,7 +206,7 @@ class TestSweepProperties:
 
 
 class TestCascadePoles:
-    """A sweep through a unit's pole flags it, as eval_transfer does."""
+    """Cascades of one-mode units: the sweep flags a point exactly when eval_transfer raises."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sweep_through_a_unit_pole_flags_exactly_that_point(self, seed):
@@ -207,16 +214,22 @@ class TestCascadePoles:
         units = [random_component(rng, 2, 1) for _ in range(64)]
         lam = complex(drift(units[rng.integers(64)])[0, 0])
         comp = _chain(units)
-        singular = freq_response(comp, [lam.imag - 0.5, lam.imag, lam.imag + 0.5],
-                                 sigma=lam.real)[2]
-        assert singular.tolist() == [False, True, False]
+        grid = [lam.imag - 0.5, lam.imag, lam.imag + 0.5]
+        singular = freq_response(comp, grid, sigma=lam.real)[2]
+        assert singular[1]
         with pytest.raises(SingularAtS):
             eval_transfer(comp, lam)
+        # the neighbours sit where sI − A of the far-from-normal drift may be
+        # singular to working precision: they are poles when eval_transfer says so
+        for w, pole in zip(grid[::2], singular[::2]):
+            assert pole == _eval_transfer_raises(comp, lam.real + 1j * w)
+        # on the axis the same cascade has no pole
+        assert not freq_response(comp, grid[::2], sigma=SIGMA_MIN)[2].any()
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), units=st.integers(2, 24),
            log_offset=st.floats(-1.5, 1.5), angle=st.floats(0.0, 2 * np.pi))
     @settings(max_examples=100, deadline=None)
-    # gaps on T 3e-6 (relative) below the threshold, eval_transfer's rcond 1.4e-7 and 3e-5 above it
+    # eval_transfer's rcond 1.4e-7 and 3e-5 (relative) above PIVOT_REL there: no pole
     @example(seed=1618, n=2, units=2, log_offset=0.0, angle=0.0)
     @example(seed=31229, n=2, units=2, log_offset=0.0, angle=0.0)
     def test_cascade_sweep_pole_is_a_pole_for_eval_transfer(self, seed, n, units,
@@ -229,9 +242,8 @@ class TestCascadePoles:
         lam = drift(chain[rng.integers(units)])[0, 0]
         threshold = matkit.PIVOT_REL * np.abs(lam * np.eye(units) - A).sum(axis=0).max()
         s = lam + 10 ** log_offset * threshold * np.exp(1j * angle)
-        if freq_response(comp, [s.imag], sigma=s.real)[2][0]:
-            with pytest.raises(SingularAtS):
-                eval_transfer(comp, s)
+        singular = freq_response(comp, [s.imag], sigma=s.real)[2][0]
+        assert singular == _eval_transfer_raises(comp, s)
 
 
 def _unit_xi(comp, s):
@@ -282,29 +294,8 @@ def _networks(draw, kinds=("acyclic", "loop", "dense")):
     return kind, feedback_reduce(pc), units, pc
 
 
-class TestTriangularOrder:
-    @given(_networks())
-    @settings(max_examples=80, deadline=None)
-    def test_factorization(self, case):
-        kind, comp, units, _ = case
-        A = drift(comp)
-        m = A.shape[0]
-        u, norm = np.finfo(float).eps, np.abs(A).sum(axis=0).max()
-        order = _triangular_order(A)
-        _, label = connected_components((np.abs(A) > m * u * norm).astype(int),
-                                        connection="strong")
-        # None exactly when some strong component is larger than one mode
-        assert (order is None) == (np.bincount(label).max() > 1)
-        if order is None:
-            return
-        P = A[np.ix_(order, order)]
-        # every entry dropped below the diagonal is at most m·u·‖A‖₁
-        assert np.abs(np.tril(P, -1)).max(initial=0.0) <= m * u * norm
-        if kind == "acyclic":
-            spectra = np.concatenate([np.linalg.eigvals(drift(unit)) for unit in units])
-            dist = np.abs(spectra[:, None] - np.diag(P)[None, :])
-            rows, cols = linear_sum_assignment(dist)
-            assert dist[rows, cols].max() <= 64 * u * norm
+class TestNetworkSweep:
+    """Sweeps of reduced networks against their units' Xi, eliminated point by point."""
 
     @given(_networks(), st.sampled_from([SIGMA_MIN, 0.5]))
     @settings(max_examples=60, deadline=None)
@@ -318,40 +309,27 @@ class TestTriangularOrder:
             want = _unit_xi(comp, s) if units is None else _network_xi(pc, units, s)
             assert matkit.max_abs(X - want) <= 1e-12
 
-    def test_cascade_of_one_mode_units_needs_only_the_order(self):
-        rng = np.random.default_rng(5)
-        units = [random_component(rng, 2, 1) for _ in range(16)]
-        A = drift(_chain(units))
-        order = _triangular_order(A)
-        # each unit drives every unit downstream: the most downstream comes first
-        assert order.tolist() == list(range(15, -1, -1))
-        T = A[np.ix_(order, order)]
-        bound = 16 * np.finfo(float).eps * np.abs(A).sum(axis=0).max()   # m·u·‖A‖₁
-        assert np.abs(np.tril(T, -1)).max() <= bound
-        assert matkit.max_abs(np.diag(T) - [drift(u)[0, 0] for u in units[::-1]]) <= 1e-14
-
 
 @st.composite
-def _non_triangular(draw):
-    """A component whose drift has no triangular order.
+def _families(draw):
+    """A component from one of five families of drift.
 
-    A dense component with 1-4 ports and 1-8 modes, a "loop" network of
-    ``_networks``, or a cascade of 2-8 two-mode units with 1-3 ports.
+    A dense component with 1-4 ports and 1-8 modes, an "acyclic" or a
+    "loop" network of ``_networks``, or a cascade of 2-8 two-mode units or
+    of 2-24 one-mode units (a triangular drift), with 1-3 ports.
     """
-    kind = draw(st.sampled_from(["dense", "loop", "cascade"]))
-    if kind == "loop":
-        comp = draw(_networks(kinds=("loop",)))[1]
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        if kind == "dense":
-            n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
-            C = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
-            comp = LinearComponent(haar_unitary(rng, n), C, random_hermitian(rng, m))
-        else:
-            n = draw(st.integers(1, 3))
-            comp = _chain([random_component(rng, n, 2) for _ in range(draw(st.integers(2, 8)))])
-    assume(_triangular_order(drift(comp)) is None)
-    return comp
+    kind = draw(st.sampled_from(["dense", "acyclic", "loop", "cascade", "one_mode_cascade"]))
+    if kind in ("acyclic", "loop"):
+        return draw(_networks(kinds=(kind,)))[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+        C = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
+        return LinearComponent(haar_unitary(rng, n), C, random_hermitian(rng, m))
+    n = draw(st.integers(1, 3))
+    if kind == "cascade":
+        return _chain([random_component(rng, n, 2) for _ in range(draw(st.integers(2, 8)))])
+    return _cascade(rng, n, draw(st.integers(2, 24)))
 
 
 def _refuse_eval_transfer(comp, s):
@@ -359,9 +337,9 @@ def _refuse_eval_transfer(comp, s):
 
 
 class TestCayleySweep:
-    """Drifts with no triangular order, swept in the eigenbasis of Omega."""
+    """Sweeps in the eigenbasis of Omega."""
 
-    @given(_non_triangular(), st.integers(0, 2**32 - 1), st.floats(-1.5, 1.5),
+    @given(_families(), st.integers(0, 2**32 - 1), st.floats(-1.5, 1.5),
            st.floats(0.0, 2 * np.pi))
     @settings(max_examples=200, deadline=None)
     def test_sweep_pole_exactly_when_eval_transfer_pole(self, comp, seed, log_offset, angle):
@@ -375,12 +353,7 @@ class TestCayleySweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             singular = freq_response(comp, [s.imag], sigma=s.real)[2][0]
-        try:
-            eval_transfer(comp, s)
-        except SingularAtS:
-            assert singular
-        else:
-            assert not singular
+        assert singular == _eval_transfer_raises(comp, s)
 
     @pytest.mark.parametrize("sigma", [0.0, SIGMA_MIN, 0.5])
     @pytest.mark.parametrize("seed", range(6))
@@ -388,7 +361,6 @@ class TestCayleySweep:
         # s = sigma − iλ_j(Omega) + i·offset, where a mode's term |w_j|²/(s + iλ_j) peaks
         rng = np.random.default_rng(seed)
         comp = random_component(rng, int(rng.integers(1, 5)), int(rng.integers(2, 9)))
-        assert _triangular_order(drift(comp)) is None
         offsets = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3])
         grid = (offsets - np.linalg.eigvalsh(comp.Omega)[:, None]).ravel()
         # the sweep evaluates every point itself: none is a pole candidate
@@ -434,7 +406,6 @@ class TestCayleySweep:
         rng = np.random.default_rng(3)
         Omega = random_hermitian(rng, 4)
         comp = LinearComponent(np.zeros((0, 0)), np.zeros((0, 4)), Omega)
-        assert _triangular_order(drift(comp)) is None
         # Omega's eigenvalue −ω is a pole, uncoupled from every port
         grid = [-np.linalg.eigvalsh(Omega)[1], 0.3, 7.0]
         with warnings.catch_warnings():
@@ -462,12 +433,11 @@ class TestCayleySweep:
 
 @st.composite
 def _pole_sweeps(draw):
-    """(component, dark, grid, sigma) on both routes, with poles on the grid at sigma = 0.
+    """(component, dark, grid, sigma), with poles on the grid at sigma = 0.
 
-    The base is a dense component with 1-4 ports and 1-8 modes (Cayley
-    route from 2 modes), a "loop" network of ``_networks`` (Cayley route),
-    a cascade of 1-24 one-mode units with 1-3 ports (triangular route), an
-    undamped component with no ports and 0-6 modes, or one with no modes.
+    The base is a dense component with 1-4 ports and 1-8 modes, a "loop"
+    network of ``_networks``, a cascade of 1-24 one-mode units with 1-3
+    ports, an undamped component with no ports and 0-6 modes, or one with no modes.
     Next to it sit 0-3 uncoupled modes at the integer frequencies f in
     ``dark``, each with its pole at s = −i·f.  The grid has 0-10
     quarter-spaced points, some on those poles.
@@ -501,6 +471,10 @@ class TestSweepArrays:
 
     @given(_pole_sweeps())
     @settings(max_examples=150, deadline=None)
+    # an undamped, uncoupled mode at s = 0, where sI − A = 0; and no modes at s = 0
+    @example((LinearComponent(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 1))), [0], [0.0],
+              0.0))
+    @example((LinearComponent(np.eye(1), np.zeros((1, 0)), np.zeros((0, 0))), [], [0.0], 0.0))
     def test_pole_rows_are_nan_and_the_rest_match_eval_transfer(self, case):
         comp, dark, grid, sigma = case
         n, m, G = comp.n_ports, comp.m_modes, len(grid)
@@ -520,70 +494,6 @@ class TestSweepArrays:
         report = check_unitary_on_axis(comp, grid, sigma=sigma)
         assert report.points == tuple(grid)
         assert np.isinf(report.residuals).tolist() == singular.tolist()
-
-
-@st.composite
-def _block_graphs(draw):
-    """A drift whose graph has known strong components, its modes shuffled.
-
-    Blocks in topological order, each an isolated mode, a 2-cycle or a ring
-    of 3-6 modes with random chords.  "path": up to 64 single modes, each
-    driving only the next, which is far from transitively closed.
-    "mixed": blocks of any size, each perhaps driving the next and any
-    later block perhaps driven at random.  a_ij ≠ 0 when mode j drives
-    mode i; the diagonal is random.
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.sampled_from(["path", "mixed"])) == "path":
-        sizes, p_next, p_later = [1] * draw(st.integers(0, 64)), 1.0, 0.0
-    else:
-        sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 6]), max_size=16))
-        p_next, p_later = draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.sampled_from([0.0, 0.1]))
-    m = sum(sizes)
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    starts = np.cumsum([0, *sizes])
-    drives = (rng.random((m, m)) < p_later) & (block[:, None] < block[None, :])
-    for b, size in enumerate(sizes):
-        ring = np.arange(starts[b], starts[b + 1])
-        if size > 1:
-            drives[ring, np.roll(ring, -1)] = True
-            drives[np.ix_(ring, ring)] |= rng.random((size, size)) < 0.2
-        if b + 1 < len(sizes) and rng.random() < p_next:
-            drives[rng.choice(ring), rng.integers(starts[b + 1], starts[b + 2])] = True
-    np.fill_diagonal(drives, True)
-    perm = rng.permutation(m)
-    values = rng.uniform(0.5, 2.0, (m, m)) * np.exp(2j * np.pi * rng.random((m, m)))
-    return np.where(drives[np.ix_(perm, perm)].T, values, 0)
-
-
-class TestBlocks:
-    @given(_block_graphs())
-    @example(np.zeros((0, 0), dtype=complex))
-    @example(np.array([[-0.5 + 1j]]))
-    @settings(max_examples=100, deadline=None)
-    def test_blocks_are_the_strong_components_in_order(self, A):
-        m = len(A)
-        drives = A.T != 0
-        count, label = connected_components(drives.astype(int), connection="strong") \
-            if m else (0, None)
-        blocks = _blocks(drives)
-        triangular = _triangular_order(A)
-        if blocks is None:
-            assert count <= 1 and (triangular is None) == (m > 1)
-            return
-        # the drift has a triangular order, _blocks' own, exactly when every block is one mode
-        assert (triangular is None) == (len(blocks[1]) <= m)
-        assert triangular is None or np.array_equal(triangular, blocks[0])
-        order = blocks[0]
-        spans = list(zip(blocks[1], blocks[1][1:]))
-        assert ({frozenset(order[a:b].tolist()) for a, b in spans}
-                == {frozenset(np.flatnonzero(label == c).tolist()) for c in range(count)})
-        # a_ij ≠ 0 only when mode i's block comes no later than mode j's
-        block_of = np.empty(m, dtype=int)
-        for b, (start, stop) in enumerate(spans):
-            block_of[order[start:stop]] = b
-        i, j = np.nonzero(A)
-        assert np.all(block_of[i] <= block_of[j])
 
 
 class TestUnitaryOnAxis:
