@@ -29,13 +29,16 @@ two tokens.  Port indices are 0-based, and the canonical serialization
 (fixed key order, 17 significant digits, one declaration per line)
 round-trips exactly through the parser.
 
-The parser reads each matrix row and each network statement with one
-compiled pattern, so its cost is a few regex passes over the text.  Once
-its pattern has accepted a row, numpy converts all of the row's numbers
-in one call, correctly rounded as float() rounds them.  Only a row or
-statement that its pattern rejects is walked token by token, to name the
-first offending token; errors carry the same line and column as a
-token-by-token parse would.
+The parser reads each block head, each component entry ("key = value;",
+a whole matrix literal included) and each network statement with one
+compiled pattern, so its cost is about one regex pass over the text.
+Every repeat in those patterns is possessive: a run of separators, digits
+or rows is never split two ways, so a rejected text costs one pass too.
+Once its pattern has accepted a matrix, numpy converts all of its numbers
+in one call, correctly rounded as float() rounds them.  Only where no
+pattern matches, or a matched construct fails a check, are tokens walked
+one by one, to name the first offending token; errors carry the same line
+and column as a token-by-token parse would.
 
 The canonical number is Python's "%.17g" (17 significant digits, enough
 to round-trip any binary64 value), and "%+.17g" for an imaginary part
@@ -124,32 +127,43 @@ class NetDocument:
 # Token grammar.  A number is digits with an optional fraction, or a
 # fraction alone, then an optional exponent; a trailing "i" that no name
 # character follows makes it imaginary.  Whitespace and comments separate
-# tokens; a comment always runs to the end of its line, which the
-# lookahead in _SKIP enforces so that no match ends inside one.
+# tokens; a comment runs to the end of its line.  Every repeat below is
+# possessive: like a token-by-token scan it takes the longest run and never
+# gives part of it back, so a pattern accepts the same texts as the scan
+# and rejects a text in one pass, with no retries; even two _SKIPs side by
+# side cannot split a run of whitespace between them.  (Python >= 3.11.)
 _WORD_END = r"(?![A-Za-z0-9_])"
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*+"
+_NUMBER = r"(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
+_SKIP = r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+"
 
 # Every character outside a comment starts or continues a token, except
 # ">" not preceded by "-"; a match ends at the first character that does not.
 # Each turn of the outer loop costs the matcher memory, so "-" sits in the
 # long runs, and only comments and ">" take a turn of their own.
 _LEXABLE = re.compile(r"(?:[ \t\r\n{}\[\]=;,:.+\-0-9A-Za-z_]+|(?<=-)>|#[^\n]*)*")
-_TOKEN = re.compile(rf"{_SKIP}(?:({_NUMBER}(?:i{_WORD_END})?)|({_NAME})|(->|[-+{{}}\[\]=;,:.]))?")
-_TOKEN_KINDS = (None, "NUMBER", "NAME", None)   # by group; punctuation is its own kind
+_TOKEN = re.compile(rf"{_SKIP}(?:({_NUMBER}(?:i{_WORD_END})?)|({_NAME})|(->|.))?")
+_TOKEN_KINDS = (None, "NUMBER", "NAME", None)   # by group; any other character is its own kind
 
-# One matrix row, "[" entries "]", plus the "," that may follow it.  No
-# name character can follow an entry's "i" there, so it needs no _WORD_END.
-# No two _SKIPs may stand side by side, so a sign owns the _SKIP after it:
-# a whitespace run that could split between two _SKIPs would make a
-# rejected row retry every split of every entry, exponential in its length.
-# Stripped of comments and whitespace, and with "j" for "i", the entries of
-# a row _ROW accepted are numpy's complex text, read in one call.
-_CNUM = rf"(?:[+-]{_SKIP})?{_NUMBER}(?:i|{_SKIP}[+-]{_SKIP}{_NUMBER}i)?"
-_ROW = re.compile(rf"{_SKIP}\[({_SKIP}{_CNUM}{_SKIP}(?:,{_SKIP}{_CNUM}{_SKIP})*)\]{_SKIP}(,?)")
+# A matrix literal: "[]", or "[" rows "]" with the rows in its one group.
+# No name character can follow an entry's "i" there, so it needs no
+# _WORD_END.  Stripped of comments, whitespace and brackets, and with "j"
+# for "i", the rows are numpy's complex text, read in one call.
+_CNUM = rf"(?:[+-]{_SKIP})?+{_NUMBER}(?:i|{_SKIP}[+-]{_SKIP}{_NUMBER}i)?+"
+_ROW = rf"\[{_SKIP}{_CNUM}{_SKIP}(?:,{_SKIP}{_CNUM}{_SKIP})*+\]"
+_MATRIX = rf"\[{_SKIP}(?:\]|({_ROW}(?:{_SKIP},{_SKIP}{_ROW})*+){_SKIP}\])"
 _COMMENT = re.compile(r"#[^\n]*")
-_TO_NUMPY = str.maketrans({" ": None, "\t": None, "\r": None, "\n": None, "i": "j"})
+_TO_NUMPY = str.maketrans({" ": None, "\t": None, "\r": None, "\n": None, "[": None, "]": None,
+                           "i": "j"})
+
+# A block head: "component" and its name (group 1), "network" (group 2), or
+# the end of the file; a component entry or matrix assignment: a name
+# (group 1), "=", a count (group 2) or a matrix (rows in group 3), ";"; and
+# the "}" that closes a block.
+_HEAD = re.compile(rf"{_SKIP}(?:component{_WORD_END}{_SKIP}({_NAME}){_SKIP}\{{"
+                   rf"|(network){_WORD_END}{_SKIP}\{{|\Z)")
+_ENTRY = re.compile(rf"{_SKIP}({_NAME}){_SKIP}={_SKIP}(?:({_NUMBER})|{_MATRIX}){_SKIP};")
+_CLOSE = re.compile(rf"{_SKIP}\}}")
 
 # Network statements, one step per token: a keyword, or the (kind, what)
 # of an expected token.  NAME and NUMBER steps are the statement's fields.
@@ -166,22 +180,43 @@ _STATEMENTS = {
 }
 
 
-def _statement_pattern(steps) -> re.Pattern:
+def _statement_pattern(steps) -> str:
     parts = [step + _WORD_END if isinstance(step, str)
              else f"({_NAME})" if step[0] == "NAME"
              else f"({_NUMBER})" if step[0] == "NUMBER"
              else re.escape(step[0]) for step in steps]
-    return re.compile(_SKIP.join(parts))
+    return _SKIP.join(parts)
 
 
-_STATEMENT_PATTERNS = {word: _statement_pattern(steps) for word, steps in _STATEMENTS.items()}
+# One statement of any kind; its fields are groups 1-2 (use), 3-6 (connect)
+# or 7-9 (external), so m.lastindex tells the kind.
+_STATEMENT = re.compile(rf"{_SKIP}(?:{'|'.join(map(_statement_pattern, _STATEMENTS.values()))})")
+_USE, _CONNECT, _EXTERNAL = 2, 6, 9
+_PORT_GROUPS = {_USE: (), _CONNECT: (4, 6), _EXTERNAL: (8,)}
 
 
 class _Token(NamedTuple):
-    kind: str          # NAME, NUMBER, EOF or the punctuation itself
+    kind: str          # NAME, NUMBER, EOF or any other character itself
     text: str          # an imaginary NUMBER keeps its "i"
     start: int         # offsets into the source
     end: int
+
+
+def _matrix(rows: str | None) -> np.ndarray | None:
+    """The matrix of a literal's rows (group 3 of _ENTRY), None if they are ragged.
+
+    An empty literal gives shape (0, 0).
+    """
+    if rows is None:
+        return np.zeros((0, 0), dtype=complex)
+    if "#" in rows:
+        rows = _COMMENT.sub("", rows)
+    # each row, with the "," before it, holds one "," per entry
+    widths = {row.count(",") for row in ("," + rows).split("]")[:-1]}
+    if len(widths) > 1:
+        return None
+    values = np.fromstring(rows.translate(_TO_NUMPY), dtype=complex, sep=",")
+    return values.reshape(-1, widths.pop())
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +226,34 @@ _COMPONENT_KEYS = ("inputs", "modes", "S", "C", "Omega")
 
 
 class _Parser:
-    """Recursive descent over tokens scanned on demand from an offset.
+    """One pattern match per construct, and a token walk to report an error.
 
-    Matrix rows and network statements are matched whole by one pattern
-    each; when a pattern rejects one, walking its tokens finds the error.
+    Each block head, component entry, network statement and closing "}"
+    of an accepted file is matched whole by one compiled pattern, and its
+    fields are read from the match.  Where no pattern matches, or a matched
+    construct fails a check, the walk_* methods scan tokens on demand from
+    its start, as a recursive-descent parser would, and raise at the first
+    offending token.
     """
 
     def __init__(self, source: str):
         self.source = source
         self.pos = 0
-        bad = _LEXABLE.match(source).end()
-        if bad < len(source):
-            self.fail(bad, f"unexpected character {source[bad]!r}")
+        self.ints: dict[str, int] = {}     # port index text -> its value
 
     # -- token plumbing ----------------------------------------------------
 
     def fail(self, offset: int, message: str):
+        """Raise at ``offset``, or at the first character that no token can hold.
+
+        A scan of the whole text before parsing would stop at that character
+        first.  The patterns accept no such character, so an accepted text
+        needs no scan.
+        """
         src = self.source
+        bad = _LEXABLE.match(src).end()
+        if bad < len(src):
+            offset, message = bad, f"unexpected character {src[bad]!r}"
         start = src.rfind("\n", 0, offset) + 1
         if offset == len(src) and "#" in src[start:]:
             offset = src.index("#", start)    # end of file is placed before a last comment
@@ -247,110 +293,134 @@ class _Parser:
 
     def expect_int(self, what: str) -> tuple[int, _Token]:
         tok = self.expect("NUMBER", what)
-        return self.to_int(tok.text, tok.start, what), tok
-
-    def to_int(self, text: str, offset: int, what: str) -> int:
-        if text[-1] == "i" or not float(text).is_integer():   # also rejects 1e400 (inf)
-            self.fail(offset, f"expected {what} to be a nonnegative integer")
-        return int(float(text))
+        if tok.text[-1] == "i" or not float(tok.text).is_integer():   # also rejects 1e400 (inf)
+            self.fail(tok.start, f"expected {what} to be a nonnegative integer")
+        return int(float(tok.text)), tok
 
     # -- grammar -----------------------------------------------------------
 
     def parse_document(self) -> NetDocument:
-        raw_components: list[tuple[_Token, dict]] = []
-        statements: list[tuple] = []
-        while (tok := self.peek()).kind != "EOF":
-            if tok.kind == "NAME" and tok.text == "component":
-                raw_components.append(self.parse_component())
-            elif tok.kind == "NAME" and tok.text == "network":
-                statements.extend(self.parse_network())
+        src = self.source
+        raw_components: list[tuple[re.Match, dict]] = []
+        statements: list[re.Match] = []
+        pos = 0
+        while (head := _HEAD.match(src, pos)) and head.lastindex:
+            if head.lastindex == 1:
+                entries, pos = self.parse_component(head.end())
+                raw_components.append((head, entries))
             else:
-                self.fail(tok.start, "expected 'component' or 'network'")
+                pos = self.parse_network(head.end(), statements)
+        if head is None:
+            self.walk_head(pos)
         return self.analyze(raw_components, statements)
 
-    def parse_component(self) -> tuple[_Token, dict]:
-        self.expect_keyword("component")
-        name_tok = self.expect("NAME", "component name")
-        self.expect("{")
-        entries: dict[str, tuple[int, object]] = {}
-        while self.peek().kind != "}":
-            key = self.expect("NAME", "component key")
-            if key.text not in _COMPONENT_KEYS:
-                self.fail(key.start, f"unknown key {key.text!r} in component block")
-            if key.text in entries:
-                self.fail(key.start, f"duplicate key {key.text!r}")
-            self.expect("=")
-            if key.text in ("inputs", "modes"):
-                value, tok = self.expect_int(key.text)
-                # every counted row is written out, so no valid count exceeds the file
-                if value > len(self.source):
-                    self.fail(tok.start, f"expected {key.text} to be at most "
-                                         f"{len(self.source)}, the length of the file")
+    def parse_component(self, pos: int) -> tuple[dict, int]:
+        """The entries of a component block from ``pos``, and the end of its "}"."""
+        src = self.source
+        entries: dict[str, tuple[re.Match, object]] = {}
+        while m := _ENTRY.match(src, pos):
+            key, count, rows = m.groups()
+            counted = key in ("inputs", "modes")
+            if key in entries or key not in _COMPONENT_KEYS or counted != (count is not None):
+                self.walk_entry(m.start(), entries)
+            if counted:
+                value = float(count)
+                if not value.is_integer() or value > len(src):   # also rejects 1e400 (inf)
+                    self.walk_entry(m.start(), entries)
+                value = int(value)
             else:
-                value = self.parse_matrix()
-            self.expect(";")
-            entries[key.text] = (key.start, value)
-        self.expect("}")
-        return name_tok, entries
+                value = _matrix(rows)
+            entries[key] = (m, value)
+            pos = m.end()
+        if (end := _CLOSE.match(src, pos)) is None:
+            self.walk_entry(pos, entries)
+        return entries, end.end()
 
-    def parse_matrix(self) -> list[np.ndarray]:
-        """Rows of a matrix literal, each a complex array."""
+    def parse_network(self, pos: int, statements: list) -> int:
+        """Append the statements of a network block from ``pos``; the end of its "}"."""
+        src, ints = self.source, self.ints
+        while m := _STATEMENT.match(src, pos):
+            for g in _PORT_GROUPS[m.lastindex]:
+                text = m.group(g)
+                if text not in ints:
+                    value = float(text)
+                    if not value.is_integer():      # also rejects 1e400 (inf)
+                        self.walk_statement(m.start())
+                    ints[text] = int(value)
+            statements.append(m)
+            pos = m.end()
+        if (end := _CLOSE.match(src, pos)) is None:
+            self.walk_statement(pos)
+        return end.end()
+
+    # -- token walks, each raising at the first offending token --------------
+
+    def walk_head(self, pos: int):
+        self.pos = pos
+        tok = self.peek()
+        if tok.kind != "NAME" or tok.text not in ("component", "network"):
+            self.fail(tok.start, "expected 'component' or 'network'")
+        self.expect_keyword(tok.text)
+        if tok.text == "component":
+            self.expect("NAME", "component name")
+        self.expect("{")
+        raise AssertionError("the head pattern rejected a valid block head")
+
+    def walk_entry(self, pos: int, entries: dict):
+        self.pos = pos
+        key = self.expect("NAME", "component key")
+        if key.text not in _COMPONENT_KEYS:
+            self.fail(key.start, f"unknown key {key.text!r} in component block")
+        if key.text in entries:
+            self.fail(key.start, f"duplicate key {key.text!r}")
+        self.expect("=")
+        if key.text in ("inputs", "modes"):
+            value, tok = self.expect_int(key.text)
+            # every counted row is written out, so no valid count exceeds the file
+            if value > len(self.source):
+                self.fail(tok.start, f"expected {key.text} to be at most "
+                                     f"{len(self.source)}, the length of the file")
+        else:
+            self.walk_matrix()
+        self.expect(";")
+        raise AssertionError("the entry pattern rejected a valid entry")
+
+    def walk_assignment(self, pos: int, names):
+        self.pos = pos
+        name = self.expect("NAME", "matrix name")
+        if name.text in names:
+            self.fail(name.start, f"duplicate matrix name {name.text!r}")
+        self.expect("=")
+        self.walk_matrix()
+        self.expect(";")
+        raise AssertionError("the entry pattern rejected a valid assignment")
+
+    def walk_matrix(self):
         self.expect("[", "matrix")
         if self.accept("]"):
-            return []
-        rows = []
-        more = True
-        while more:
-            m = _ROW.match(self.source, self.pos)
-            if m is None:
-                self.reject_row()
-            row = m.group(1)
-            if "#" in row:
-                row = _COMMENT.sub("", row)
-            rows.append(np.fromstring(row.translate(_TO_NUMPY), dtype=complex, sep=","))
-            self.pos = m.end()
-            more = bool(m.group(2))
-        self.expect("]")
-        return rows
-
-    def reject_row(self):
-        """Raise at the first token of a row that _ROW rejected."""
-        self.expect("[", "matrix row")
+            return
         while True:
-            self.accept("+", "-")
-            first = self.expect("NUMBER", "number")
-            if first.text[-1] != "i" and self.accept("+", "-"):
-                second = self.expect("NUMBER", "imaginary part")
-                if second.text[-1] != "i":
-                    self.fail(second.start, "expected imaginary part with 'i' suffix")
+            self.expect("[", "matrix row")
+            while True:
+                self.accept("+", "-")
+                first = self.expect("NUMBER", "number")
+                if first.text[-1] != "i" and self.accept("+", "-"):
+                    second = self.expect("NUMBER", "imaginary part")
+                    if second.text[-1] != "i":
+                        self.fail(second.start, "expected imaginary part with 'i' suffix")
+                if not self.accept(","):
+                    break
+            self.expect("]")
             if not self.accept(","):
                 break
         self.expect("]")
-        raise AssertionError("the row pattern rejected a valid row")
 
-    def parse_network(self) -> list[tuple]:
-        self.expect_keyword("network")
-        self.expect("{")
-        statements: list[tuple] = []
-        while (tok := self.peek()).kind != "}":
-            steps = _STATEMENTS.get(tok.text) if tok.kind == "NAME" else None
-            if steps is None:
-                self.fail(tok.start, "expected 'use', 'connect' or 'external'")
-            m = _STATEMENT_PATTERNS[tok.text].match(self.source, tok.start)
-            if m is None:
-                self.reject_statement(steps)
-            # (value, offset) per NAME or NUMBER step; only a number starts
-            # with a digit or "."
-            fields = [(self.to_int(text, m.start(g), "port index")
-                       if text[0] in "0123456789." else text, m.start(g))
-                      for g, text in enumerate(m.groups(), 1)]
-            statements.append((tok.text, *fields))
-            self.pos = m.end()
-        self.expect("}")
-        return statements
-
-    def reject_statement(self, steps):
-        """Raise at the first token of a statement its pattern rejected."""
+    def walk_statement(self, pos: int):
+        self.pos = pos
+        tok = self.peek()
+        steps = _STATEMENTS.get(tok.text) if tok.kind == "NAME" else None
+        if steps is None:
+            self.fail(tok.start, "expected 'use', 'connect' or 'external'")
         for step in steps:
             if isinstance(step, str):
                 self.expect_keyword(step)
@@ -362,100 +432,95 @@ class _Parser:
 
     # -- semantic pass -----------------------------------------------------
 
-    def check_shape(self, key_at: int, rows: list, shape: tuple[int, int], what: str):
+    def check_shape(self, key_at: int, value, shape: tuple[int, int], what: str):
         want_r, want_c = shape
-        if not rows:
+        if value is None:
+            self.fail(key_at, f"{what} has rows of unequal length")
+        if value.size == 0:
             if want_r * want_c != 0:
                 self.fail(key_at, f"{what} must be {want_r}x{want_c}, got empty matrix")
-            return
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            self.fail(key_at, f"{what} has rows of unequal length")
-        got = (len(rows), widths.pop())
-        if got != shape:
-            self.fail(key_at, f"{what} must be {want_r}x{want_c}, got {got[0]}x{got[1]}")
+        elif value.shape != shape:
+            got_r, got_c = value.shape
+            self.fail(key_at, f"{what} must be {want_r}x{want_c}, got {got_r}x{got_c}")
 
     def analyze(self, raw_components, statements) -> NetDocument:
         components: dict[str, LinearComponent] = {}
-        for name_tok, entries in raw_components:
-            name = name_tok.text
+        for head, entries in raw_components:
+            name, name_at = head.group(1), head.start(1)
             if name in components:
-                self.fail(name_tok.start, f"duplicate component name {name!r}")
+                self.fail(name_at, f"duplicate component name {name!r}")
             for key in _COMPONENT_KEYS:
                 if key not in entries:
-                    self.fail(name_tok.start, f"component {name!r} is missing key {key!r}")
+                    self.fail(name_at, f"component {name!r} is missing key {key!r}")
             n, m = entries["inputs"][1], entries["modes"][1]
             shapes = {"S": (n, n), "C": (n, m), "Omega": (m, m)}
             for key, shape in shapes.items():     # every shape before any allocation
-                self.check_shape(entries[key][0], entries[key][1], shape, key)
-            S, C, Omega = (_to_array(entries[key][1], shape) for key, shape in shapes.items())
+                self.check_shape(entries[key][0].start(1), entries[key][1], shape, key)
+            S, C, Omega = (entries[key][1] if entries[key][1].size else
+                           np.zeros(shape, dtype=complex) for key, shape in shapes.items())
             try:
                 components[name] = LinearComponent._adopt(S, C, Omega)
             except ValueError as exc:
-                self.fail(name_tok.start, f"invalid component {name!r}: {exc}")
+                self.fail(name_at, f"invalid component {name!r}: {exc}")
 
         instances: dict[str, str] = {}
+        n_ports: dict[str, int] = {}
         edges: list[Edge] = []
         externals: list[ExternalPort] = []
         fed_inputs: set[tuple[str, int]] = set()
         used_outputs: set[tuple[str, int]] = set()
         external_ports: set[tuple[str, int]] = set()
         aliases: set[str] = set()
+        ints = self.ints
 
-        def check_port(inst: str, inst_at: int, port: int, port_at: int):
-            if inst not in instances:
-                self.fail(inst_at, f"unknown instance {inst!r}")
-            n_ports = components[instances[inst]].n_ports
-            if port >= n_ports:
-                self.fail(port_at, f"port index {port} out of range for instance "
-                                   f"{inst!r} with {n_ports} ports")
+        def port(m: re.Match, fields: tuple, g: int) -> tuple[str, int]:
+            """The checked (instance, port) in groups g and g + 1 of m; fields = m.groups()."""
+            inst, value = fields[g - 1], ints[fields[g]]
+            size = n_ports.get(inst)
+            if size is None:
+                self.fail(m.start(g), f"unknown instance {inst!r}")
+            if value >= size:
+                self.fail(m.start(g + 1), f"port index {value} out of range for instance "
+                                          f"{inst!r} with {size} ports")
+            return inst, value
 
-        for kind, *fields in statements:
-            if kind == "use":
-                (inst, inst_at), (comp, comp_at) = fields
+        for m in statements:
+            kind, fields = m.lastindex, m.groups()
+            if kind == _USE:
+                inst, comp = fields[:2]
                 if inst in instances:
-                    self.fail(inst_at, f"duplicate instance name {inst!r}")
+                    self.fail(m.start(1), f"duplicate instance name {inst!r}")
                 if comp not in components:
-                    self.fail(comp_at, f"unknown component {comp!r}")
+                    self.fail(m.start(2), f"unknown component {comp!r}")
                 instances[inst] = comp
-            elif kind == "connect":
-                ((src, src_inst_at), (src_port, src_at),
-                 (dst, dst_inst_at), (dst_port, dst_at)) = fields
-                check_port(src, src_inst_at, src_port, src_at)
-                check_port(dst, dst_inst_at, dst_port, dst_at)
-                if (src, src_port) in used_outputs:
-                    self.fail(src_at, f"output {src}.out[{src_port}] already feeds an edge")
-                if (dst, dst_port) in fed_inputs:
-                    self.fail(dst_at, f"input {dst}.in[{dst_port}] is already fed by an edge")
-                if (dst, dst_port) in external_ports:
-                    self.fail(dst_at, f"input {dst}.in[{dst_port}] is declared external and "
-                                      "cannot be internally driven")
-                used_outputs.add((src, src_port))
-                fed_inputs.add((dst, dst_port))
-                edges.append(Edge(src, src_port, dst, dst_port))
+                n_ports[inst] = components[comp].n_ports
+            elif kind == _CONNECT:
+                src, dst = port(m, fields, 3), port(m, fields, 5)
+                if src in used_outputs:
+                    self.fail(m.start(4), f"output {src[0]}.out[{src[1]}] already feeds an edge")
+                if dst in fed_inputs:
+                    self.fail(m.start(6), f"input {dst[0]}.in[{dst[1]}] is already fed by an edge")
+                if dst in external_ports:
+                    self.fail(m.start(6), f"input {dst[0]}.in[{dst[1]}] is declared external "
+                                          "and cannot be internally driven")
+                used_outputs.add(src)
+                fed_inputs.add(dst)
+                edges.append(Edge(*src, *dst))
             else:
-                (inst, inst_at), (port, port_at), (alias, alias_at) = fields
-                check_port(inst, inst_at, port, port_at)
-                if (inst, port) in fed_inputs:
-                    self.fail(port_at, f"input {inst}.in[{port}] is internally driven and "
-                                       "cannot be external")
-                if (inst, port) in external_ports:
-                    self.fail(port_at, f"input {inst}.in[{port}] declared external twice")
+                dst, alias = port(m, fields, 7), fields[8]
+                if dst in fed_inputs:
+                    self.fail(m.start(8), f"input {dst[0]}.in[{dst[1]}] is internally driven "
+                                          "and cannot be external")
+                if dst in external_ports:
+                    self.fail(m.start(8), f"input {dst[0]}.in[{dst[1]}] declared external twice")
                 if alias in aliases:
-                    self.fail(alias_at, f"duplicate external name {alias!r}")
-                external_ports.add((inst, port))
+                    self.fail(m.start(9), f"duplicate external name {alias!r}")
+                external_ports.add(dst)
                 aliases.add(alias)
-                externals.append(ExternalPort(inst, port, alias))
+                externals.append(ExternalPort(*dst, alias))
 
         return NetDocument(components=components, instances=instances,
                            edges=tuple(edges), externals=tuple(externals))
-
-
-def _to_array(rows: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
-    """Complex array of parsed rows; ``shape`` is used only when there are none."""
-    if not rows:
-        return np.zeros(shape, dtype=complex)
-    return np.array(rows, dtype=complex)
 
 
 def parse(source: str) -> NetDocument:
@@ -913,16 +978,19 @@ def parse_matrix_assignments(source: str) -> dict[str, np.ndarray]:
     """
     parser = _Parser(source)
     result: dict[str, np.ndarray] = {}
-    while parser.peek().kind != "EOF":
-        name = parser.expect("NAME", "matrix name")
-        if name.text in result:
-            parser.fail(name.start, f"duplicate matrix name {name.text!r}")
-        parser.expect("=")
-        rows = parser.parse_matrix()
-        parser.expect(";")
-        if len({len(r) for r in rows}) > 1:
-            parser.fail(name.start, f"matrix {name.text!r} has rows of unequal length")
-        result[name.text] = _to_array(rows, (0, 0))
+    pos = 0
+    while m := _ENTRY.match(source, pos):
+        name, count, rows = m.groups()
+        if name in result or count is not None:
+            parser.walk_assignment(m.start(), result)
+        value = _matrix(rows)
+        if value is None:
+            parser.fail(m.start(1), f"matrix {name!r} has rows of unequal length")
+        result[name] = value
+        pos = m.end()
+    parser.pos = pos
+    if parser.peek().kind != "EOF":
+        parser.walk_assignment(pos, result)
     return result
 
 

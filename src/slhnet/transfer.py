@@ -187,21 +187,24 @@ def _core(B: np.ndarray, h: float | np.ndarray, d: np.ndarray, n: int):
     """Z⁻¹'s leading n×n block, the first n rows of Z⁻¹·B·diag(1/d) and ρ, per row of d.
 
     Z = I + B·diag(1/d)·B†·diag(h).  If LAPACK finds some Z exactly
-    singular, every ρ reads inf and both blocks read 0.
+    singular, every ρ reads inf and both blocks read 0.  A d so small that
+    1/d overflows (a subnormal s next to an uncoupled mode) makes that
+    row's ρ inf or NaN, which the caller's rule flags, with no warning.
     """
     (g, m), r = d.shape, len(B)
-    inv_d = 1 / d
     outer = (B.T[:, :, None] * B.T.conj()[:, None, :]).reshape(m, r * r)   # row j: b_j b_j†
-    Z = np.eye(r) + (inv_d @ outer).reshape(g, r, r) * h
-    try:
-        Zinv = np.linalg.inv(Z)
-    except np.linalg.LinAlgError:
-        return np.zeros((g, n, n), dtype=complex), np.zeros((g, n, m), dtype=complex), \
-            np.full(g, np.inf)
-    R = (Zinv[:, :n].reshape(g * n, r) @ B).reshape(g, n, m) * inv_d[:, None, :]
-    size = np.abs(inv_d)    # ‖B·diag(1/d)‖_F² from the column norms of B
-    rho = (size.max(axis=1, initial=0.0) + size ** 2 @ np.sum(np.abs(B) ** 2, axis=0) / 2
-           * np.linalg.norm(Zinv, axis=(1, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_d = 1 / d
+        Z = np.eye(r) + (inv_d @ outer).reshape(g, r, r) * h
+        try:
+            Zinv = np.linalg.inv(Z)
+        except np.linalg.LinAlgError:
+            return np.zeros((g, n, n), dtype=complex), np.zeros((g, n, m), dtype=complex), \
+                np.full(g, np.inf)
+        R = (Zinv[:, :n].reshape(g * n, r) @ B).reshape(g, n, m) * inv_d[:, None, :]
+        size = np.abs(inv_d)    # ‖B·diag(1/d)‖_F² from the column norms of B
+        rho = (size.max(axis=1, initial=0.0) + size ** 2 @ np.sum(np.abs(B) ** 2, axis=0) / 2
+               * np.linalg.norm(Zinv, axis=(1, 2)))
     return Zinv[:, :n, :n], R, rho
 
 

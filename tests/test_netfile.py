@@ -19,7 +19,7 @@ from slhnet.netfile import (Edge, NetDocument, ParseError, build_partitioned,
 
 from support import (entrywise_format_cnum, entrywise_format_matrix,
                      fold_partitioned, format_float, haar_unitary, random_component,
-                     random_network, reference_parse,
+                     random_hermitian, random_network, reference_parse,
                      reference_parse_matrix_assignments, respell)
 
 CAVITY = """\
@@ -584,6 +584,25 @@ class TestParserEquivalence:
         "network { usea : b; }",
         "",
         "#",
+        # a component entry, a block head or a statement that its pattern
+        # rejects, or that fails a check after its pattern accepted it
+        "component c { inputs = 1.0; modes = 0; S = [[1]]; C = []; Omega = []; }",
+        "component c { inputs = 2i; modes = 0; }",
+        "component c { inputs = 1; modes = 1e400; }",
+        "component c { inputs = 007; modes = 0; S = [[1]]; C = []; Omega = []; }",
+        "component c{inputs=1;modes=0;S=[[1]];C=[];Omega=[];}network{use a:c;}",
+        "componentc{inputs=1;modes=0;S=[[1]];C=[];Omega=[];}",
+        "component c { inputs # a comment before '='\n = 1; modes = 0; S = [[1]]; "
+        "C = []; Omega = []; }",
+        "component c { S = 1; }",
+        "component c { inputs = [[1]]; }",
+        "componentx { inputs = 1; }",
+        CAVITY + "network { use use : cavity; connect use.out[0] -> use.in[0]; }",
+        CAVITY + "network { use use : c; }",
+        CAVITY + "network { use a : cavity; use b : cavity; connect a.out[01] -> b.in[0]; }",
+        CAVITY + "network { use a : cavity; connect a.out[0.5] -> a.in[0]; }",
+        CAVITY + "network { use a : cavity; external a.in[0] as connect; }",
+        CAVITY + "network { use a : cavity; external a.in[0] as connect }",
     ])
     def test_hand_written_texts_match_reference(self, text):
         _assert_same_document(text)
@@ -613,15 +632,17 @@ def _time_limit(seconds):
 
 
 _ENTRIES = [str(j) for j in range(1, 41)]
+_ROWS = [f"[{j}]" for j in range(1, 41)]
+_STATEMENT_LINES = [f"use u{j} : c;" for j in range(40)]
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 class TestLongBadRows:
-    """A bad row is rejected in time linear in its length.
+    """A bad row, component block or network block is rejected in time linear in its length.
 
-    If a row pattern lets a run of whitespace split between two separators,
-    a failed match retries every split of every earlier entry, ~2**40 steps
-    for each row below.  The regex engine checks for signals while it
+    If a pattern lets a run of whitespace split between two separators, a
+    failed match retries every split of every earlier entry or row, ~2**40
+    steps for each row below.  The regex engine checks for signals while it
     matches, so the time limit interrupts such a match.
     """
 
@@ -640,6 +661,50 @@ class TestLongBadRows:
                 _outcome(reference_parse_matrix_assignments, assignments)]
         assert got == want
         assert all(isinstance(outcome, tuple) for outcome in got)   # both ParseErrors
+
+    @pytest.mark.parametrize("text", [
+        "component c { inputs = 40; modes = 0; S = [" + "  ,  ".join(_ROWS) + "  ,]; }",
+        "component c { inputs = 40; modes = 0; S = [" + "  # row\n  ,\n  ".join(_ROWS) + " x]; }",
+        "component c { inputs = 1; modes = 0; S = [[1]]; C = []; Omega = []"
+        + "  # entry\n  " * 40 + "x }",
+        "component c { inputs = 1; modes = 0; S = [[1]]; C = []; Omega = []; }\n"
+        "network {\n  " + "\n  ".join(_STATEMENT_LINES) + "\n  use x : c }",
+        "component c { inputs = 1; modes = 0; S = [[1]]; C = []; Omega = []; }\n"
+        "network { " + "  # statement\n  ".join(_STATEMENT_LINES)
+        + " connect u0.out[0] -> u1.in[0] }",
+    ])
+    def test_bad_block_matches_reference_promptly(self, text):
+        with _time_limit(2.0):
+            got = _outcome(parse, text)
+        assert got == _outcome(reference_parse, text)
+        assert isinstance(got, tuple)                   # a ParseError
+
+
+def test_accepted_text_is_never_walked_token_by_token(monkeypatch):
+    """Only an error walks tokens, however many rows and statements a text has.
+
+    A valid document takes no ``_Parser.peek`` call; matrix assignments take
+    one, to find the end of the file.
+    """
+    calls = []
+    peek = netfile._Parser.peek
+    monkeypatch.setattr(netfile._Parser, "peek", lambda self: calls.append(1) or peek(self))
+    counts = []
+    for units in (1, 8, 64):
+        rng = np.random.default_rng(units)
+        doc = random_network(rng, units=units)
+        modes = 4 * units                                   # rows of Omega
+        doc.components["big"] = LinearComponent(haar_unitary(rng, 2),
+                                                rng.standard_normal((2, modes)) + 1j,
+                                                random_hermitian(rng, modes))
+        calls.clear()
+        assert parse(serialize(doc)) == doc
+        counts.append(len(calls))
+        big = doc.components["big"]
+        calls.clear()
+        parse_matrix_assignments(format_matrix_assignments([("C", big.C), ("K", big.Omega)]))
+        counts.append(len(calls))
+    assert counts == [0, 1] * 3
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,

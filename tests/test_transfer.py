@@ -475,6 +475,9 @@ class TestSweepArrays:
     @example((LinearComponent(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 1))), [0], [0.0],
               0.0))
     @example((LinearComponent(np.eye(1), np.zeros((1, 0)), np.zeros((0, 0))), [], [0.0], 0.0))
+    # an uncoupled mode at a subnormal s, where 1/d overflows: a pole, with no warning
+    @example((LinearComponent(np.eye(1), np.zeros((1, 1)), np.zeros((1, 1))), [0], [0.0],
+              5e-324))
     def test_pole_rows_are_nan_and_the_rest_match_eval_transfer(self, case):
         comp, dark, grid, sigma = case
         n, m, G = comp.n_ports, comp.m_modes, len(grid)
@@ -483,7 +486,7 @@ class TestSweepArrays:
         assert singular.dtype == bool
         assert np.isnan(Xi[singular]).all() and np.isnan(xi[singular]).all()
         assert np.isfinite(Xi[~singular]).all() and np.isfinite(xi[~singular]).all()
-        if sigma == 0.0:
+        if sigma in (0.0, 5e-324):
             assert all(pole for w, pole in zip(grid, singular) if -w in dark)
         scale = max(1.0, np.linalg.norm(drift(comp), 2)) if m else 1.0
         for w, X, x, pole in zip(grid, Xi, xi, singular):
