@@ -1,8 +1,11 @@
 """Complex-matrix kernel shared by every other module.
 
-Matrices are plain ``numpy.ndarray`` values of dtype complex128.  All
-tolerances are absolute on the max-entry norm: the matrices handled here
-are O(1)-normalized physical parameters, so no relative scaling is needed.
+Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
+structural predicates take absolute tolerances on the max-entry norm
+(``STRUCT_TOL``).  They suit O(1)-normalized parameters but do not scale
+with the model's units: an Ω hermitian up to rounding, with rates of 1e6
+or more, can fail them on the rounding alone.  The singularity gate is
+relative to ‖M‖₁.
 
 :func:`factor` is the one singularity gate, with two backends behind one
 interface: LAPACK's dense LU for an array and SuperLU's sparse LU for a
@@ -12,14 +15,27 @@ the sparse backend from ``SPARSE_MIN`` internal channels on, when at most
 a ``SPARSE_FILL`` share of the entries of its S and of its C is nonzero:
 there SuperLU's fill-reducing order keeps the factor near O(k) entries,
 where the dense LU costs O(k³).
+
+The dense backend calls three LAPACK routines, zgetrf, zgetrs and zgecon,
+from SciPy's compiled LAPACK wrapper ``scipy/linalg/_flapack``.  That file
+is loaded by path, under the private name ``slhnet._flapack``, so that
+importing this package does not run ``scipy/__init__`` and
+``scipy/linalg/__init__``; those import much of numpy and SciPy besides
+(``numpy.f2py``, ``numpy.testing``) and more than double the start-up of
+a one-shot ``qnet`` call.  When ``scipy.linalg`` is already imported, or
+the file is not where SciPy's layout puts it, the same routines come
+from ``scipy.linalg.get_lapack_funcs``.  SciPy itself is imported only
+by the first sparse factorization.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import sys
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 STRUCT_TOL = 1e-9    # default tolerance for structural predicates
 EIG_MERGE_GAP = 1e-9  # relative gap under which eigenvalues share a projector
@@ -27,7 +43,35 @@ PIVOT_REL = 1e-12    # least pivot / max column 1-norm, and least 1-norm rcond, 
 SPARSE_MIN = 128     # least k for a sparse LU of a k×k loop matrix; see network._blocks
 SPARSE_FILL = 1 / 64  # largest share of nonzero entries of S and of C for it; see network._blocks
 
-_getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
+
+def _flapack_file() -> str | None:
+    """The path of SciPy's ``linalg/_flapack`` extension, found without importing SciPy."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _lapack() -> tuple:
+    """zgetrf, zgetrs and zgecon: from SciPy's file, unless ``scipy.linalg`` is imported or
+    the file is not found; then from ``scipy.linalg.get_lapack_funcs``."""
+    path = None if "scipy.linalg" in sys.modules else _flapack_file()
+    if path is None:
+        from scipy.linalg import get_lapack_funcs
+        return tuple(get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex))
+    module = sys.modules.get("slhnet._flapack")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("slhnet._flapack", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[spec.name] = module
+    return module.zgetrf, module.zgetrs, module.zgecon
+
+
+_getrf, _getrs, _gecon = _lapack()
 
 
 class SingularMatrix(ValueError):
@@ -55,7 +99,7 @@ def as_matrix(value, rows: int | None = None, cols: int | None = None,
     m = np.array(value, dtype=complex) if copy else np.asarray(value, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     if rows is not None and m.shape[0] != rows:
         raise ValueError(f"{name} must have {rows} rows, got {m.shape[0]}")

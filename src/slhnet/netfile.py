@@ -141,8 +141,8 @@ _SKIP = r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+"
 # ">" not preceded by "-"; a match ends at the first character that does not.
 # Each turn of the outer loop costs the matcher memory, so "-" sits in the
 # long runs, and only comments and ">" take a turn of their own.
-_LEXABLE = re.compile(r"(?:[ \t\r\n{}\[\]=;,:.+\-0-9A-Za-z_]+|(?<=-)>|#[^\n]*)*")
-_TOKEN = re.compile(rf"{_SKIP}(?:({_NUMBER}(?:i{_WORD_END})?)|({_NAME})|(->|.))?")
+_LEXABLE = r"(?:[ \t\r\n{}\[\]=;,:.+\-0-9A-Za-z_]+|(?<=-)>|#[^\n]*)*"
+_TOKEN = rf"{_SKIP}(?:({_NUMBER}(?:i{_WORD_END})?)|({_NAME})|(->|.))?"
 _TOKEN_KINDS = (None, "NUMBER", "NAME", None)   # by group; any other character is its own kind
 
 # A matrix literal: "[]", or "[" rows "]" with the rows in its one group.
@@ -152,7 +152,7 @@ _TOKEN_KINDS = (None, "NUMBER", "NAME", None)   # by group; any other character 
 _CNUM = rf"(?:[+-]{_SKIP})?+{_NUMBER}(?:i|{_SKIP}[+-]{_SKIP}{_NUMBER}i)?+"
 _ROW = rf"\[{_SKIP}{_CNUM}{_SKIP}(?:,{_SKIP}{_CNUM}{_SKIP})*+\]"
 _MATRIX = rf"\[{_SKIP}(?:\]|({_ROW}(?:{_SKIP},{_SKIP}{_ROW})*+){_SKIP}\])"
-_COMMENT = re.compile(r"#[^\n]*")
+_COMMENT = r"#[^\n]*"
 _TO_NUMPY = str.maketrans({" ": None, "\t": None, "\r": None, "\n": None, "[": None, "]": None,
                            "i": "j"})
 
@@ -160,10 +160,10 @@ _TO_NUMPY = str.maketrans({" ": None, "\t": None, "\r": None, "\n": None, "[": N
 # the end of the file; a component entry or matrix assignment: a name
 # (group 1), "=", a count (group 2) or a matrix (rows in group 3), ";"; and
 # the "}" that closes a block.
-_HEAD = re.compile(rf"{_SKIP}(?:component{_WORD_END}{_SKIP}({_NAME}){_SKIP}\{{"
-                   rf"|(network){_WORD_END}{_SKIP}\{{|\Z)")
-_ENTRY = re.compile(rf"{_SKIP}({_NAME}){_SKIP}={_SKIP}(?:({_NUMBER})|{_MATRIX}){_SKIP};")
-_CLOSE = re.compile(rf"{_SKIP}\}}")
+_HEAD = (rf"{_SKIP}(?:component{_WORD_END}{_SKIP}({_NAME}){_SKIP}\{{"
+         rf"|(network){_WORD_END}{_SKIP}\{{|\Z)")
+_ENTRY = rf"{_SKIP}({_NAME}){_SKIP}={_SKIP}(?:({_NUMBER})|{_MATRIX}){_SKIP};"
+_CLOSE = rf"{_SKIP}\}}"
 
 # Network statements, one step per token: a keyword, or the (kind, what)
 # of an expected token.  NAME and NUMBER steps are the statement's fields.
@@ -190,9 +190,26 @@ def _statement_pattern(steps) -> str:
 
 # One statement of any kind; its fields are groups 1-2 (use), 3-6 (connect)
 # or 7-9 (external), so m.lastindex tells the kind.
-_STATEMENT = re.compile(rf"{_SKIP}(?:{'|'.join(map(_statement_pattern, _STATEMENTS.values()))})")
+_STATEMENT = rf"{_SKIP}(?:{'|'.join(map(_statement_pattern, _STATEMENTS.values()))})"
 _USE, _CONNECT, _EXTERNAL = 2, 6, 9
 _PORT_GROUPS = {_USE: (), _CONNECT: (4, 6), _EXTERNAL: (8,)}
+
+
+class _Patterns(NamedTuple):
+    LEXABLE: re.Pattern
+    TOKEN: re.Pattern
+    COMMENT: re.Pattern
+    HEAD: re.Pattern
+    ENTRY: re.Pattern
+    CLOSE: re.Pattern
+    STATEMENT: re.Pattern
+
+
+@functools.cache
+def _patterns() -> _Patterns:
+    """The patterns above, compiled on the first parse, not at import."""
+    return _Patterns(*map(re.compile, (_LEXABLE, _TOKEN, _COMMENT, _HEAD, _ENTRY, _CLOSE,
+                                       _STATEMENT)))
 
 
 class _Token(NamedTuple):
@@ -210,7 +227,7 @@ def _matrix(rows: str | None) -> np.ndarray | None:
     if rows is None:
         return np.zeros((0, 0), dtype=complex)
     if "#" in rows:
-        rows = _COMMENT.sub("", rows)
+        rows = _patterns().COMMENT.sub("", rows)
     # each row, with the "," before it, holds one "," per entry
     widths = {row.count(",") for row in ("," + rows).split("]")[:-1]}
     if len(widths) > 1:
@@ -251,7 +268,7 @@ class _Parser:
         needs no scan.
         """
         src = self.source
-        bad = _LEXABLE.match(src).end()
+        bad = _patterns().LEXABLE.match(src).end()
         if bad < len(src):
             offset, message = bad, f"unexpected character {src[bad]!r}"
         start = src.rfind("\n", 0, offset) + 1
@@ -262,7 +279,7 @@ class _Parser:
                          src[start:] if end < 0 else src[start:end])
 
     def peek(self) -> _Token:
-        m = _TOKEN.match(self.source, self.pos)
+        m = _patterns().TOKEN.match(self.source, self.pos)
         group = m.lastindex
         if group is None:
             return _Token("EOF", "", m.end(), m.end())
@@ -304,7 +321,8 @@ class _Parser:
         raw_components: list[tuple[re.Match, dict]] = []
         statements: list[re.Match] = []
         pos = 0
-        while (head := _HEAD.match(src, pos)) and head.lastindex:
+        match_head = _patterns().HEAD.match
+        while (head := match_head(src, pos)) and head.lastindex:
             if head.lastindex == 1:
                 entries, pos = self.parse_component(head.end())
                 raw_components.append((head, entries))
@@ -318,7 +336,8 @@ class _Parser:
         """The entries of a component block from ``pos``, and the end of its "}"."""
         src = self.source
         entries: dict[str, tuple[re.Match, object]] = {}
-        while m := _ENTRY.match(src, pos):
+        patterns = _patterns()
+        while m := patterns.ENTRY.match(src, pos):
             key, count, rows = m.groups()
             counted = key in ("inputs", "modes")
             if key in entries or key not in _COMPONENT_KEYS or counted != (count is not None):
@@ -332,14 +351,15 @@ class _Parser:
                 value = _matrix(rows)
             entries[key] = (m, value)
             pos = m.end()
-        if (end := _CLOSE.match(src, pos)) is None:
+        if (end := patterns.CLOSE.match(src, pos)) is None:
             self.walk_entry(pos, entries)
         return entries, end.end()
 
     def parse_network(self, pos: int, statements: list) -> int:
         """Append the statements of a network block from ``pos``; the end of its "}"."""
         src, ints = self.source, self.ints
-        while m := _STATEMENT.match(src, pos):
+        patterns = _patterns()
+        while m := patterns.STATEMENT.match(src, pos):
             for g in _PORT_GROUPS[m.lastindex]:
                 text = m.group(g)
                 if text not in ints:
@@ -349,7 +369,7 @@ class _Parser:
                     ints[text] = int(value)
             statements.append(m)
             pos = m.end()
-        if (end := _CLOSE.match(src, pos)) is None:
+        if (end := patterns.CLOSE.match(src, pos)) is None:
             self.walk_statement(pos)
         return end.end()
 
@@ -979,7 +999,8 @@ def parse_matrix_assignments(source: str) -> dict[str, np.ndarray]:
     parser = _Parser(source)
     result: dict[str, np.ndarray] = {}
     pos = 0
-    while m := _ENTRY.match(source, pos):
+    match_entry = _patterns().ENTRY.match
+    while m := match_entry(source, pos):
         name, count, rows = m.groups()
         if name in result or count is not None:
             parser.walk_assignment(m.start(), result)

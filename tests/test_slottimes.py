@@ -80,6 +80,40 @@ def test_against_names_slots_that_vary_in_a_later_round(monkeypatch, capsys):
     assert "change outputs vary" not in out
 
 
+def test_against_alternates_a_setup_probe_with_each_slot_run(monkeypatch, capsys, tmp_path):
+    tool = _load_tool()
+    roots = {ROOT: "change", str(tmp_path): "parent"}
+    calls = []
+    times = iter([0.30, 0.50, 0.10, 0.20, 0.12, 0.40, 0.32, 0.70])   # import_s, by probe
+
+    def slots(root, args):
+        calls.append(("slots", roots[root]))
+        return [_slot("aa")]
+
+    def probe(root, args):
+        calls.append(("probe", roots[root]))
+        assert args.workload == "algebra_mix" and args.seed == 3
+        return {"import_s": next(times), "warmup_s": [0.01, 0.02]}
+
+    monkeypatch.setattr(tool, "_measure_in_subprocess", slots)
+    monkeypatch.setattr(tool, "_setup_probe", probe)
+    assert tool.main(["algebra_mix", "--seed", "3", "--rounds", "4", "--root", ROOT,
+                      "--against", str(tmp_path)]) == 0
+    order = ["parent", "change", "change", "parent"] * 2
+    assert calls == [(kind, side) for side in order for kind in ("slots", "probe")]
+    out = capsys.readouterr().out
+    # parent probes read 0.30, 0.20, 0.12, 0.70 and change probes 0.50, 0.10, 0.40, 0.32
+    assert "parent: set-up median of 4: import 0.250 s, warm-up 0.030 s" in out
+    assert "change: set-up median of 4: import 0.360 s, warm-up 0.030 s" in out
+
+
+def test_setup_probe_runs_the_checkouts_probe():
+    tool = _load_tool()
+    args = tool.argparse.Namespace(workload="algebra_mix", seed=3)
+    probe = tool._setup_probe(ROOT, args)
+    assert probe["import_s"] > 0 and len(probe["warmup_s"]) > 0
+
+
 @pytest.mark.parametrize("flag", ["--rounds", "--repeat"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_rounds_and_repeat_below_one_are_usage_errors(flag, value, monkeypatch, capsys):

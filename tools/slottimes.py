@@ -18,7 +18,10 @@ rounds, and the ratio change/parent is printed per slot (this checkout is
 the change, ROOT the parent).  The digest of each slot's output (the
 workload's ``Job.digest`` of its first run in each process) is compared
 between the two checkouts and between the rounds of each side, and every
-slot whose bytes differ is named.  Standard library and numpy only.
+slot whose bytes differ is named.  After each side's slot run, the side's
+``perfbench/setup_probe.py`` times one cold start (import, then one job of
+each kind) in a fresh process, and the median import and warm-up seconds
+of each side over the rounds are printed.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -86,6 +90,24 @@ def _measure_in_subprocess(root: str, args) -> list[dict]:
          "--repeat", str(args.repeat), "--root", root, "--json"],
         capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def _setup_probe(root: str, args) -> dict:
+    """One cold start of the workload by ``root``'s perfbench/setup_probe.py: its JSON line."""
+    with tempfile.TemporaryDirectory() as workdir:
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "setup_probe.py"),
+             "--workload", args.workload, "--seed", str(args.seed), "--workdir", workdir],
+            capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _setup_report(probes: dict[str, list[dict]]) -> None:
+    for name, runs in probes.items():
+        import_s = statistics.median(p["import_s"] for p in runs)
+        warmup_s = statistics.median(sum(p["warmup_s"]) for p in runs)
+        print(f"{name}: set-up median of {len(runs)}: import {import_s:.3f} s,"
+              f" warm-up {warmup_s:.3f} s")
 
 
 def _sizes(slot: dict) -> str:
@@ -149,12 +171,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     roots = {"parent": os.path.abspath(args.against), "change": os.path.abspath(args.root)}
     rounds: dict[str, list[list[dict]]] = {"parent": [], "change": []}
+    probes: dict[str, list[dict]] = {"parent": [], "change": []}
     for round_no in range(args.rounds):
         for name in (["parent", "change"] if round_no % 2 == 0 else ["change", "parent"]):
             rounds[name].append(_measure_in_subprocess(roots[name], args))
+            probes[name].append(_setup_probe(roots[name], args))
     merged = {name: merge_rounds(runs) for name, runs in rounds.items()}
     _report({name: slots for name, (slots, _) in merged.items()},
             {name: varying for name, (_, varying) in merged.items()})
+    _setup_report(probes)
     return 0
 
 
