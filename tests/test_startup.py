@@ -7,8 +7,6 @@ imported or the file is not found.  Either way the routines, and every
 factor, solve, estimate and decision made with them, are the same.
 """
 
-import contextlib
-import io
 import os
 import subprocess
 import sys
@@ -33,14 +31,6 @@ def _python(code: str, *args: str) -> str:
                           env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
-
-
-def _main(argv: list[str]) -> tuple[int, str, str]:
-    """cli.main's exit code, stdout and stderr, in this process."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 # Runs reduce and freqresp through cli.main, prints their outputs, then the
@@ -203,10 +193,11 @@ def _chain(units: int, algebraic: bool) -> str:
 
 
 @pytest.mark.parametrize("algebraic", [False, True])
-def test_first_sparse_reduction_in_a_fresh_process_decides_the_same(algebraic, tmp_path):
+def test_first_sparse_reduction_in_a_fresh_process_decides_the_same(algebraic, tmp_path,
+                                                                     capsys):
     path = tmp_path / "chain.qnet"
     path.write_text(_chain(400, algebraic))
-    want = _main(["reduce", str(path)])
+    want = (cli.main(["reduce", str(path)]), *capsys.readouterr())
     assert want[0] == (3 if algebraic else 0)
     out = _python("""
         import contextlib
