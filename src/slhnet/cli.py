@@ -42,6 +42,12 @@ EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_USAGE = 4
 
+# glibc's mallopt parameters (<malloc.h>) and the values main() fixes them at
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20    # the top of glibc's range for it, where its dynamic rule stops
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
 
 class UsageError(Exception):
     pass
@@ -297,7 +303,31 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+@functools.cache
+def _fix_heap_thresholds() -> None:
+    """Keep a command's arrays of up to 32 MiB in the heap from one call to the next.
+
+    By default glibc maps each block over a threshold that starts at 128 KiB
+    and rises to the largest mapped block freed so far, and gives the top of
+    the heap back to the system once more than twice that threshold is free
+    there.  A sweep's or a reduction's arrays, a few hundred KiB to a few
+    MiB, are then mapped, or the heap regrown, and their pages faulted in
+    again on every command, as many as the process's earlier allocations
+    happen to decide.  Fixed thresholds make that cost small and the same in
+    every process.  Does nothing where the C library has no mallopt.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _fix_heap_thresholds()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

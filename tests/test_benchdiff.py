@@ -52,6 +52,16 @@ def test_spread_wider_than_the_bound_is_unresolved():
     assert compare(parent, [16.0] + parent[1:], True, bound=0.25)["unresolved"]
 
 
+def test_change_spread_wider_than_the_bound_is_flagged():
+    compare = _load_tool().compare
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+    assert not compare(parent, parent, False, bound=0.25)["spread"]
+    # the same median, an IQR of 3.3 against 0.25 × 10.9 = 2.725
+    wide = [7.0, 8.0, 9.0, 10.0, 10.9, 10.9, 11.8, 12.8, 13.8, 14.8]
+    result = compare(parent, wide, False, bound=0.25)
+    assert result["spread"] and not result["unresolved"]
+
+
 def test_bench10_reports_the_wide_algebra_setup_as_unresolved():
     proc = subprocess.run([sys.executable, TOOL, os.path.join(ROOT, "BENCH_10.json")],
                           capture_output=True, text=True, timeout=60, check=True)

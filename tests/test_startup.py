@@ -5,9 +5,13 @@ loaded by path under the private name ``slhnet._flapack``, and falls back
 to ``scipy.linalg.get_lapack_funcs`` when ``scipy.linalg`` is already
 imported or the file is not found.  Either way the routines, and every
 factor, solve, estimate and decision made with them, are the same.
+
+The command line's main() fixes glibc's mmap and trim thresholds, so a
+command's arrays stay in the heap from one call to the next.
 """
 
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -216,3 +220,42 @@ def test_first_sparse_reduction_in_a_fresh_process_decides_the_same(algebraic, t
         print(repr((code, out.getvalue(), err.getvalue())))
     """, str(path))
     assert out == repr(want) + "\n"
+
+
+# Runs cli.main, then prints, for a block of 8 MiB and one of 40 MiB, whether
+# malloc mapped it on its own and whether the heap kept its pages after free.
+_HEAP_BLOCKS = """
+    import ctypes
+    import sys
+    import slhnet.cli
+
+    class Mallinfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+            "uordblks", "fordblks", "keepcost")]
+
+    libc = ctypes.CDLL(None)
+    libc.mallinfo2.restype = Mallinfo2
+    libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
+    libc.free.argtypes, libc.free.restype = [ctypes.c_void_p], None
+
+    def block(size):
+        before = libc.mallinfo2()
+        p = libc.malloc(size)
+        during = libc.mallinfo2()
+        libc.free(p)
+        return during.hblks > before.hblks, libc.mallinfo2().arena == during.arena
+
+    assert slhnet.cli.main(["check", sys.argv[1]]) == 0
+    print(block(8 << 20), block(40 << 20))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or tuple(map(int, platform.libc_ver()[1].split("."))) < (2, 33),
+                    reason="mallinfo2 needs glibc 2.33 or later")
+def test_main_keeps_blocks_up_to_32_mib_in_the_heap(tmp_path):
+    path = tmp_path / "net.qnet"
+    path.write_text(serialize(random_network(np.random.default_rng(5), units=4)))
+    # 8 MiB: from the heap, kept after free; 40 MiB: mapped on its own
+    assert _python(_HEAP_BLOCKS, str(path)).splitlines()[-1] == "(False, True) (True, True)"

@@ -13,7 +13,10 @@ median may worsen by, come from BENCHMARK.json (by default the one beside
 the BENCH file).  A metric whose parent IQR is a larger share of the
 parent median than that bound is "unresolved": its runs spread too widely
 to tell a change within the bound, unless every run of the change is
-better than every run of the parent.  Standard library only.
+better than every run of the parent.  A change whose own IQR is wider
+than the bound on the parent median is flagged too: its runs differ too
+much from one to the next to tell whether the metric moved.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def compare(parent: list[float], change: list[float], higher_is_better: bool,
             bound: float = float("inf")) -> dict:
-    """Pair wins, quartiles, the claim rule and whether the spread exceeds ``bound``."""
+    """Pair wins, quartiles, the claim rule and whether either side's spread exceeds ``bound``."""
     sign = 1 if higher_is_better else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
@@ -48,7 +51,8 @@ def compare(parent: list[float], change: list[float], higher_is_better: bool,
             "relative": (cm - pm) / pm if pm else 0.0,
             "holds": 10 * wins >= 9 * len(parent) and gain > p3 - p1,
             "unresolved": (p3 - p1 > bound * abs(pm)
-                           and min(sign * c for c in change) <= max(sign * p for p in parent))}
+                           and min(sign * c for c in change) <= max(sign * p for p in parent)),
+            "spread": c3 - c1 > bound * abs(pm)}
 
 
 def _side(q: tuple[float, float, float]) -> str:
@@ -84,6 +88,9 @@ def main(argv: list[str] | None = None) -> int:
                 verdict = f"no gain: {r['gain']:.4g}, parent IQR {r['parent_iqr']:.4g}"
                 if -r["relative"] * (1 if higher else -1) > bound:
                     verdict += f"; WORSE than the bound {bound}"
+            if r["spread"]:
+                verdict += (f"; change IQR {r['change'][2] - r['change'][0]:.4g} > bound {bound}"
+                            f" × parent median")
             print(f"  {metric:<12} {_side(r['parent']):<32} {_side(r['change']):<32}"
                   f" {r['wins']:>3}/{r['pairs']:<2}  {verdict}")
     return 0
