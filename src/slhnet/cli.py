@@ -124,6 +124,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+    return value
+
+
 def _parse_s(spec: str) -> complex:
     parts = spec.split(",")
     if len(parts) != 2:
@@ -268,7 +275,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = add("check", _cmd_check, "validate the components of a QNET file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=matkit.STRUCT_TOL,
+    p.add_argument("--tol", type=_tolerance, default=matkit.STRUCT_TOL,
                    help="structural tolerance (default 1e-9)")
 
     p = add("reduce", _cmd_reduce, "eliminate internal channels of a network")

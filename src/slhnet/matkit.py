@@ -141,14 +141,14 @@ class LU:
         self.lu, self._solve, self.anorm, self._rcond = lu, solve, anorm, rcond
         self.n = lu.shape[0]
 
-    def solve(self, rhs) -> np.ndarray:
-        """X with M X = RHS; ValueError on a misshapen or non-finite RHS."""
+    def solve(self, rhs, trans: int = 0) -> np.ndarray:
+        """X with M X = RHS (Mᵀ X = RHS if ``trans`` is 1); ValueError on a bad RHS."""
         rhs = np.asarray(rhs, dtype=complex)
         if rhs.shape[:1] != (self.n,):
             raise ValueError(f"rhs has {len(rhs)} rows, expected {self.n}")
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
-        return self._solve(rhs) if rhs.size else np.zeros_like(rhs)
+        return self._solve(rhs, trans) if rhs.size else np.zeros_like(rhs)
 
     def rcond(self) -> float:
         """The estimate of 1/κ₁(M) taken once by factor(); 1.0 when M is empty."""
@@ -187,8 +187,8 @@ def factor(m) -> LU:
         raise ValueError("array must not contain infs or NaNs")
     anorm = float(np.abs(m).sum(axis=0).max())
     lu, piv, _ = _getrf(np.array(m, order="F"), overwrite_a=True)
-    return _gate(lu, lambda rhs: _getrs(lu, piv, rhs)[0], anorm, lu.diagonal(),
-                 lambda: float(_gecon(lu, anorm)[0]))
+    return _gate(lu, lambda rhs, trans: _getrs(lu, piv, rhs, trans=trans)[0], anorm,
+                 lu.diagonal(), lambda: float(_gecon(lu, anorm)[0]))
 
 
 def _factor_sparse(m) -> LU:
@@ -222,7 +222,8 @@ def _factor_sparse(m) -> LU:
                                 2 * np.abs(lu.solve(alternating)).sum() / (3 * n)]))
         return 1 / (anorm * est) if est < np.inf else 0.0    # nan, inf: overflow
 
-    return _gate(lu, lu.solve, anorm, lu.U.diagonal(), rcond)
+    return _gate(lu, lambda rhs, trans: lu.solve(rhs, "NT"[trans]), anorm, lu.U.diagonal(),
+                 rcond)
 
 
 def _gate(lu, solve, anorm: float, pivots: np.ndarray, rcond) -> LU:
@@ -235,13 +236,13 @@ def _gate(lu, solve, anorm: float, pivots: np.ndarray, rcond) -> LU:
     return LU(lu, solve, anorm, estimate)
 
 
-def solve(m, rhs) -> np.ndarray:
-    """Solve M X = RHS by LU factorization with partial pivoting.
+def solve(m, rhs, trans: int = 0) -> np.ndarray:
+    """Solve M X = RHS (Mᵀ X = RHS if ``trans`` is 1) by LU factorization with partial pivoting.
 
     Raises SingularMatrix as :func:`factor` does (the explicit inverse is
     never formed).
     """
-    return factor(m).solve(rhs)
+    return factor(m).solve(rhs, trans)
 
 
 def is_hermitian(m, tol: float = STRUCT_TOL) -> bool:
@@ -271,17 +272,16 @@ def unitarity_residual(m) -> float:
     return np.inf if np.isnan(worst) else worst
 
 
-def eig_hermitian(m, tol: float = STRUCT_TOL,
-                  merge_gap: float = EIG_MERGE_GAP) -> tuple[np.ndarray, list[np.ndarray]]:
+def eig_hermitian(m) -> tuple[np.ndarray, list[np.ndarray]]:
     """Spectral decomposition M = Σ_k λ_k P_k of a hermitian matrix.
 
     Eigenvalues are returned ascending; eigenvalues closer than
-    ``merge_gap`` (relative to max(1, spectral radius)) are merged into a
-    single orthogonal projector, so degenerate clusters come back as one
-    term.  Raises NotHermitian if the input fails ``is_hermitian``.
+    ``EIG_MERGE_GAP`` (relative to max(1, spectral radius)) share a single
+    orthogonal projector, so degenerate clusters come back as one term.
+    Raises NotHermitian if the input fails ``is_hermitian`` (``STRUCT_TOL``).
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NotHermitian(
             f"matrix deviates from hermiticity by {max_abs(m - m.conj().T):.3e}")
     if m.shape[0] == 0:
@@ -292,7 +292,7 @@ def eig_hermitian(m, tol: float = STRUCT_TOL,
     projectors = []
     start = 0
     for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > merge_gap * scale:
+        if i == len(w) or w[i] - w[i - 1] > EIG_MERGE_GAP * scale:
             block = v[:, start:i]
             values.append(float(np.mean(w[start:i])))
             projectors.append(block @ block.conj().T)

@@ -17,6 +17,27 @@ import numpy as np
 from . import matkit
 
 
+def _triple(names: tuple[str, str, str], first, middle, last, copy: bool = True) -> tuple:
+    """(first, middle, last) as read-only complex arrays: first n×n, middle n×m, last m×m.
+
+    An empty ``middle`` of any shape reads as n×m zeros when n·m = 0; with
+    ``copy=False`` complex arrays are kept, not copied.
+    """
+    first = matkit.as_matrix(first, name=names[0], copy=copy)
+    if first.shape[0] != first.shape[1]:
+        raise ValueError(f"{names[0]} must be square, got shape {first.shape}")
+    last = matkit.as_matrix(last, name=names[2], copy=copy)
+    if last.shape[0] != last.shape[1]:
+        raise ValueError(f"{names[2]} must be square, got shape {last.shape}")
+    n, m = len(first), len(last)
+    middle = np.asarray(middle, dtype=complex)
+    middle = (np.zeros((n, m), dtype=complex) if middle.size == 0 and n * m == 0
+              else matkit.as_matrix(middle, rows=n, cols=m, name=names[1], copy=copy))
+    for arr in (first, middle, last):
+        arr.flags.writeable = False
+    return first, middle, last
+
+
 @dataclass(frozen=True, eq=False)
 class LinearComponent:
     """Immutable (S, C, Omega) triple with port and mode labels.
@@ -49,27 +70,14 @@ class LinearComponent:
         return comp
 
     def _store(self, S, C, Omega, port_labels, mode_labels, copy: bool):
-        S = matkit.as_matrix(S, name="S", copy=copy)
-        if S.shape[0] != S.shape[1]:
-            raise ValueError(f"S must be square, got shape {S.shape}")
-        n = S.shape[0]
-        Omega = matkit.as_matrix(Omega, name="Omega", copy=copy)
-        if Omega.shape[0] != Omega.shape[1]:
-            raise ValueError(f"Omega must be square, got shape {Omega.shape}")
-        m = Omega.shape[0]
-        C = np.asarray(C, dtype=complex)
-        if C.size == 0 and n * m == 0:
-            C = np.zeros((n, m), dtype=complex)
-        else:
-            C = matkit.as_matrix(C, rows=n, cols=m, name="C", copy=copy)
+        S, C, Omega = _triple(("S", "C", "Omega"), S, C, Omega, copy)
+        n, m = C.shape
         ports = tuple(port_labels) or tuple(f"p{i}" for i in range(n))
         modes = tuple(mode_labels) or tuple(f"m{j}" for j in range(m))
         if len(ports) != n:
             raise ValueError(f"expected {n} port labels, got {len(ports)}")
         if len(modes) != m:
             raise ValueError(f"expected {m} mode labels, got {len(modes)}")
-        for arr in (S, C, Omega):
-            arr.flags.writeable = False
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "Omega", Omega)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .slh import LinearComponent
+from .slh import LinearComponent, _triple
 
 
 class CayleySingular(ValueError):
@@ -42,25 +42,11 @@ class StratonovichModel:
     K: np.ndarray
 
     def __post_init__(self):
-        E = matkit.as_matrix(self.E, name="E")
-        if E.shape[0] != E.shape[1]:
-            raise ValueError(f"E must be square, got shape {E.shape}")
-        n = E.shape[0]
-        K = matkit.as_matrix(self.K, name="K")
-        if K.shape[0] != K.shape[1]:
-            raise ValueError(f"K must be square, got shape {K.shape}")
-        m = K.shape[0]
-        F = np.asarray(self.F, dtype=complex)
-        if F.size == 0 and n * m == 0:
-            F = np.zeros((n, m), dtype=complex)
-        else:
-            F = matkit.as_matrix(F, rows=n, cols=m, name="F")
+        E, F, K = _triple(("E", "F", "K"), self.E, self.F, self.K)
         if not matkit.is_hermitian(E, matkit.STRUCT_TOL):
             raise ValueError("E must be hermitian")
         if not matkit.is_hermitian(K, matkit.STRUCT_TOL):
             raise ValueError("K must be hermitian")
-        for arr in (E, F, K):
-            arr.flags.writeable = False
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "K", K)

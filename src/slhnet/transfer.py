@@ -9,13 +9,14 @@ factors over the spectrum of CC†, which this module extracts.  It accepts
 that form only when an algebraic first-order bound on |form − Xi| over the
 whole imaginary axis stays within tolerance; Xi itself is never evaluated.
 
-A single point costs one LU solve of sI − A, gated by matkit.factor: s is
-a pole when a pivot is ≤ PIVOT_REL = 1e-12 times ‖sI − A‖₁, or the 1-norm
-reciprocal condition estimate is ≤ PIVOT_REL.  A sweep over G points flags
-pole candidates and hands each to eval_transfer: it stays a pole only if
-eval_transfer rejects it too, and otherwise takes eval_transfer's Xi and
-xi.  The candidates hold every eval_transfer pole, so the sweep and
-eval_transfer decide every point alike.
+A single point costs one LU of sI − A, gated by matkit.factor: s is a
+pole when a pivot is ≤ PIVOT_REL = 1e-12 times ‖sI − A‖₁, or the 1-norm
+reciprocal condition estimate is ≤ PIVOT_REL.  The same LU solves
+(sI − A)ᵀ·xiᵀ = Cᵀ, n right-hand sides, and Xi = S − xi·(C†S).  A sweep
+over G points flags pole candidates and hands each to eval_transfer: it
+stays a pole only if eval_transfer rejects it too, and otherwise takes
+eval_transfer's Xi and xi.  The candidates hold every eval_transfer pole,
+so the sweep and eval_transfer decide every point alike.
 
 The sweep works in the eigenbasis of Ω = UΛU†, with no Schur form of the
 non-normal A.  With W = CU, d_j = s + iλ_j, D = diag(d) and
@@ -23,22 +24,21 @@ K = W D⁻¹W†, sI − A = U(D + ½W†W)U†, so push-through gives, for
 M = I + K/2, xi = M⁻¹W D⁻¹U† and Xi = M⁻¹(I − K/2)S = (2M⁻¹ − I)S.  One
 eigh serves the grid, then batched products over all points.  The form
 loses up to u·|w_j|²/|d_j| next to an eigenvalue of Ω (at most 0.57× that
-over 1600 probes 1e-9 to 1e-6 from one).  A mode where that reaches
-PIVOT_REL/10·max(1, ‖A‖₁), a tenth of the 1e-12·max(1, ‖A‖₂) the tests
-allow, gets d_j' = 1 + |s| instead, and e_j = d_j − d_j' joins a per-point
-Woodbury core Z = I + B D'⁻¹B†H of size n + p in M's place: B is W over
-rows √(2|e_j|)·e_jᵀ, and H = ½·diag(1, …, 1, e_j/|e_j|, …).
+over 1600 probes 1e-9 to 1e-6 from one).  A point where that reaches
+PIVOT_REL/10·max(1, ‖A‖₁) for some mode, a tenth of the
+1e-12·max(1, ‖A‖₂) the tests allow, is a candidate; its d_j is replaced
+by 1 + |s| only to keep its row of the batch finite.
   eval_transfer rejects s only when κ₁(sI − A) ≥ 1/(m·PIVOT_REL): a pivot
 u_ii of P·L·U gives ‖U⁻¹‖₁ ≥ 1/|u_ii| and ‖U⁻¹‖₁ ≤ m·‖(sI − A)⁻¹‖₁, as
 |l_ij| ≤ 1, and zgecon's estimate of ‖(sI − A)⁻¹‖₁ is a lower bound.  By
-Woodbury, ‖(sI − A)⁻¹‖₂ ≤ ρ = 1/min|d_j'| + ½‖B D'⁻¹‖_F²·‖Z⁻¹‖_F, and
-κ₁ ≤ (|s| + ‖A‖₁)·√m·ρ.  So s is a candidate when (|s| + ‖A‖₁)·ρ ≥
+Woodbury, ‖(sI − A)⁻¹‖₂ ≤ ρ = 1/min|d_j| + ½‖W·diag(1/d)‖_F²·‖M⁻¹‖_F,
+and κ₁ ≤ (|s| + ‖A‖₁)·√m·ρ.  So s is a candidate when (|s| + ‖A‖₁)·ρ ≥
 ½/(m^1.5·PIVOT_REL), the ½ covering the rounding of ρ and of
 eval_transfer's LU: the candidates hold every eval_transfer pole.  Where
 |s| + ‖A‖₁ = 0, sI − A is 0 and ρ (∞, but finite after rounding) cannot
 tell, so s is a candidate too.  An Ω that is not bitwise hermitian (an
-invalid component), or a Z that LAPACK finds exactly singular, makes every
-point a candidate.
+invalid component), or an M that LAPACK finds exactly singular at some
+point, makes every point a candidate.
   A cascade of one-mode units, whose drift permutes to triangular form, is
 swept the same way.  A triangular solve per point would need no eigh and
 would sweep such cascades of 256 and 400 units about 2× and 3× faster, but
@@ -111,17 +111,11 @@ def eval_transfer(comp: LinearComponent, s: complex) -> TransferEvaluation:
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"s = {s} is not finite")
-    A = drift(comp)
-    m = comp.m_modes
-    resolvent_arg = s * np.eye(m) - A
-    rhs = np.concatenate([comp.C.conj().T @ comp.S, np.eye(m)], axis=1)
-    try:
-        X = matkit.solve(resolvent_arg, rhs)
+    try:    # xiᵀ from (sI − A)ᵀ·xiᵀ = Cᵀ
+        xi = matkit.solve(s * np.eye(comp.m_modes) - drift(comp), comp.C.T, trans=1).T
     except matkit.SingularMatrix as exc:
         raise SingularAtS(f"s = {s} is a pole of the transfer function") from exc
-    n = comp.n_ports
-    Xi = comp.S - comp.C @ X[:, :n]
-    xi = comp.C @ X[:, n:]
+    Xi = comp.S - xi @ (comp.C.conj().T @ comp.S)
     return TransferEvaluation(s=s, Xi=Xi, xi=xi)
 
 
@@ -151,61 +145,41 @@ def freq_response(comp: LinearComponent, omegas, sigma: float = SIGMA_MIN
             evaluation = eval_transfer(comp, s[k])
         except SingularAtS:
             Xi[k] = xi[k] = np.nan
-            continue
-        singular[k] = False
-        Xi[k], xi[k] = evaluation.Xi, evaluation.xi
+        else:
+            singular[k], Xi[k], xi[k] = False, evaluation.Xi, evaluation.xi
     return Xi, xi, singular
 
 
 def _cayley_sweep(comp: LinearComponent, A: np.ndarray, s: np.ndarray):
-    """Xi, xi and the pole candidates in the eigenbasis of Omega; see freq_response."""
+    """Xi, xi and the pole candidates in the eigenbasis of Omega; see freq_response.
+
+    A d so small that 1/d overflows (a subnormal s next to an uncoupled
+    mode) makes that row's ρ inf or NaN, which flags it, with no warning.
+    """
     G, n, m = s.size, comp.n_ports, comp.m_modes
     lam, U = np.linalg.eigh(comp.Omega)
     W = comp.C @ U
+    weight = np.sum(np.abs(W) ** 2, axis=0)    # |w_j|²
     norm = np.abs(A).sum(axis=0).max(initial=0.0)
     d = s[:, None] + 1j * lam
-    near = (np.finfo(float).eps * np.sum(np.abs(W) ** 2, axis=0)
-            / (matkit.PIVOT_REL / 10 * max(1.0, norm)) >= np.abs(d))
-    shift = 1 + np.abs(s)
-    shifted = np.where(near, shift[:, None], d)
-    corner, R, rho = _core(W, 0.5, shifted, n)
-    for k in np.flatnonzero(near.any(axis=1)):    # the batch left out e_j at these points
-        e = d[k, near[k]] - shift[k]
-        B = np.vstack([W, np.sqrt(2 * np.abs(e))[:, None] * np.eye(m)[near[k]]])
-        h = np.r_[np.full(n, 0.5), e / np.abs(e) / 2]
-        corner[k], R[k], rho[k] = (x[0] for x in _core(B, h, shifted[k:k + 1], n))
-    Xi = ((2 * corner - np.eye(n)).reshape(G * n, n) @ comp.S).reshape(G, n, n)
+    near = np.finfo(float).eps * weight / (matkit.PIVOT_REL / 10 * max(1.0, norm)) >= np.abs(d)
+    outer = (W.T[:, :, None] * W.T.conj()[:, None, :]).reshape(m, n * n)   # row j: w_j w_j†
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_d = 1 / np.where(near, 1 + np.abs(s)[:, None], d)    # keeps a near row finite
+        try:    # M = I + K/2
+            Minv = np.linalg.inv(np.eye(n) + (inv_d @ outer).reshape(G, n, n) * 0.5)
+        except np.linalg.LinAlgError:
+            return np.zeros((G, n, n), complex), np.zeros((G, n, m), complex), np.ones(G, bool)
+        R = (Minv.reshape(G * n, n) @ W).reshape(G, n, m) * inv_d[:, None, :]
+        size = np.abs(inv_d)    # ‖W·diag(1/d)‖_F² from the column norms of W
+        rho = (size.max(axis=1, initial=0.0)
+               + size ** 2 @ weight / 2 * np.linalg.norm(Minv, axis=(1, 2)))
+        scale = np.abs(s) + norm    # ≥ ‖sI − A‖₁, 0 only where sI − A = 0
+        fine = rho * (m ** 1.5 * matkit.PIVOT_REL) * scale < 0.5    # not for inf or NaN
+    Xi = ((2 * Minv - np.eye(n)).reshape(G * n, n) @ comp.S).reshape(G, n, n)
     xi = (R.reshape(G * n, m) @ U.conj().T).reshape(G, n, m)
     invalid = not np.array_equal(comp.Omega, comp.Omega.conj().T)
-    scale = np.abs(s) + norm    # ≥ ‖sI − A‖₁, 0 only where sI − A = 0
-    with np.errstate(over="ignore", invalid="ignore"):    # inf and inf·0 make candidates
-        fine = rho * (m ** 1.5 * matkit.PIVOT_REL) * scale < 0.5
-    return Xi, xi, ~fine | (scale == 0) | invalid
-
-
-def _core(B: np.ndarray, h: float | np.ndarray, d: np.ndarray, n: int):
-    """Z⁻¹'s leading n×n block, the first n rows of Z⁻¹·B·diag(1/d) and ρ, per row of d.
-
-    Z = I + B·diag(1/d)·B†·diag(h).  If LAPACK finds some Z exactly
-    singular, every ρ reads inf and both blocks read 0.  A d so small that
-    1/d overflows (a subnormal s next to an uncoupled mode) makes that
-    row's ρ inf or NaN, which the caller's rule flags, with no warning.
-    """
-    (g, m), r = d.shape, len(B)
-    outer = (B.T[:, :, None] * B.T.conj()[:, None, :]).reshape(m, r * r)   # row j: b_j b_j†
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv_d = 1 / d
-        Z = np.eye(r) + (inv_d @ outer).reshape(g, r, r) * h
-        try:
-            Zinv = np.linalg.inv(Z)
-        except np.linalg.LinAlgError:
-            return np.zeros((g, n, n), dtype=complex), np.zeros((g, n, m), dtype=complex), \
-                np.full(g, np.inf)
-        R = (Zinv[:, :n].reshape(g * n, r) @ B).reshape(g, n, m) * inv_d[:, None, :]
-        size = np.abs(inv_d)    # ‖B·diag(1/d)‖_F² from the column norms of B
-        rho = (size.max(axis=1, initial=0.0) + size ** 2 @ np.sum(np.abs(B) ** 2, axis=0) / 2
-               * np.linalg.norm(Zinv, axis=(1, 2)))
-    return Zinv[:, :n, :n], R, rho
+    return Xi, xi, ~fine | near.any(axis=1) | (scale == 0) | invalid
 
 
 def axis_residual(Xi: np.ndarray) -> np.ndarray:

@@ -89,6 +89,22 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "/nonexistent/nothing.qnet"]) == 4
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "abc"])
+    def test_bad_tol_usage(self, tmp_path, tol, capsys):
+        # S = [[2]] is invalid at every finite nonnegative tolerance below 3
+        path = tmp_path / "bad.qnet"
+        path.write_text(CAVITY.replace("S = [[1]];", "S = [[2]];"))
+        assert main(["check", str(path), "--tol", tol]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err and "--tol" in captured.err
+
+    @pytest.mark.parametrize("tol, code", [("0", 1), ("-0", 1), ("2.9", 1), ("3", 0), ("1e300", 0)])
+    def test_finite_nonnegative_tol(self, tmp_path, tol, code, capsys):
+        path = tmp_path / "bad.qnet"
+        path.write_text(CAVITY.replace("S = [[1]];", "S = [[2]];"))
+        assert main(["check", str(path), "--tol", tol]) == code
+
     @pytest.mark.parametrize("old, new", [
         ("inputs = 1;", "inputs = 1e400;"),
         ("modes = 1;", "modes = 1e400;"),

@@ -74,6 +74,33 @@ class TestFactor:
         want = lu_solve(lu_factor(m), rhs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), nrhs=st.integers(0, 6),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), vector=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_transposed_solve_on_both_backends(self, seed, n, nrhs, scale, vector):
+        rng = np.random.default_rng(seed)
+        m, rhs = _random_system(rng, n, nrhs, scale)
+        m[rng.random((n, n)) < 0.5] = 0.0
+        m[np.arange(n), np.arange(n)] += 3 * scale * n    # nonsingular, half of it zeros
+        if vector and nrhs:
+            rhs = rhs[:, 0]
+        dense = matkit.factor(m).solve(rhs, trans=1)
+        assert dense.tobytes() == lu_solve(lu_factor(m), rhs, trans=1).tobytes()
+        split = matkit.factor(sparse.csc_array(m)).solve(rhs, trans=1)
+        want = np.linalg.solve(m.T, rhs)
+        bound = 1e-12 * np.linalg.cond(m, 1) * max(1.0, matkit.max_abs(want))
+        for got in (dense, split):
+            assert got.shape == rhs.shape and matkit.max_abs(got - want) <= bound
+
+    def test_transposed_solve_of_empty_right_hand_side(self):
+        m = np.array([[2.0, 1j], [0.0, 1.0]])
+        for given_m in (m, sparse.csc_array(m)):
+            lu = matkit.factor(given_m)
+            assert lu.solve(np.zeros((2, 0)), trans=1).shape == (2, 0)
+            # Mᵀ, not M†, which would give [1, 2i]
+            assert np.array_equal(lu.solve(np.array([2.0, 1j]), trans=1), [1.0, 0.0])
+        assert matkit.solve(np.zeros((0, 0)), np.zeros((0, 3)), trans=1).shape == (0, 3)
+
     def test_one_factor_serves_many_solves(self):
         m, rhs = _random_system(np.random.default_rng(3), 6, 4, 1.0)
         lu = matkit.factor(m)

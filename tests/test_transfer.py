@@ -11,7 +11,7 @@ from scipy.linalg import block_diag
 from slhnet import (SIGMA_MIN, CommutingForm, LinearComponent, build_partitioned,
                     check_unitary_on_axis, commuting_form, concatenate, drift, eval_transfer,
                     feedback_reduce, freq_response, make_cavity, matkit,
-                    poles_zeros_commuting, series_product, transfer)
+                    poles_zeros_commuting, series_product)
 from slhnet.netfile import Edge, NetDocument
 from slhnet.transfer import NotCommuting, SingularAtS, ZeroModeAmbiguity
 
@@ -69,6 +69,27 @@ class TestEvalTransfer:
                                         comp.C.conj().T)
             alt = (np.eye(comp.n_ports) - comp.C @ resolvent) @ comp.S
             assert matkit.max_abs(ev.Xi - alt) <= 1e-10
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 8),
+           st.floats(1e-3, 3.0), st.floats(-5.0, 5.0))
+    @settings(max_examples=200, deadline=None)
+    @example(0, 0, 0, 1.0, 0.0)
+    @example(1, 0, 3, 0.5, 1.0)
+    @example(2, 3, 0, 0.5, -1.0)
+    def test_matches_numpy_solve(self, seed, n, m, re, im):
+        rng = np.random.default_rng(seed)
+        if n:
+            comp = random_component(rng, n, m)
+        else:   # no ports: every mode undamped, its pole on the axis
+            comp = LinearComponent(np.zeros((0, 0)), np.zeros((0, m)), random_hermitian(rng, m))
+        s = complex(re, im)
+        ev = eval_transfer(comp, s)
+        resolvent = np.linalg.solve(s * np.eye(m) - drift(comp), np.eye(m))
+        Xi = comp.S - comp.C @ resolvent @ comp.C.conj().T @ comp.S
+        xi = comp.C @ resolvent
+        assert ev.Xi.shape == (n, n) and ev.xi.shape == (n, m)
+        assert matkit.max_abs(ev.Xi - Xi) <= 1e-13 * max(1.0, matkit.max_abs(Xi))
+        assert matkit.max_abs(ev.xi - xi) <= 1e-13 * max(1.0, matkit.max_abs(xi))
 
     def test_xi_kernel(self):
         rng = np.random.default_rng(43)
@@ -332,10 +353,6 @@ def _families(draw):
     return _cascade(rng, n, draw(st.integers(2, 24)))
 
 
-def _refuse_eval_transfer(comp, s):
-    raise AssertionError(f"the sweep handed s = {s} to eval_transfer")
-
-
 class TestCayleySweep:
     """Sweeps in the eigenbasis of Omega."""
 
@@ -357,23 +374,34 @@ class TestCayleySweep:
 
     @pytest.mark.parametrize("sigma", [0.0, SIGMA_MIN, 0.5])
     @pytest.mark.parametrize("seed", range(6))
-    def test_points_on_and_near_omega_eigenvalues(self, seed, sigma, monkeypatch):
+    def test_points_on_and_near_omega_eigenvalues(self, seed, sigma):
         # s = sigma − iλ_j(Omega) + i·offset, where a mode's term |w_j|²/(s + iλ_j) peaks
         rng = np.random.default_rng(seed)
         comp = random_component(rng, int(rng.integers(1, 5)), int(rng.integers(2, 9)))
         offsets = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3])
         grid = (offsets - np.linalg.eigvalsh(comp.Omega)[:, None]).ravel()
-        # the sweep evaluates every point itself: none is a pole candidate
-        monkeypatch.setattr(transfer, "eval_transfer", _refuse_eval_transfer)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Xi, xi, singular = freq_response(comp, grid, sigma=sigma)
         assert not singular.any()
-        scale = max(1.0, np.linalg.norm(drift(comp), 2))
+        # a mode whose term would lose u·|w_j|²/|d_j| past a tenth of PIVOT_REL·max(1, ‖A‖₁)
+        # makes its point a pole candidate, which takes eval_transfer's values
+        A = drift(comp)
+        lam, U = np.linalg.eigh(comp.Omega)
+        reach = (np.finfo(float).eps * np.sum(np.abs(comp.C @ U) ** 2, axis=0)
+                 / (matkit.PIVOT_REL / 10 * max(1.0, np.abs(A).sum(axis=0).max())))
+        scale = max(1.0, np.linalg.norm(A, 2))
+        near = 0
         for w, X, x in zip(grid, Xi, xi):
             ev = eval_transfer(comp, sigma + 1j * w)
-            assert matkit.max_abs(X - ev.Xi) <= 1e-12 * scale
-            assert matkit.max_abs(x - ev.xi) <= 1e-12 * scale
+            if np.any(reach >= np.abs(sigma + 1j * w + 1j * lam)):
+                near += 1
+                assert np.array_equal(X, ev.Xi) and np.array_equal(x, ev.xi)
+            else:
+                assert matkit.max_abs(X - ev.Xi) <= 1e-12 * scale
+                assert matkit.max_abs(x - ev.xi) <= 1e-12 * scale
+        # every eigenvalue of Omega is on the grid, and sigma = 0 puts a point on it
+        assert near >= (sigma == 0.0) * comp.m_modes
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grid_point_on_a_coupled_pole(self, seed):
