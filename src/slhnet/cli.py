@@ -34,7 +34,7 @@ from .network import AlgebraicLoop, DimensionMismatch, OutsideDomain, \
 from .slh import LinearComponent, validate
 from .stratcal import CayleySingular, StratonovichModel, ito_table_residuals, \
     ito_to_strat, strat_to_ito
-from .transfer import SIGMA_MIN, SingularAtS, axis_residual, eval_transfer, freq_response
+from .transfer import SIGMA_MIN, SingularAtS, eval_transfer, freq_response
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -193,7 +193,7 @@ def _cmd_freqresp(args) -> int:
     # one row per point: omega, re/im of Xi in row order, then the residual;
     # a pole's row reads NA after omega
     table = np.column_stack([omegas, Xi.view(np.float64).reshape(len(Xi), 2 * n * n),
-                             axis_residual(Xi)])
+                             matkit.gram_residual(Xi)])
     _emit(args.output, header + "\n", format_table(table, singular))
     return EXIT_OK
 

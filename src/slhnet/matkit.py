@@ -1,11 +1,13 @@
 """Complex-matrix kernel shared by every other module.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
-structural predicates take absolute tolerances on the max-entry norm
-(``STRUCT_TOL``).  They suit O(1)-normalized parameters but do not scale
-with the model's units: an Ω hermitian up to rounding, with rates of 1e6
-or more, can fail them on the rounding alone.  The singularity gate is
-relative to ‖M‖₁.
+structural checks compare a max-entry residual with the absolute
+``STRUCT_TOL``: :func:`unitarity_residual` of S in ``slh.validate`` and of T
+in ``network.BeamSplitter``, and ‖M − M†‖_max of Ω in ``slh.validate`` and
+of E and K in ``stratcal.StratonovichModel``.  They suit O(1)-normalized
+parameters but do not scale with the model's units: an Ω hermitian up to
+rounding, with rates of 1e6 or more, can fail them on the rounding alone.
+The singularity gate is relative to ‖M‖₁.
 
 :func:`factor` is the one singularity gate, with two backends behind one
 interface: LAPACK's dense LU for an array and SuperLU's sparse LU for a
@@ -37,7 +39,7 @@ import sys
 
 import numpy as np
 
-STRUCT_TOL = 1e-9    # default tolerance for structural predicates
+STRUCT_TOL = 1e-9    # absolute tolerance of the structural checks
 EIG_MERGE_GAP = 1e-9  # relative gap under which eigenvalues share a projector
 PIVOT_REL = 1e-12    # least pivot / max column 1-norm, and least 1-norm rcond, to solve
 SPARSE_MIN = 128     # least k for a sparse LU of a k×k loop matrix; see network._blocks
@@ -84,10 +86,6 @@ class SingularMatrix(ValueError):
     def __init__(self, condition: float):
         super().__init__("matrix is singular to working precision")
         self.condition = condition
-
-
-class NotHermitian(ValueError):
-    """A hermitian-only operation received a non-hermitian matrix."""
 
 
 def as_matrix(value, rows: int | None = None, cols: int | None = None,
@@ -245,31 +243,25 @@ def solve(m, rhs, trans: int = 0) -> np.ndarray:
     return factor(m).solve(rhs, trans)
 
 
-def is_hermitian(m, tol: float = STRUCT_TOL) -> bool:
-    """True iff ‖M − M†‖_max ≤ tol."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("is_hermitian needs a square matrix")
-    return max_abs(m - m.conj().T) <= tol
+def gram_residual(x) -> np.ndarray:
+    """‖X·X† − I‖_max of each matrix of a (G, n, n) stack, shape (G,); inf on overflow.
 
-
-def is_unitary(m, tol: float = STRUCT_TOL) -> bool:
-    """True iff both ‖M†M − I‖_max and ‖MM† − I‖_max are ≤ tol."""
-    return unitarity_residual(m) <= tol
+    A finite X yields NaN only through overflow (inf − inf), so NaN reads
+    inf, as does a pole's NaN row of ``transfer.freq_response``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.max(np.abs(x @ x.conj().swapaxes(1, 2) - np.eye(x.shape[1])), axis=(1, 2),
+                       initial=0.0)
+    worst[np.isnan(worst)] = np.inf
+    return worst
 
 
 def unitarity_residual(m) -> float:
-    """max(‖M†M − I‖_max, ‖MM† − I‖_max); inf when the products overflow.
-
-    A finite M yields NaN only through overflow (inf − inf), so NaN reads inf.
-    """
+    """max(‖M†M − I‖_max, ‖MM† − I‖_max), the larger gram_residual of M† and M."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("unitarity needs a square matrix")
-    eye = np.eye(m.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        worst = max_abs([m.conj().T @ m - eye, m @ m.conj().T - eye])
-    return np.inf if np.isnan(worst) else worst
+    return float(gram_residual(np.stack([m.conj().T, m])).max())
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -278,12 +270,9 @@ def eig_hermitian(m) -> tuple[np.ndarray, list[np.ndarray]]:
     Eigenvalues are returned ascending; eigenvalues closer than
     ``EIG_MERGE_GAP`` (relative to max(1, spectral radius)) share a single
     orthogonal projector, so degenerate clusters come back as one term.
-    Raises NotHermitian if the input fails ``is_hermitian`` (``STRUCT_TOL``).
+    Only the lower triangle of M is read, as ``numpy.linalg.eigh`` reads it.
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise NotHermitian(
-            f"matrix deviates from hermiticity by {max_abs(m - m.conj().T):.3e}")
     if m.shape[0] == 0:
         return np.zeros(0), []
     w, v = np.linalg.eigh(m)

@@ -152,6 +152,9 @@ _TOKEN_KINDS = (None, "NUMBER", "NAME", None)   # by group; any other character 
 _CNUM = rf"(?:[+-]{_SKIP})?+{_NUMBER}(?:i|{_SKIP}[+-]{_SKIP}{_NUMBER}i)?+"
 _ROW = rf"\[{_SKIP}{_CNUM}{_SKIP}(?:,{_SKIP}{_CNUM}{_SKIP})*+\]"
 _MATRIX = rf"\[{_SKIP}(?:\]|({_ROW}(?:{_SKIP},{_SKIP}{_ROW})*+){_SKIP}\])"
+# The rows a matrix walk skips, each with its ",": compiled by the first
+# walk (re caches it), as only an error walks a matrix.
+_ROWS = rf"(?:{_SKIP}{_ROW}{_SKIP},)*+"
 _COMMENT = r"#[^\n]*"
 _TO_NUMPY = str.maketrans({" ": None, "\t": None, "\r": None, "\n": None, "[": None, "]": None,
                            "i": "j"})
@@ -419,6 +422,7 @@ class _Parser:
         self.expect("[", "matrix")
         if self.accept("]"):
             return
+        self.pos = re.compile(_ROWS).match(self.source, self.pos).end()
         while True:
             self.expect("[", "matrix row")
             while True:
@@ -476,10 +480,8 @@ class _Parser:
             shapes = {"S": (n, n), "C": (n, m), "Omega": (m, m)}
             for key, shape in shapes.items():     # every shape before any allocation
                 self.check_shape(entries[key][0].start(1), entries[key][1], shape, key)
-            S, C, Omega = (entries[key][1] if entries[key][1].size else
-                           np.zeros(shape, dtype=complex) for key, shape in shapes.items())
-            try:
-                components[name] = LinearComponent._adopt(S, C, Omega)
+            try:    # _triple reads an empty C as n×m zeros
+                components[name] = LinearComponent._adopt(*(entries[key][1] for key in shapes))
             except ValueError as exc:
                 self.fail(name_at, f"invalid component {name!r}: {exc}")
 
@@ -979,12 +981,10 @@ def build_partitioned(doc: NetDocument) -> PartitionedComponent:
     rank_dst = np.empty_like(by_dst)
     rank_dst[by_dst] = np.arange(len(dst))
     taken_in = set(dst.tolist()).union(declared)
-    internal_out = set(src.tolist())
     external_in = tuple(declared) + tuple(g for g in range(total) if g not in taken_in)
-    external_out = tuple(g for g in range(total) if g not in internal_out)
     return PartitionedComponent(combined, internal_out=tuple(src[by_src].tolist()),
                                 internal_in=tuple(dst[by_dst].tolist()), eta=rank_dst[by_src],
-                                external_out=external_out, external_in=external_in)
+                                external_in=external_in)
 
 
 # ---------------------------------------------------------------------------

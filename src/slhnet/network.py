@@ -135,15 +135,6 @@ def _permutation(eta, k: int) -> np.ndarray:
     return perm
 
 
-def _factor_loop(loop) -> matkit.LU:
-    """matkit.factor of η − S_ii, AlgebraicLoop with its condition estimate if singular."""
-    try:
-        return matkit.factor(loop)
-    except matkit.SingularMatrix as exc:
-        raise AlgebraicLoop("(eta - S_ii) is singular (condition estimate "
-                            f"{exc.condition:.3e})") from exc
-
-
 def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
     """Reduce (S, C, Omega), output i_out[s] feeding input i_in[perm[s]], onto e_out × e_in.
 
@@ -156,7 +147,11 @@ def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
     """
     n_e = len(e_in)
     loop, rhs, C_i, S_ei, S_ee = _blocks(S, C, i_out, i_in, perm, e_out, e_in)
-    X = _factor_loop(loop).solve(rhs)
+    try:
+        X = matkit.factor(loop).solve(rhs)
+    except matkit.SingularMatrix as exc:
+        raise AlgebraicLoop("(eta - S_ii) is singular (condition estimate "
+                            f"{exc.condition:.3e})") from exc
     del loop, rhs   # X is all the rest needs: free the k-row arrays first
     C_e = C.take(e_out, axis=0)
     loop_C = X[:, n_e:]       # (η − S_ii)⁻¹ C_i
@@ -285,7 +280,7 @@ class BeamSplitter:
         n = self.n1 + self.n2
         if self.n1 < 0 or self.n2 < 0 or T.shape != (n, n):
             raise ValueError(f"T must be {n}×{n} for block dims ({self.n1}, {self.n2})")
-        if not matkit.is_unitary(T, matkit.STRUCT_TOL):
+        if matkit.unitarity_residual(T) > matkit.STRUCT_TOL:
             raise ValueError("beam splitter matrix must be unitary")
         T.flags.writeable = False
         object.__setattr__(self, "T", T)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .slh import LinearComponent, _triple
+from .slh import LinearComponent, _triple, drift
 
 
 class CayleySingular(ValueError):
@@ -43,9 +43,9 @@ class StratonovichModel:
 
     def __post_init__(self):
         E, F, K = _triple(("E", "F", "K"), self.E, self.F, self.K)
-        if not matkit.is_hermitian(E, matkit.STRUCT_TOL):
+        if matkit.max_abs(E - E.conj().T) > matkit.STRUCT_TOL:
             raise ValueError("E must be hermitian")
-        if not matkit.is_hermitian(K, matkit.STRUCT_TOL):
+        if matkit.max_abs(K - K.conj().T) > matkit.STRUCT_TOL:
             raise ValueError("K must be hermitian")
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "F", F)
@@ -137,12 +137,11 @@ def ito_table_residuals(sm: StratonovichModel,
     if sm.n_ports != comp.n_ports or sm.m_modes != comp.m_modes:
         raise ValueError("dimension mismatch between Stratonovich and Ito models")
     n = sm.n_ports
-    S, C, Omega = comp.S, comp.C, comp.Omega
+    S, C = comp.S, comp.C
     d = S - np.eye(n)
     r1 = d + 1j * sm.E + 0.5j * sm.E @ d
     r2 = C + 1j * sm.F + 0.5j * sm.E @ C
-    lhs = -0.5 * C.conj().T @ C - 1j * Omega
     rhs = -1j * sm.K - 0.5j * sm.F.conj().T @ C
     return ConsistencyResiduals(scattering=matkit.max_abs(r1),
                                 coupling=matkit.max_abs(r2),
-                                drift=matkit.max_abs(lhs - rhs))
+                                drift=matkit.max_abs(drift(comp) - rhs))

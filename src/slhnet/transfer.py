@@ -182,29 +182,16 @@ def _cayley_sweep(comp: LinearComponent, A: np.ndarray, s: np.ndarray):
     return Xi, xi, ~fine | near.any(axis=1) | (scale == 0) | invalid
 
 
-def axis_residual(Xi: np.ndarray) -> np.ndarray:
-    """‖Xi·Xi† − I‖_max of each matrix of a (G, n, n) stack, shape (G,); inf on overflow.
-
-    A finite Xi yields NaN only through overflow (inf − inf), so NaN reads
-    inf, as does a pole's NaN row of freq_response.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation = Xi @ Xi.conj().swapaxes(1, 2) - np.eye(Xi.shape[1])
-    worst = np.max(np.abs(deviation), axis=(1, 2), initial=0.0)
-    worst[np.isnan(worst)] = np.inf
-    return worst
-
-
 def check_unitary_on_axis(comp: LinearComponent, omegas, tol: float = 1e-8,
                           sigma: float = SIGMA_MIN) -> ResidualReport:
     """Sweep the axis and report ‖Xi(iω)Xi(iω)† − I‖_max per frequency.
 
-    A pole on the grid counts as an infinite residual: axis_residual reads
-    its NaN row of Xi as inf, except with no ports, where the row is empty.
+    A pole on the grid counts as an infinite residual, as matkit.gram_residual
+    reads its NaN row of Xi, except with no ports, where the row is empty.
     """
     omegas = np.array([float(w) for w in omegas])
     Xi, _, singular = freq_response(comp, omegas, sigma=sigma)
-    residuals = np.where(singular, np.inf, axis_residual(Xi))
+    residuals = np.where(singular, np.inf, matkit.gram_residual(Xi))
     return ResidualReport(tuple(omegas.tolist()), tuple(residuals.tolist()), tol)
 
 

@@ -13,7 +13,8 @@ from slhnet import (LinearComponent, build_partitioned, check_unitary_on_axis, d
 from slhnet.cli import _build_parser, main
 from slhnet.netfile import (component_document, parse_matrix_assignments,
                             serialize)
-from slhnet.transfer import SingularAtS, axis_residual, eval_transfer, freq_response
+from slhnet.matkit import gram_residual as axis_residual
+from slhnet.transfer import SingularAtS, eval_transfer, freq_response
 
 from support import format_float, haar_unitary, random_component, random_network
 
@@ -86,6 +87,12 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "line 1" in err
 
+    def test_file_without_components(self, tmp_path, capsys):
+        path = tmp_path / "empty.qnet"
+        path.write_text("# no blocks\n")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "no components defined\n"
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "/nonexistent/nothing.qnet"]) == 4
 
@@ -131,6 +138,15 @@ class TestCheck:
         assert "line 3, column 11" in err and "at most" in err
 
 class TestReduce:
+    def test_two_components_without_network_usage(self, tmp_path, capsys):
+        path = tmp_path / "two.qnet"
+        path.write_text(CAVITY + CAVITY.replace("cavity", "other"))
+        assert main(["reduce", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: {path}: defines 2 components "
+                                "but no network block\n")
+
     def test_bsloop_coupling_rate(self, bsloop_file, capsys):
         # alpha = 0.5 splitter around a gamma0 = 3 cavity: |C| = 1
         assert main(["reduce", bsloop_file]) == 0
@@ -341,6 +357,16 @@ component pair {
         assert main(["freqresp", cavity_file, "--grid", grid]) == 4
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, reason", [
+        ("a:1:3", "could not convert string to float: 'a'"),
+        ("0:1:x", "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_unparsable_grid_usage(self, cavity_file, grid, reason, capsys):
+        assert main(["freqresp", cavity_file, "--grid", grid]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: bad grid {grid!r}: {reason}\n"
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "abc"])
     def test_bad_sigma_usage(self, cavity_file, sigma, capsys):
         assert main(["freqresp", cavity_file, "--grid", "0:1:3", "--sigma", sigma]) == 4
@@ -438,6 +464,14 @@ class TestStratCommands:
         triple = tmp_path / "triple.txt"
         triple.write_text("S = [[-1]];\nC = [[1]];\nOmega = [[0]];\n")
         assert main(["ito2strat", str(triple)]) == 3
+
+    def test_ito2strat_rejects_nonunitary_s(self, tmp_path, capsys):
+        triple = tmp_path / "triple.txt"
+        triple.write_text("S = [[2]];\nC = [];\nOmega = [];\n")
+        assert main(["ito2strat", str(triple)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid model: S not unitary (max-norm residual 3)\n"
 
     def test_missing_key_usage(self, tmp_path):
         gen = tmp_path / "gen.txt"

@@ -253,6 +253,30 @@ network {
             parse(src)
         assert "internally driven" in excinfo.value.message
 
+    def test_connect_to_external_input(self):
+        src = CAVITY + """\
+network {
+  use a : cavity;
+  use b : cavity;
+  external b.in[0] as tap;
+  connect a.out[0] -> b.in[0];
+}
+"""
+        err = _assert_error_at(src, "0];")        # the port index of the connect
+        assert err.message == ("input b.in[0] is declared external "
+                               "and cannot be internally driven")
+
+    def test_external_declared_twice(self):
+        src = CAVITY + """\
+network {
+  use a : cavity;
+  external a.in[0] as drive;
+  external a.in[0] as tap;
+}
+"""
+        err = _assert_error_at(src, "0] as tap")
+        assert err.message == "input a.in[0] declared external twice"
+
     def test_duplicate_external_alias(self):
         src = CAVITY + """\
 network {
@@ -705,6 +729,38 @@ def test_accepted_text_is_never_walked_token_by_token(monkeypatch):
         parse_matrix_assignments(format_matrix_assignments([("C", big.C), ("K", big.Omega)]))
         counts.append(len(calls))
     assert counts == [0, 1] * 3
+
+
+def test_bad_last_entry_walks_only_its_row(monkeypatch):
+    """A matrix literal is walked token by token only from its last row on.
+
+    The rows before it, accepted by the row pattern, are skipped with their
+    ",", so a bad last entry takes a number of ``_Parser.peek`` calls bounded
+    by the size of one row, however many rows come before it.
+    """
+    calls = []
+    peek = netfile._Parser.peek
+    monkeypatch.setattr(netfile._Parser, "peek", lambda self: calls.append(1) or peek(self))
+    rng = np.random.default_rng(14)
+    for modes in (1, 8, 64):
+        comp = LinearComponent(haar_unitary(rng, 2), rng.standard_normal((2, modes)) + 1j,
+                               random_hermitian(rng, modes))
+        text = serialize(component_document("big", comp))
+        bad = text[:text.rindex("]]")] + " 7" + text[text.rindex("]]"):]   # after Omega's last
+        calls.clear()
+        got = _outcome(parse, bad)
+        assert len(calls) <= 5 * modes + 8
+        assert got == _outcome(reference_parse, bad)
+        assert got[2] == "expected ']', found '7'"
+        # Cᵀ has a row per mode, and its last entry loses its "i"
+        assignments = format_matrix_assignments([("K", comp.Omega), ("C", comp.C.T)])
+        at = assignments.rindex("i]]")
+        bad = assignments[:at] + assignments[at + 1:]
+        calls.clear()
+        got = _outcome(parse_matrix_assignments, bad)
+        assert len(calls) <= 5 * 2 + 8
+        assert got == _outcome(reference_parse_matrix_assignments, bad)
+        assert got[2] == "expected imaginary part with 'i' suffix"
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,

@@ -643,6 +643,38 @@ class TestPermutationVector:
             PartitionedComponent(comp, (0, 1, 2), (1, 2, 3), eta)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(internal_out=(0, 2), internal_in=(0, 1), eta=np.eye(2)),
+     "internal_out index out of range 0..1"),
+    (dict(internal_out=(0,), internal_in=(0,), eta=np.eye(1), external_out=(0,)),
+     "external_out must be the complement of internal_out"),
+    (dict(internal_out=(0,), internal_in=(1,), eta=np.eye(1), external_in=(0, 1)),
+     "external_in must be the complement of internal_in"),
+], ids=["index-out-of-range", "external-out-overlaps", "external-in-overlaps"])
+def test_partition_rejection_messages(kwargs, message):
+    comp = concatenate(make_cavity(1.0), make_cavity(2.0))
+    with pytest.raises(BadPartition) as info:
+        PartitionedComponent(comp, **kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: BeamSplitter(np.eye(3), 1, 1), ValueError, "T must be 2×2 for block dims (1, 1)"),
+    (lambda: BeamSplitter(np.eye(1), -1, 2), ValueError,
+     "T must be 1×1 for block dims (-1, 2)"),
+    (lambda: BeamSplitter(np.diag([1.0, 1.0 + 1e-9]), 1, 1), ValueError,
+     "beam splitter matrix must be unitary"),
+    (lambda: mixing_splitter(1.5), ValueError, "mixing amplitude must lie in [-1, 1]"),
+    (lambda: beamsplitter_network(mixing_splitter(0.5),
+                                  random_component(np.random.default_rng(2), 2, 1)),
+     DimensionMismatch, "plant has 2 ports, splitter loop block expects 1"),
+], ids=["shape", "negative-block", "not-unitary", "mixing-amplitude", "plant-ports"])
+def test_splitter_rejection_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_beamsplitter_requires_unitary():
     with pytest.raises(ValueError):
         BeamSplitter(np.array([[1.0, 0.0], [0.0, 2.0]]), 1, 1)

@@ -137,11 +137,30 @@ class TestConcatenate:
         both = concatenate(a, a)
         assert both.port_labels == ("a.p0", "b.p0")
 
+    def test_collision_left_by_equal_prefixes_rejected(self):
+        a = make_cavity(1.0)
+        with pytest.raises(ValueError) as info:
+            concatenate(a, a, prefixes=("x", "x"))
+        assert str(info.value) == "label sets still collide after prefixing"
+
 
 class TestConstruction:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LinearComponent(np.eye(2), np.zeros((3, 1)), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.ones((2, 3)), np.zeros((2, 1)), [[0.0]]), "S must be square, got shape (2, 3)"),
+        ((np.eye(2), np.zeros((2, 2)), np.ones((2, 1))),
+         "Omega must be square, got shape (2, 1)"),
+        ((np.eye(2), np.zeros((2, 1)), [[0.0]], ("in",)), "expected 2 port labels, got 1"),
+        ((np.eye(2), np.zeros((2, 1)), [[0.0]], (), ("a", "b")),
+         "expected 1 mode labels, got 2"),
+    ], ids=["S-not-square", "Omega-not-square", "port-labels", "mode-labels"])
+    def test_rejection_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            LinearComponent(*args)
+        assert str(info.value) == message
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

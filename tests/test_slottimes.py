@@ -46,6 +46,29 @@ def test_differing_output_digests_are_named(capsys):
     assert "outputs identical on all 4 slots" in capsys.readouterr().out
 
 
+def test_differing_algebra_calls_are_named(capsys):
+    tool = _load_tool()
+    calls = ["series_product", "mobius", "eval_transfer"]
+
+    def bundle(*words):     # one 64-byte digest, 128 hex digits, per call
+        return dict(_slot("".join(w * 64 for w in words)), kind="algebra", calls=calls)
+
+    parent = [bundle("aa", "bb", "cc"), bundle("aa", "bb", "cc"), bundle("aa", "bb", "cc")]
+    change = [bundle("aa", "bb", "cc"), bundle("aa", "bb", "c0"), bundle("aa", "b0", "c0")]
+    assert tool.differing_calls(parent, change) == ["mobius", "eval_transfer"]
+    tool._report({"parent": parent, "change": change})
+    assert ("outputs differ on slots 1, 2 (2 of 3): mobius, eval_transfer\n"
+            in capsys.readouterr().out)
+    assert tool.differing_calls(parent, change[:1] + parent[1:]) == []
+    tool._report({"parent": parent, "change": parent})
+    assert "outputs identical on all 3 slots" in capsys.readouterr().out
+    # slots of other workloads carry no calls, and their line names none
+    plain = [_slot("aa"), _slot("bb")]
+    assert tool.differing_calls(plain, [_slot("aa"), _slot("b0")]) == []
+    tool._report({"parent": plain, "change": [_slot("aa"), _slot("b0")]})
+    assert "outputs differ on slots 1 (1 of 2)\n" in capsys.readouterr().out
+
+
 def test_against_itself_reports_identical_outputs(capsys):
     tool = _load_tool()
     assert tool.main(["algebra_mix", "--seed", "3", "--repeat", "1", "--rounds", "1",

@@ -174,6 +174,17 @@ class TestResidualOracle:
 
 
 class TestModelConstruction:
+    @pytest.mark.parametrize("name", ["E", "K"])
+    def test_hermiticity_compared_with_struct_tol(self, name):
+        def model(offset):
+            mats = {"E": np.zeros((2, 2)), "F": np.zeros((2, 2)), "K": np.zeros((2, 2))}
+            mats[name] = np.array([[0.0, offset], [0.0, 0.0]])
+            return StratonovichModel(**mats)
+        model(matkit.STRUCT_TOL)     # ‖M − M†‖_max = STRUCT_TOL is still hermitian
+        with pytest.raises(ValueError) as info:
+            model(2 * matkit.STRUCT_TOL)
+        assert str(info.value) == f"{name} must be hermitian"
+
     def test_nonhermitian_rejected(self):
         with pytest.raises(ValueError):
             StratonovichModel(E=[[0.0, 1.0], [0.0, 0.0]], F=np.zeros((2, 1)),

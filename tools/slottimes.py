@@ -18,7 +18,9 @@ rounds, and the ratio change/parent is printed per slot (this checkout is
 the change, ROOT the parent).  The digest of each slot's output (the
 workload's ``Job.digest`` of its first run in each process) is compared
 between the two checkouts and between the rounds of each side, and every
-slot whose bytes differ is named.  After each side's slot run, the side's
+slot whose bytes differ is named.  An ``algebra_mix`` slot's digest joins
+the 64-byte digests of its calls in ``ALGEBRA_KINDS`` order, so the calls
+whose digests differ are named too.  After each side's slot run, the side's
 ``perfbench/setup_probe.py`` times one cold start (import, then one job of
 each kind) in a fresh process, and the median import and warm-up seconds
 of each side over the rounds are printed.  Standard library and numpy only.
@@ -57,7 +59,7 @@ def measure(root: str, workload: str, seed: int, repeat: int) -> list[dict]:
     sys.path.insert(0, os.path.join(root, "src"))
     sys.path.insert(0, os.path.join(root, "perfbench"))
     import slhnet.cli  # noqa: F401  (workloads look slhnet's modules up in sys.modules)
-    from workloads import WORKLOADS
+    from workloads import ALGEBRA_KINDS, WORKLOADS
     with tempfile.TemporaryDirectory() as workdir:
         jobs = WORKLOADS[workload].build(seed, workdir)
         digests = [job.digest(job.run()).hex() for job in jobs]
@@ -67,13 +69,22 @@ def measure(root: str, workload: str, seed: int, repeat: int) -> list[dict]:
                 t0 = time.perf_counter()
                 job.run()
                 best[slot] = min(best[slot], time.perf_counter() - t0)
-    return [{"kind": job.kind, "sizes": job.sizes, "digest": d, "best_s": b}
+    return [{"kind": job.kind, "sizes": job.sizes, "digest": d, "best_s": b,
+             "calls": ALGEBRA_KINDS if job.kind == "algebra" else []}
             for job, d, b in zip(jobs, digests, best)]
 
 
 def differing_slots(parent: list[dict], change: list[dict]) -> list[int]:
     """The slots whose output digests differ between two measurements."""
     return [slot for slot, (p, c) in enumerate(zip(parent, change)) if p["digest"] != c["digest"]]
+
+
+def differing_calls(parent: list[dict], change: list[dict]) -> list[str]:
+    """The calls of an algebra_mix slot whose 64-byte digests differ on some slot."""
+    calls = parent[0].get("calls", []) if parent else []
+    return [call for k, call in enumerate(calls)    # 128 hex digits per call
+            if any(p["digest"][128 * k:128 * (k + 1)] != c["digest"][128 * k:128 * (k + 1)]
+                   for p, c in zip(parent, change))]
 
 
 def merge_rounds(rounds: list[list[dict]]) -> tuple[list[dict], list[int]]:
@@ -133,7 +144,8 @@ def _report(sides: dict[str, list[dict]], varying: dict[str, list[int]] | None =
         print(line)
     if len(names) == 2:
         differ = differing_slots(*sides.values())
-        print(f"outputs differ on {_slot_list(differ, len(first))}"
+        calls = ", ".join(differing_calls(*sides.values()))
+        print(f"outputs differ on {_slot_list(differ, len(first))}" + (calls and f": {calls}")
               if differ else f"outputs identical on all {len(first)} slots")
     for name, slots in (varying or {}).items():
         if slots:
