@@ -152,24 +152,24 @@ _TOKEN_KINDS = (None, "NUMBER", "NAME", None)   # by group; any other character 
 _CNUM = rf"(?:[+-]{_SKIP})?+{_NUMBER}(?:i|{_SKIP}[+-]{_SKIP}{_NUMBER}i)?+"
 _ROW = rf"\[{_SKIP}{_CNUM}{_SKIP}(?:,{_SKIP}{_CNUM}{_SKIP})*+\]"
 _MATRIX = rf"\[{_SKIP}(?:\]|({_ROW}(?:{_SKIP},{_SKIP}{_ROW})*+){_SKIP}\])"
-# The rows a matrix walk skips, each with its ",": compiled by the first
-# walk (re caches it), as only an error walks a matrix.
-_ROWS = rf"(?:{_SKIP}{_ROW}{_SKIP},)*+"
+# Each pattern is compiled where it is used, through re's own cache, by the first
+# parse that needs it; a valid QNET file never compiles _TOKEN, _LEXABLE or _ROWS.
+_ROWS = rf"(?:{_SKIP}{_ROW}{_SKIP},)*+"     # the rows a matrix walk skips, each with its ","
 _COMMENT = r"#[^\n]*"
 _TO_NUMPY = str.maketrans({" ": None, "\t": None, "\r": None, "\n": None, "[": None, "]": None,
                            "i": "j"})
 
-# A block head: "component" and its name (group 1), "network" (group 2), or
-# the end of the file; a component entry or matrix assignment: a name
-# (group 1), "=", a count (group 2) or a matrix (rows in group 3), ";"; and
-# the "}" that closes a block.
-_HEAD = (rf"{_SKIP}(?:component{_WORD_END}{_SKIP}({_NAME}){_SKIP}\{{"
-         rf"|(network){_WORD_END}{_SKIP}\{{|\Z)")
+# A component entry or matrix assignment: a name (group 1), "=", a count
+# (group 2) or a matrix (rows in group 3), ";"; and the "}" that closes a block.
 _ENTRY = rf"{_SKIP}({_NAME}){_SKIP}={_SKIP}(?:({_NUMBER})|{_MATRIX}){_SKIP};"
 _CLOSE = rf"{_SKIP}\}}"
 
-# Network statements, one step per token: a keyword, or the (kind, what)
-# of an expected token.  NAME and NUMBER steps are the statement's fields.
+# Block heads and network statements by keyword, for their pattern and walk: one
+# step per token, a keyword or a token's (kind, what), NAME and NUMBER the fields.
+_HEADS = {
+    "component": ("component", ("NAME", "component name"), ("{", None)),
+    "network": ("network", ("{", None)),
+}
 _STATEMENTS = {
     "use": ("use", ("NAME", "instance name"), (":", None), ("NAME", "component name"),
             (";", None)),
@@ -191,28 +191,14 @@ def _statement_pattern(steps) -> str:
     return _SKIP.join(parts)
 
 
-# One statement of any kind; its fields are groups 1-2 (use), 3-6 (connect)
-# or 7-9 (external), so m.lastindex tells the kind.
+# One block head or statement of any kind; m.lastindex tells the kind.  A head
+# has a component's name in group 1 or the end of the file in group 2, and a
+# statement its fields in groups 1-2 (use), 3-6 (connect) or 7-9 (external).
+_HEAD = rf"{_SKIP}(?:{'|'.join(map(_statement_pattern, _HEADS.values()))}|(\Z))"
+_COMPONENT, _END = 1, 2
 _STATEMENT = rf"{_SKIP}(?:{'|'.join(map(_statement_pattern, _STATEMENTS.values()))})"
 _USE, _CONNECT, _EXTERNAL = 2, 6, 9
 _PORT_GROUPS = {_USE: (), _CONNECT: (4, 6), _EXTERNAL: (8,)}
-
-
-class _Patterns(NamedTuple):
-    LEXABLE: re.Pattern
-    TOKEN: re.Pattern
-    COMMENT: re.Pattern
-    HEAD: re.Pattern
-    ENTRY: re.Pattern
-    CLOSE: re.Pattern
-    STATEMENT: re.Pattern
-
-
-@functools.cache
-def _patterns() -> _Patterns:
-    """The patterns above, compiled on the first parse, not at import."""
-    return _Patterns(*map(re.compile, (_LEXABLE, _TOKEN, _COMMENT, _HEAD, _ENTRY, _CLOSE,
-                                       _STATEMENT)))
 
 
 class _Token(NamedTuple):
@@ -230,7 +216,7 @@ def _matrix(rows: str | None) -> np.ndarray | None:
     if rows is None:
         return np.zeros((0, 0), dtype=complex)
     if "#" in rows:
-        rows = _patterns().COMMENT.sub("", rows)
+        rows = re.compile(_COMMENT).sub("", rows)
     # each row, with the "," before it, holds one "," per entry
     widths = {row.count(",") for row in ("," + rows).split("]")[:-1]}
     if len(widths) > 1:
@@ -251,7 +237,7 @@ class _Parser:
     Each block head, component entry, network statement and closing "}"
     of an accepted file is matched whole by one compiled pattern, and its
     fields are read from the match.  Where no pattern matches, or a matched
-    construct fails a check, the walk_* methods scan tokens on demand from
+    construct fails a check, the walk methods scan tokens on demand from
     its start, as a recursive-descent parser would, and raise at the first
     offending token.
     """
@@ -271,7 +257,7 @@ class _Parser:
         needs no scan.
         """
         src = self.source
-        bad = _patterns().LEXABLE.match(src).end()
+        bad = re.compile(_LEXABLE).match(src).end()
         if bad < len(src):
             offset, message = bad, f"unexpected character {src[bad]!r}"
         start = src.rfind("\n", 0, offset) + 1
@@ -282,24 +268,18 @@ class _Parser:
                          src[start:] if end < 0 else src[start:end])
 
     def peek(self) -> _Token:
-        m = _patterns().TOKEN.match(self.source, self.pos)
+        m = re.compile(_TOKEN).match(self.source, self.pos)
         group = m.lastindex
         if group is None:
             return _Token("EOF", "", m.end(), m.end())
         text = m.group(group)
         return _Token(_TOKEN_KINDS[group] or text, text, m.start(group), m.end())
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
+    def expect(self, kind: str, what: str | None = None, text: str | None = None) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
-            self.fail(tok.start, f"expected {what or kind!r}, found {tok.text or 'end of file'!r}")
-        self.pos = tok.end
-        return tok
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.text != word:
-            self.fail(tok.start, f"expected '{word}', found {tok.text or 'end of file'!r}")
+        if tok.kind != kind or text not in (None, tok.text):
+            self.fail(tok.start, f"expected {what or text or kind!r}, "
+                                 f"found {tok.text or 'end of file'!r}")
         self.pos = tok.end
         return tok
 
@@ -324,23 +304,23 @@ class _Parser:
         raw_components: list[tuple[re.Match, dict]] = []
         statements: list[re.Match] = []
         pos = 0
-        match_head = _patterns().HEAD.match
-        while (head := match_head(src, pos)) and head.lastindex:
-            if head.lastindex == 1:
+        match_head = re.compile(_HEAD).match
+        while (head := match_head(src, pos)) and head.lastindex != _END:
+            if head.lastindex == _COMPONENT:
                 entries, pos = self.parse_component(head.end())
                 raw_components.append((head, entries))
             else:
                 pos = self.parse_network(head.end(), statements)
         if head is None:
-            self.walk_head(pos)
+            self.walk(pos, _HEADS)
         return self.analyze(raw_components, statements)
 
     def parse_component(self, pos: int) -> tuple[dict, int]:
         """The entries of a component block from ``pos``, and the end of its "}"."""
         src = self.source
         entries: dict[str, tuple[re.Match, object]] = {}
-        patterns = _patterns()
-        while m := patterns.ENTRY.match(src, pos):
+        match_entry = re.compile(_ENTRY).match
+        while m := match_entry(src, pos):
             key, count, rows = m.groups()
             counted = key in ("inputs", "modes")
             if key in entries or key not in _COMPONENT_KEYS or counted != (count is not None):
@@ -354,40 +334,45 @@ class _Parser:
                 value = _matrix(rows)
             entries[key] = (m, value)
             pos = m.end()
-        if (end := patterns.CLOSE.match(src, pos)) is None:
+        if (end := re.compile(_CLOSE).match(src, pos)) is None:
             self.walk_entry(pos, entries)
         return entries, end.end()
 
     def parse_network(self, pos: int, statements: list) -> int:
         """Append the statements of a network block from ``pos``; the end of its "}"."""
         src, ints = self.source, self.ints
-        patterns = _patterns()
-        while m := patterns.STATEMENT.match(src, pos):
+        match_statement = re.compile(_STATEMENT).match
+        while m := match_statement(src, pos):
             for g in _PORT_GROUPS[m.lastindex]:
                 text = m.group(g)
                 if text not in ints:
                     value = float(text)
                     if not value.is_integer():      # also rejects 1e400 (inf)
-                        self.walk_statement(m.start())
+                        self.walk(m.start(), _STATEMENTS)
                     ints[text] = int(value)
             statements.append(m)
             pos = m.end()
-        if (end := patterns.CLOSE.match(src, pos)) is None:
-            self.walk_statement(pos)
+        if (end := re.compile(_CLOSE).match(src, pos)) is None:
+            self.walk(pos, _STATEMENTS)
         return end.end()
 
     # -- token walks, each raising at the first offending token --------------
 
-    def walk_head(self, pos: int):
+    def walk(self, pos: int, table: dict):
         self.pos = pos
         tok = self.peek()
-        if tok.kind != "NAME" or tok.text not in ("component", "network"):
-            self.fail(tok.start, "expected 'component' or 'network'")
-        self.expect_keyword(tok.text)
-        if tok.text == "component":
-            self.expect("NAME", "component name")
-        self.expect("{")
-        raise AssertionError("the head pattern rejected a valid block head")
+        steps = table.get(tok.text) if tok.kind == "NAME" else None
+        if steps is None:
+            *keywords, last = map(repr, table)
+            self.fail(tok.start, f"expected {', '.join(keywords)} or {last}")
+        for step in steps:
+            if isinstance(step, str):
+                self.expect("NAME", text=step)
+            elif step[0] == "NUMBER":
+                self.expect_int(step[1])
+            else:
+                self.expect(*step)
+        raise AssertionError("a table's pattern rejected what its steps accept")
 
     def walk_entry(self, pos: int, entries: dict):
         self.pos = pos
@@ -438,21 +423,6 @@ class _Parser:
             if not self.accept(","):
                 break
         self.expect("]")
-
-    def walk_statement(self, pos: int):
-        self.pos = pos
-        tok = self.peek()
-        steps = _STATEMENTS.get(tok.text) if tok.kind == "NAME" else None
-        if steps is None:
-            self.fail(tok.start, "expected 'use', 'connect' or 'external'")
-        for step in steps:
-            if isinstance(step, str):
-                self.expect_keyword(step)
-            elif step[0] == "NUMBER":
-                self.expect_int(step[1])
-            else:
-                self.expect(*step)
-        raise AssertionError("the statement pattern rejected a valid statement")
 
     # -- semantic pass -----------------------------------------------------
 
@@ -644,7 +614,7 @@ def _tables() -> _Tables:
     # 17 for "0.000d...", whose point is in word 0
     split = np.where(sci, 0, np.where(_E < 0, 17, np.minimum(_E, 16)))
     prefix = _ascii_words([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
-                           for sign in (b"\0", b"-", b"+") for e in _E.tolist()])
+                           for sign in (b"\0", b"-") for e in _E.tolist()])
     first = _ascii_words([b"\0" * 6 + bytes([48 + d]) for d in range(10)])
     exponent = _ascii_words([b"e%+03d" % e if s else b""
                              for e, s in zip(_E.tolist(), sci.tolist())])
@@ -676,20 +646,18 @@ def _scaled(a: np.ndarray, E: np.ndarray):
     return p.astype(np.int64) + floor.astype(np.int64), rest - floor
 
 
-def _scalar_words(x: np.ndarray, plus) -> np.ndarray:
+def _scalar_words(x: np.ndarray) -> np.ndarray:
     """The words of x formatted one number at a time by "%", byte 0 the sign or NUL."""
-    forms = (["%.17g"] * len(x) if plus is None
-             else [("%.17g", "%+.17g")[p] for p in plus.tolist()])
-    texts = (form % v for form, v in zip(forms, x.tolist()))
-    text = b"".join((t if t[0] in "+-" else "\0" + t).encode().ljust(8 * _WORDS, b"\0")
+    texts = ("%.17g" % v for v in x.tolist())
+    text = b"".join((t if t[0] == "-" else "\0" + t).encode().ljust(8 * _WORDS, b"\0")
                     for t in texts)
     return np.frombuffer(bytearray(text), np.uint64).reshape(len(x), _WORDS)
 
 
-def _number_words(x: np.ndarray, plus=None) -> np.ndarray:
-    """(len(x), _WORDS) words of "%.17g" % x[i], or "%+.17g" where plus[i]."""
+def _number_words(x: np.ndarray) -> np.ndarray:
+    """(len(x), _WORDS) words of "%.17g" % x[i]."""
     if len(x) < _VECTOR_MIN:
-        return _scalar_words(x, plus)
+        return _scalar_words(x)
     t = _tables()
     a = np.abs(x)
     fast = (a >= 1e-290) & (a < 1e290)          # not 0, subnormal, inf or nan
@@ -724,16 +692,14 @@ def _number_words(x: np.ndarray, plus=None) -> np.ndarray:
     digits = t.MASKS.take(layout).view(np.uint64).reshape(-1, 4)
     digits &= quads.view(np.uint64)
     digits[:, 1] |= t.POINT.take(layout)
-    sign = np.signbit(x).astype(np.intp)             # "", "-", "+"
-    if plus is not None:
-        sign[plus & (sign == 0)] = 2
+    sign = np.signbit(x).astype(np.intp)             # "", "-"
     words = np.empty((len(x), _WORDS), np.uint64)
     words[:, 0] = t.PREFIX.take(sign * len(_E) + e) | t.FIRST.take(first)
     _items(words[:, 1:5])[:] = _items(digits)
     words[:, 5] = t.EXPONENT.take(e)
     slow = np.flatnonzero(~(fast | zero))
     if len(slow):
-        words[slow] = _scalar_words(x[slow], None if plus is None else plus[slow])
+        words[slow] = _scalar_words(x[slow])
     return words
 
 
@@ -747,8 +713,9 @@ def _entry_words(z: np.ndarray) -> np.ndarray:
     n = len(z)
     has_im = z.imag != 0.0
     has_re = (z.real != 0.0) | ~has_im
-    parts = _number_words(np.concatenate([z.real, z.imag]),   # one call: half the fixed cost
-                          plus=np.concatenate([np.zeros(n, dtype=bool), has_re]))
+    parts = _number_words(np.concatenate([z.real, z.imag]))   # one call: half the fixed cost
+    sign = parts[n:].view(np.uint8)[:, 0]     # of each imaginary part: "-" or NUL
+    sign[has_re & (sign == 0)] = ord("+")     # "%+.17g" after a printed real part
     parts[np.concatenate([~has_re, ~has_im])] = 0
     parts[n:, -1] |= has_im * _I
     words = np.empty((n, 2 * _WORDS + 1), np.uint64)
@@ -999,7 +966,7 @@ def parse_matrix_assignments(source: str) -> dict[str, np.ndarray]:
     parser = _Parser(source)
     result: dict[str, np.ndarray] = {}
     pos = 0
-    match_entry = _patterns().ENTRY.match
+    match_entry = re.compile(_ENTRY).match
     while m := match_entry(source, pos):
         name, count, rows = m.groups()
         if name in result or count is not None:

@@ -29,6 +29,7 @@ the networks tested, but not bit for bit, since their pivot orders differ.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -78,8 +79,8 @@ class PartitionedComponent:
 
     def __post_init__(self, eta):
         n = self.comp.n_ports
-        i_out = tuple(int(i) for i in self.internal_out)
-        i_in = tuple(int(i) for i in self.internal_in)
+        i_out = tuple(_index("internal_out index", i) for i in self.internal_out)
+        i_in = tuple(_index("internal_in index", i) for i in self.internal_in)
         if len(i_out) != len(i_in):
             raise BadPartition(
                 f"{len(i_out)} internal outputs vs {len(i_in)} internal inputs")
@@ -95,7 +96,7 @@ class PartitionedComponent:
                 skip = set(internal)
                 external = tuple(i for i in range(n) if i not in skip)
             else:
-                external = tuple(int(i) for i in external)
+                external = tuple(_index(f"external_{side} index", i) for i in external)
                 if sorted(external + internal) != list(range(n)):
                     raise BadPartition(
                         f"external_{side} must be the complement of internal_{side}")
@@ -103,6 +104,14 @@ class PartitionedComponent:
         object.__setattr__(self, "internal_out", i_out)
         object.__setattr__(self, "internal_in", i_in)
         object.__setattr__(self, "_perm", perm)
+
+
+def _index(what: str, i, error: type = BadPartition) -> int:
+    """``i`` as an int by operator.index, or ``error`` naming ``what`` and i."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise error(f"{what} {i!r} is not an integer") from None
 
 
 def _eta_matrix(pc: PartitionedComponent) -> np.ndarray:
@@ -357,7 +366,7 @@ def redheffer_star(a: LinearComponent, b: LinearComponent,
     vice versa.  The composite keeps a's leading ports followed by b's
     trailing ports; labels are prefixed "a."/"b.".
     """
-    k = int(channels)
+    k = _index("channel count", channels, DimensionMismatch)
     if k < 0 or k > a.n_ports or k > b.n_ports:
         raise DimensionMismatch(
             f"cannot cross {k} channels between {a.n_ports}- and {b.n_ports}-port components")

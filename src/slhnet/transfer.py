@@ -58,6 +58,8 @@ from .slh import LinearComponent, drift
 
 #: Right-half-plane offset used to realize s = 0⁺ + iω on the axis.
 SIGMA_MIN = 1e-10
+#: commuting_form's bounds on ‖[C†C, Ω]‖_max and on its all-pass sum's distance from Xi.
+COMM_TOL, RECON_TOL = 1e-9, 1e-8
 
 
 class SingularAtS(ValueError):
@@ -223,7 +225,7 @@ class CommutingForm:
         return acc @ self.S
 
 
-def spectral_clusters(comp: LinearComponent, comm_tol: float = 1e-9
+def spectral_clusters(comp: LinearComponent
                       ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
     """{γ_k}, {ε_k}, {E_k} and CC† for ``commuting_form``, before its bound decides.
 
@@ -231,12 +233,12 @@ def spectral_clusters(comp: LinearComponent, comm_tol: float = 1e-9
     rounding scales with ‖W‖ = √γ_k rather than with ‖C‖²: forming CΩC†
     first would cost the smallest cluster u·‖C‖²‖Ω‖/γ_k in ε_k, and the
     all-pass factor moves by 4/γ_k per unit of ε_k at its resonance.
-    Raises NotCommuting when [C†C, Omega] exceeds ``comm_tol`` and
+    Raises NotCommuting when [C†C, Omega] exceeds COMM_TOL and
     ZeroModeAmbiguity when CC† has a zero eigenvalue.
     """
     CtC = comp.C.conj().T @ comp.C
     comm = matkit.max_abs(CtC @ comp.Omega - comp.Omega @ CtC)
-    if comm > comm_tol:
+    if comm > COMM_TOL:
         raise NotCommuting(f"[C†C, Omega] has max norm {comm:.3e}")
     CCt = matkit.herm_real(comp.C @ comp.C.conj().T)
     gammas, projectors = matkit.eig_hermitian(CCt)
@@ -250,13 +252,12 @@ def spectral_clusters(comp: LinearComponent, comm_tol: float = 1e-9
     return gammas, epsilons, projectors, CCt
 
 
-def commuting_form(comp: LinearComponent, comm_tol: float = 1e-9,
-                   recon_tol: float = 1e-8) -> CommutingForm:
+def commuting_form(comp: LinearComponent) -> CommutingForm:
     """Extract {γ_k, ε_k, E_k} when Omega is a function of C†C.
 
-    Raises NotCommuting when [C†C, Omega] exceeds ``comm_tol`` or when the
+    Raises NotCommuting when [C†C, Omega] exceeds COMM_TOL or when the
     all-pass sum may differ from Xi anywhere on the imaginary axis by more
-    than ``recon_tol`` (which happens when Omega merely commutes with C†C
+    than RECON_TOL (which happens when Omega merely commutes with C†C
     without being a function of it).  To first order that difference is
     at most 4‖Γ⁻¹RΓ⁻¹‖₂ + ‖Γ⁻¹CC† − I‖₂, with Γ⁻¹ = Σ_k E_k/γ_k, the
     detuning residual R = CΩC† − (Σ_k ε_kE_k)CC† and the second term the
@@ -268,7 +269,7 @@ def commuting_form(comp: LinearComponent, comm_tol: float = 1e-9,
     when CC† has a zero eigenvalue: that cluster's detuning is
     unobservable in Xi and no value is invented.
     """
-    gammas, epsilons, projectors, CCt = spectral_clusters(comp, comm_tol)
+    gammas, epsilons, projectors, CCt = spectral_clusters(comp)
     COmC = comp.C @ comp.Omega @ comp.C.conj().T
     n, m = comp.n_ports, comp.m_modes
     detuning, inv = np.zeros((n, n)), np.zeros((n, n))   # with n = 0 both stay empty
@@ -280,7 +281,7 @@ def commuting_form(comp: LinearComponent, comm_tol: float = 1e-9,
     if n:
         bound += (np.finfo(float).eps
                   * (4 * (m + n) * np.linalg.norm(comp.Omega) + 2 * n * gammas[-1]) / gammas[0])
-    if bound > recon_tol:
+    if bound > RECON_TOL:
         raise NotCommuting(
             "Omega commutes with C†C but is not a function of it "
             f"(the all-pass sum may miss Xi on the axis by {bound:.3e})")

@@ -13,7 +13,7 @@ from slhnet import (BeamSplitter, CommutingForm, LinearComponent, PartitionedCom
                     series_product)
 from slhnet.netfile import Edge, ExternalPort, NetDocument, ParseError
 from slhnet.network import AlgebraicLoop, DimensionMismatch, OutsideDomain
-from slhnet.transfer import NotCommuting, ResidualReport, spectral_clusters
+from slhnet.transfer import RECON_TOL, NotCommuting, ResidualReport, spectral_clusters
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -397,22 +397,21 @@ def _selfcheck_points(comp: LinearComponent) -> list[complex]:
     return points
 
 
-def reference_commuting_form(comp: LinearComponent, comm_tol: float = 1e-9,
-                             recon_tol: float = 1e-8) -> CommutingForm:
+def reference_commuting_form(comp: LinearComponent) -> CommutingForm:
     """``commuting_form`` decided by probing: the all-pass sum against
     ``eval_transfer`` at 5 right half-plane points and up to 4 continuation
     points at least 0.15 from the drift spectrum.
 
     Extracts the same {γ_k, ε_k, E_k}; the probes can miss resonances,
     so it may accept forms that miss Xi on the axis by more than
-    ``recon_tol``.
+    RECON_TOL.
     """
-    gammas, epsilons, projectors, _ = spectral_clusters(comp, comm_tol)
+    gammas, epsilons, projectors, _ = spectral_clusters(comp)
     form = CommutingForm(gammas=gammas, epsilons=epsilons,
                          projectors=tuple(projectors), S=comp.S.copy())
     for s in _selfcheck_points(comp):
         residual = matkit.max_abs(form.evaluate(s) - eval_transfer(comp, s).Xi)
-        if residual > recon_tol:
+        if residual > RECON_TOL:
             raise NotCommuting(
                 "Omega commutes with C†C but is not a function of it "
                 f"(reconstruction residual {residual:.3e} at s = {s})")

@@ -452,6 +452,15 @@ class TestRedhefferStar:
         b = random_component(rng, 3, 1)
         assert validate(redheffer_star(a, b, 2)).ok
 
+    def test_channel_count_must_be_an_integer(self):
+        rng = np.random.default_rng(182)
+        a, b = random_component(rng, 2, 1), random_component(rng, 2, 1)
+        with pytest.raises(DimensionMismatch) as info:
+            redheffer_star(a, b, 1.7)
+        assert str(info.value) == "channel count 1.7 is not an integer"
+        star = redheffer_star(a, b, np.int64(1))
+        assert np.array_equal(star.S, redheffer_star(a, b, 1).S)
+
     def test_channel_count_bounds(self):
         rng = np.random.default_rng(181)
         with pytest.raises(DimensionMismatch):
@@ -650,12 +659,30 @@ class TestPermutationVector:
      "external_out must be the complement of internal_out"),
     (dict(internal_out=(0,), internal_in=(1,), eta=np.eye(1), external_in=(0, 1)),
      "external_in must be the complement of internal_in"),
-], ids=["index-out-of-range", "external-out-overlaps", "external-in-overlaps"])
+    (dict(internal_out=(0.9,), internal_in=(1,), eta=np.eye(1)),
+     "internal_out index 0.9 is not an integer"),
+    (dict(internal_out=(0,), internal_in=(1.2,), eta=np.eye(1)),
+     "internal_in index 1.2 is not an integer"),
+    (dict(internal_out=("0",), internal_in=(1,), eta=np.eye(1)),
+     "internal_out index '0' is not an integer"),
+    (dict(internal_out=(0,), internal_in=(1,), eta=np.eye(1), external_out=(1.0,)),
+     "external_out index 1.0 is not an integer"),
+], ids=["index-out-of-range", "external-out-overlaps", "external-in-overlaps",
+        "float-internal-out", "float-internal-in", "str-internal-out", "float-external-out"])
 def test_partition_rejection_messages(kwargs, message):
     comp = concatenate(make_cavity(1.0), make_cavity(2.0))
     with pytest.raises(BadPartition) as info:
         PartitionedComponent(comp, **kwargs)
     assert str(info.value) == message
+
+
+def test_partition_takes_numpy_integers():
+    comp = concatenate(make_cavity(1.0), make_cavity(2.0))
+    pc = PartitionedComponent(comp, internal_out=np.array([0]), internal_in=(np.int32(1),),
+                              eta=np.eye(1), external_out=np.array([1], dtype=np.uint8))
+    got = (pc.internal_out, pc.internal_in, pc.external_out, pc.external_in)
+    assert got == ((0,), (1,), (1,), (0,))
+    assert all(type(i) is int for indices in got for i in indices)
 
 
 @pytest.mark.parametrize("build, error, message", [

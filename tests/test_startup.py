@@ -39,11 +39,19 @@ def _python(code: str, *args: str) -> str:
 
 # Runs reduce and freqresp through cli.main, prints their outputs, then the
 # names of NOT_LOADED that are loaded.  With "hidden" as the first argument
-# the locator finds no scipy, as where scipy's file layout differs.
+# the locator finds no scipy, as where scipy's file layout differs.  Each of
+# netfile's patterns is compiled by the first parse that needs it: the import
+# compiles none, a valid file not those of the error walks, and an error _TOKEN.
 _DENSE_COMMANDS = """
     import importlib.util
+    import re
     import sys
     hidden, path, names = sys.argv[1] == "hidden", sys.argv[2], sys.argv[3:]
+    compiled, compile = [], re.compile
+    def recording_compile(pattern, *args, **kwargs):
+        compiled.append(pattern)
+        return compile(pattern, *args, **kwargs)
+    re.compile = recording_compile
     if hidden:
         find_spec = importlib.util.find_spec
         importlib.util.find_spec = lambda name, *rest: (
@@ -52,9 +60,20 @@ _DENSE_COMMANDS = """
     if hidden:
         importlib.util.find_spec = find_spec
     assert ("slhnet._flapack" in sys.modules) != hidden
-    assert slhnet.netfile._patterns.cache_info().currsize == 0   # compiled by the first parse
+    netfile = slhnet.netfile
+    def compiled_patterns():
+        return {name for name in ("_HEAD", "_ENTRY", "_CLOSE", "_STATEMENT", "_COMMENT", "_TOKEN",
+                                  "_LEXABLE", "_ROWS") if getattr(netfile, name) in compiled}
+    assert compiled_patterns() == set()
     assert slhnet.cli.main(["reduce", path]) == 0
     assert slhnet.cli.main(["freqresp", path, "--grid", "-2:2:9"]) == 0
+    assert {"_HEAD", "_ENTRY", "_CLOSE"} <= compiled_patterns()
+    assert not {"_TOKEN", "_LEXABLE", "_ROWS"} & compiled_patterns()
+    try:
+        netfile.parse("component c {")
+    except netfile.ParseError:
+        pass
+    assert "_TOKEN" in compiled_patterns()
     print([name for name in names if name in sys.modules])
 """
 
