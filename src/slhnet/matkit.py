@@ -11,23 +11,22 @@ The singularity gate is relative to ‖M‖₁.
 
 :func:`factor` is the one singularity gate, with two backends behind one
 interface: LAPACK's dense LU for an array and SuperLU's sparse LU for a
-``scipy.sparse`` matrix.  Both apply the same pivot rule and the same
-1-norm condition gate.  A feedback reduction hands its loop matrix to
-the sparse backend from ``SPARSE_MIN`` internal channels on, when at most
-a ``SPARSE_FILL`` share of the entries of its S and of its C is nonzero:
-there SuperLU's fill-reducing order keeps the factor near O(k) entries,
-where the dense LU costs O(k³).
+sparse matrix.  Both apply the same pivot rule and the same 1-norm
+condition gate.  A feedback reduction hands its loop matrix to the sparse
+backend, as a ``_Compressed`` CSC, from ``SPARSE_MIN`` internal channels
+on, when at most a ``SPARSE_FILL`` share of the entries of its S and of its
+C is nonzero: there SuperLU's fill-reducing order keeps the factor near
+O(k) entries, where the dense LU costs O(k³).
 
-The dense backend calls three LAPACK routines, zgetrf, zgetrs and zgecon,
-from SciPy's compiled LAPACK wrapper ``scipy/linalg/_flapack``.  That file
-is loaded by path, under the private name ``slhnet._flapack``, so that
-importing this package does not run ``scipy/__init__`` and
-``scipy/linalg/__init__``; those import much of numpy and SciPy besides
-(``numpy.f2py``, ``numpy.testing``) and more than double the start-up of
-a one-shot ``qnet`` call.  When ``scipy.linalg`` is already imported, or
-the file is not where SciPy's layout puts it, the same routines come
-from ``scipy.linalg.get_lapack_funcs``.  SciPy itself is imported only
-by the first sparse factorization.
+Both call SciPy's compiled files, loaded by path as ``slhnet.<name>``:
+``linalg/_flapack`` (zgetrf, zgetrs, zgecon) at import, and
+``sparse/linalg/_dsolve/_superlu`` (gstrf) and ``sparse/_sparsetools``
+(the sparse products) at the first sparse factorization.  No SciPy Python
+code runs: ``scipy/__init__`` and its subpackages' imports pull in
+``numpy.f2py`` and ``numpy.testing``, more than double the start-up of a
+one-shot ``qnet`` call, and ``scipy.sparse.linalg`` adds ~27 MB to a
+process.  A file not where SciPy's layout puts it is imported by its
+usual name, as the LAPACK routines are once ``scipy.linalg`` is imported.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,30 +46,39 @@ SPARSE_MIN = 128     # least k for a sparse LU of a k×k loop matrix; see networ
 SPARSE_FILL = 1 / 64  # largest share of nonzero entries of S and of C for it; see network._blocks
 
 
-def _flapack_file() -> str | None:
-    """The path of SciPy's ``linalg/_flapack`` extension, found without importing SciPy."""
+def _scipy_file(path: str) -> str | None:
+    """The file of SciPy's compiled module ``path`` (as "linalg/_flapack"), found without
+    importing SciPy."""
     spec = importlib.util.find_spec("scipy")
     for root in (spec and spec.submodule_search_locations) or ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                return path
+            file = os.path.join(root, *path.split("/")) + suffix
+            if os.path.isfile(file):
+                return file
     return None
 
 
-def _lapack() -> tuple:
-    """zgetrf, zgetrs and zgecon: from SciPy's file, unless ``scipy.linalg`` is imported or
-    the file is not found; then from ``scipy.linalg.get_lapack_funcs``."""
-    path = None if "scipy.linalg" in sys.modules else _flapack_file()
-    if path is None:
-        from scipy.linalg import get_lapack_funcs
-        return tuple(get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex))
-    module = sys.modules.get("slhnet._flapack")
+def _extension(path: str):
+    """SciPy's compiled module ``path``, loaded from its file as ``slhnet.<name>``; imported
+    by its usual name, as ``scipy.linalg._flapack``, when the file is not found."""
+    name = "slhnet." + path.rpartition("/")[2]
+    module = sys.modules.get(name)
     if module is None:
-        spec = importlib.util.spec_from_file_location("slhnet._flapack", path)
+        file = _scipy_file(path)
+        if file is None:
+            return importlib.import_module("scipy." + path.replace("/", "."))
+        spec = importlib.util.spec_from_file_location(name, file)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        sys.modules[spec.name] = module
+        sys.modules[name] = module
+    return module
+
+
+def _lapack() -> tuple:
+    """zgetrf, zgetrs and zgecon: from SciPy's own module once ``scipy.linalg`` is imported,
+    else as :func:`_extension` finds them."""
+    module = (importlib.import_module("scipy.linalg._flapack") if "scipy.linalg" in sys.modules
+              else _extension("linalg/_flapack"))
     return module.zgetrf, module.zgetrs, module.zgecon
 
 
@@ -132,7 +141,7 @@ class LU:
     """P L U = M from factor(): solves, ‖M‖₁ and a 1-norm condition estimate.
 
     ``lu`` is the factor itself: LAPACK's array holding L and U, or
-    SciPy's SuperLU object.
+    SuperLU's object, whose L and U read as CSC (data, indices, indptr).
     """
 
     def __init__(self, lu, solve, anorm: float, rcond: float):
@@ -160,22 +169,29 @@ class LU:
 def factor(m) -> LU:
     """LU-factor M once, with partial pivoting, and decide whether M can be solved.
 
-    This is the one singularity gate of the package.  A ``scipy.sparse``
-    M is factored by SuperLU (``splu`` with its fill-reducing column
-    order; Li, ACM TOMS 31:302, 2005), any other M densely by LAPACK
-    (zgetrf).  Raises ValueError on a non-square or non-finite M, and
-    SingularMatrix when a pivot (a diagonal entry of U) falls below
-    ``PIVOT_REL`` times the largest column 1-norm of M, ‖M‖₁, or when the
-    estimate of 1/κ₁(M) from the LU is ≤ ``PIVOT_REL``; an exactly
-    singular M is rejected either way.  The estimate is Hager and
-    Higham's iteration over solves with the LU (Higham, ACM TOMS 14:381,
-    1988): zgecon for a dense M; for a sparse one, ``onenormest`` with one
-    column (it draws no random numbers) and the alternative estimate that
+    This is the one singularity gate of the package.  A sparse M, a
+    ``_Compressed`` CSC or a ``scipy.sparse`` matrix, is factored by
+    SuperLU (as ``splu`` factors it, with its fill-reducing column order;
+    Li, ACM TOMS 31:302, 2005), any other M densely by LAPACK (zgetrf).
+    Raises ValueError on a non-square or non-finite M, and SingularMatrix
+    when a pivot (a diagonal entry of U) falls below ``PIVOT_REL`` times
+    the largest column 1-norm of M, ‖M‖₁, or when the estimate of 1/κ₁(M)
+    from the LU is ≤ ``PIVOT_REL``; an exactly singular M is rejected
+    either way.  The estimate is Hager and Higham's iteration over solves
+    with the LU (Higham, ACM TOMS 14:381, 1988): zgecon for a dense M; for
+    a sparse one, :func:`_onenormest` and the alternative estimate that
     ends zgecon's iteration.  M itself is left unchanged.
     """
-    sparse = sys.modules.get("scipy.sparse")    # no sparse M exists before it is imported
-    if sparse is not None and sparse.issparse(m):
+    if isinstance(m, _Compressed):
         return _factor_sparse(m)
+    sparse = sys.modules.get("scipy.sparse")    # no scipy.sparse M exists before it is imported
+    if sparse is not None and sparse.issparse(m):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m = m.tocsc().astype(complex)    # a copy, so that summing duplicates leaves M unchanged
+        m.sum_duplicates()
+        return _factor_sparse(_Compressed("csc", m.data, m.indices.astype(np.intc),
+                                          m.indptr.astype(np.intc), m.shape))
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -189,39 +205,100 @@ def factor(m) -> LU:
                  lu.diagonal(), lambda: float(_gecon(lu, anorm)[0]))
 
 
-def _factor_sparse(m) -> LU:
-    from scipy.sparse.linalg import LinearOperator, onenormest, splu
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+class _Compressed(NamedTuple):
+    """A sparse matrix as SciPy keeps a canonical CSC or CSR one: ``data`` by major, then
+    minor index, ``indices`` the minor indices (rows of a CSC) and ``indptr`` where each
+    major line starts, both np.intc.  ``@`` a dense matrix calls SciPy's compiled kernel."""
+
+    format: str     # "csc" or "csr"
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def of_entries(cls, format: str, rows, cols, values, shape) -> _Compressed:
+        """The matrix ``scipy.sparse.csc_array((values, (rows, cols)), shape)`` (or csr_array)
+        builds: entries sorted, the two at a position summed (none may hold more)."""
+        major, minor = (cols, rows) if format == "csc" else (rows, cols)
+        order = np.lexsort((minor, major))
+        major, minor, values = major[order], minor[order], values[order]
+        twin = (major[1:] == major[:-1]) & (minor[1:] == minor[:-1])
+        values[:-1][twin] += values[1:][twin]
+        keep = np.ones(len(values), dtype=bool)
+        keep[1:] = ~twin
+        counts = np.bincount(major[keep], minlength=shape[format == "csc"])
+        return cls(format, values[keep], minor[keep].astype(np.intc),
+                   np.concatenate([[0], np.cumsum(counts)]).astype(np.intc), shape)
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        """M·Y for a dense 2-D complex Y, summed into zeros as SciPy's ``@`` sums it."""
+        out = np.zeros((self.shape[0], other.shape[1]), dtype=complex)
+        kernel = getattr(_extension("sparse/_sparsetools"), self.format + "_matvecs")
+        kernel(*self.shape, other.shape[1], self.indptr, self.indices, self.data, other.ravel(),
+               out.ravel())
+        return out
+
+
+def _factor_sparse(m: _Compressed) -> LU:
+    """SuperLU's factor of a CSC M, called with the arguments ``splu`` passes by default."""
+    n, data, indices, indptr = m.shape[0], m.data, m.indices, m.indptr
     if n == 0:
         return LU(np.zeros((0, 0), dtype=complex), None, 0.0, 1.0)
-    m = m.tocsc().astype(complex)    # a copy, so that summing duplicates leaves M unchanged
-    m.sum_duplicates()
-    if not np.isfinite(m.data).all():
+    if not np.isfinite(data).all():
         raise ValueError("array must not contain infs or NaNs")
-    anorm = float(abs(m).sum(axis=0).max())
+    sums = np.zeros(n)      # column 1-norms as scipy.sparse sums them
+    nonempty = np.flatnonzero(np.diff(indptr))
+    sums[nonempty] = np.add.reduceat(np.abs(data), indptr[nonempty])
+    anorm = float(sums.max())
     try:
-        lu = splu(m)
+        lu = _extension("sparse/linalg/_dsolve/_superlu").gstrf(
+            n, len(data), data, indices, indptr, csc_construct_func=lambda arrays, shape: arrays,
+            ilu=False, options=dict.fromkeys(("DiagPivotThresh", "ColPerm", "PanelSize", "Relax")))
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
         raise SingularMatrix(np.inf) from exc
+    u_data, u_indices, u_indptr = lu.U      # U's CSC arrays, by the construct function above
+    pivots = np.empty(n, dtype=complex)
+    _extension("sparse/_sparsetools").csr_diagonal(0, n, n, u_indptr, u_indices, u_data, pivots)
 
     def rcond() -> float:
-        inverse = LinearOperator((n, n), matvec=lu.solve, matmat=lu.solve, dtype=complex,
-                                 rmatvec=lambda x: lu.solve(x, "H"),
-                                 rmatmat=lambda x: lu.solve(x, "H"))
-        # onenormest leaves out the last step of the iteration (zlacn2's
+        # _onenormest leaves out the last step of the iteration (zlacn2's
         # alternative estimate 2‖M⁻¹x‖₁/(3n), x_i = (−1)^i(1 + i/(n − 1)))
         alternating = np.linspace(1, 2, n, dtype=complex) * (-1) ** np.arange(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            est = float(np.max([onenormest(inverse, t=1),
+            est = float(np.max([_onenormest(lu.solve, n),
                                 2 * np.abs(lu.solve(alternating)).sum() / (3 * n)]))
         return 1 / (anorm * est) if est < np.inf else 0.0    # nan, inf: overflow
 
-    return _gate(lu, lambda rhs, trans: lu.solve(rhs, "NT"[trans]), anorm, lu.U.diagonal(),
-                 rcond)
+    return _gate(lu, lambda rhs, trans: lu.solve(rhs, "NT"[trans]), anorm, pivots, rcond)
+
+
+def _onenormest(solve, n: int):
+    """A lower bound on ‖M⁻¹‖₁ from ``solve(x)`` = M⁻¹x and ``solve(x, "H")`` = M⁻†x: SciPy's
+    ``onenormest(M⁻¹, t=1)`` step for step, Higham and Tisseur's block estimate (SIAM J.
+    Matrix Anal. Appl. 21:1185, 2000) at one column, which draws no random numbers."""
+    x, est_old, signs = np.full((n, 1), 1 / n), 0, None
+    for k in range(1, 7):
+        y = solve(x)
+        est = np.max(np.sum(np.abs(y), axis=0))
+        if k == 2 or k > 2 and est > est_old:
+            best = ind      # the column behind the best estimate so far
+        if k >= 2 and est <= est_old:
+            return est_old
+        if k == 6:      # SciPy's itmax of 5
+            return est
+        est_old, signs_old, signs = est, signs, np.where(y == 0, 1, y)
+        signs /= np.abs(signs)
+        if signs_old is not None and np.dot(signs[:, 0], signs_old[:, 0]) == n:
+            return est      # the signs repeat
+        h = np.max(np.abs(solve(signs, "H")), axis=1)
+        if k >= 2 and max(h) == h[best]:    # Python's max, as SciPy's: they differ on nan
+            return est
+        ind = np.argsort(h)[-1]     # the first of SciPy's np.argsort(h)[::-1]
+        x = np.zeros((n, 1))
+        x[ind] = 1
 
 
 def _gate(lu, solve, anorm: float, pivots: np.ndarray, rcond) -> LU:

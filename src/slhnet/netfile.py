@@ -153,16 +153,19 @@ _CNUM = rf"(?:[+-]{_SKIP})?+{_NUMBER}(?:i|{_SKIP}[+-]{_SKIP}{_NUMBER}i)?+"
 _ROW = rf"\[{_SKIP}{_CNUM}{_SKIP}(?:,{_SKIP}{_CNUM}{_SKIP})*+\]"
 _MATRIX = rf"\[{_SKIP}(?:\]|({_ROW}(?:{_SKIP},{_SKIP}{_ROW})*+){_SKIP}\])"
 # Each pattern is compiled where it is used, through re's own cache, by the first
-# parse that needs it; a valid QNET file never compiles _TOKEN, _LEXABLE or _ROWS.
+# parse that needs it; a valid QNET or matrix file never compiles _TOKEN, _LEXABLE
+# or _ROWS.
 _ROWS = rf"(?:{_SKIP}{_ROW}{_SKIP},)*+"     # the rows a matrix walk skips, each with its ","
 _COMMENT = r"#[^\n]*"
 _TO_NUMPY = str.maketrans({" ": None, "\t": None, "\r": None, "\n": None, "[": None, "]": None,
                            "i": "j"})
 
 # A component entry or matrix assignment: a name (group 1), "=", a count
-# (group 2) or a matrix (rows in group 3), ";"; and the "}" that closes a block.
+# (group 2) or a matrix (rows in group 3), ";"; the "}" that closes a block; and
+# the end of a matrix file.
 _ENTRY = rf"{_SKIP}({_NAME}){_SKIP}={_SKIP}(?:({_NUMBER})|{_MATRIX}){_SKIP};"
 _CLOSE = rf"{_SKIP}\}}"
+_EOF = rf"{_SKIP}\Z"
 
 # Block heads and network statements by keyword, for their pattern and walk: one
 # step per token, a keyword or a token's (kind, what), NAME and NUMBER the fields.
@@ -976,8 +979,7 @@ def parse_matrix_assignments(source: str) -> dict[str, np.ndarray]:
             parser.fail(m.start(1), f"matrix {name!r} has rows of unequal length")
         result[name] = value
         pos = m.end()
-    parser.pos = pos
-    if parser.peek().kind != "EOF":
+    if not re.compile(_EOF).match(source, pos):
         parser.walk_assignment(pos, result)
     return result
 

@@ -20,8 +20,9 @@ splitter and plant) and Möbius transform (S of the star of T and X).
 once, over blocks of S and C that are either dense copies or, from
 matkit.SPARSE_MIN internal channels on when at most a matkit.SPARSE_FILL
 share of S and of C is nonzero, as in a network of many small components,
-sparse matrices sorted out of their nonzeros; SuperLU then factors η − S_ii
-in a fill-reducing order (elimination order does not change the result).
+compressed sparse arrays sorted out of their nonzeros (``matkit._Compressed``,
+the arrays ``scipy.sparse`` would build); SuperLU then factors η − S_ii in a
+fill-reducing order (elimination order does not change the result).
 The direct sum of two dense components, as in a series product, is half
 full and stays dense.  The two agree to rounding, about 1e-14 relative on
 the networks tested, but not bit for bit, since their pivot orders differ.
@@ -155,7 +156,7 @@ def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
     the exact S = S₂S₁ of a series product.
     """
     n_e = len(e_in)
-    loop, rhs, C_i, S_ei, S_ee = _blocks(S, C, i_out, i_in, perm, e_out, e_in)
+    loop, rhs, C_ih, S_ei, S_ee = _blocks(S, C, i_out, i_in, perm, e_out, e_in)
     try:
         X = matkit.factor(loop).solve(rhs)
     except matkit.SingularMatrix as exc:
@@ -165,22 +166,23 @@ def _eliminate(S, C, Omega, i_out, i_in, perm, e_out, e_in):
     C_e = C.take(e_out, axis=0)
     loop_C = X[:, n_e:]       # (η − S_ii)⁻¹ C_i
     coupled = S_ei @ loop_C
-    Omega = Omega + matkit.herm_imag(C_i.conj().T @ loop_C[perm] + C_e.conj().T @ coupled)
+    Omega = Omega + matkit.herm_imag(C_ih @ loop_C[perm] + C_e.conj().T @ coupled)
     return S_ee + S_ei @ X[:, :n_e], C_e + coupled, Omega
 
 
 def _blocks(S, C, i_out, i_in, perm, e_out, e_in):
-    """η − S_ii, [S_ie, C_i], C_i, S_ei and S_ee of (S, C) for :func:`_eliminate`.
+    """η − S_ii, [S_ie, C_i], C_i†, S_ei and S_ee of (S, C) for :func:`_eliminate`.
 
     Below matkit.SPARSE_MIN internal channels, or when more than a
     matkit.SPARSE_FILL share of S or of C is nonzero, these are C-ordered
     dense copies.  Otherwise the nonzeros of S and C are sorted into the
     blocks by index arithmetic, so no block with k rows is copied dense:
-    η − S_ii, C_i and S_ei are ``scipy.sparse`` matrices, and only the
-    right-hand side [S_ie, C_i] and S_ee are dense.  The share counts all
-    of S and C: a fuller S_ii fills the factor in, and a full S_ei, as in a
-    series product, where S_ii is zero, makes S_ei·X a scalar loop in place
-    of one BLAS product.
+    η − S_ii and C_i† are CSCs and S_ei a CSR (``matkit._Compressed``, bit
+    for bit the arrays SciPy's ``csc_array`` or ``csr_array`` builds of the
+    same entries), and only the right-hand side [S_ie, C_i] and S_ee are
+    dense.  The share counts all of S and C: a fuller S_ii fills the factor
+    in, and a full S_ei, as in a series product, where S_ii is zero, makes
+    S_ei·X a scalar loop in place of one BLAS product.
     """
     k, n = len(i_out), len(S)
     nonzero = k >= matkit.SPARSE_MIN and (S != 0, C != 0)
@@ -188,9 +190,8 @@ def _blocks(S, C, i_out, i_in, perm, e_out, e_in):
                           for nz in nonzero) > matkit.SPARSE_FILL:
         S_i, S_e, C_i = S.take(i_out, axis=0), S.take(e_out, axis=0), C.take(i_out, axis=0)
         return (np.eye(k, dtype=complex)[perm] - S_i.take(i_in, axis=1),
-                np.concatenate([S_i.take(e_in, axis=1), C_i], axis=1), C_i,
+                np.concatenate([S_i.take(e_in, axis=1), C_i], axis=1), C_i.conj().T,
                 S_e.take(i_in, axis=1), S_e.take(e_in, axis=1))
-    from scipy import sparse
     n_e, n_m = len(e_in), C.shape[1]
     # positions in [internal, external] order: a block index is < k iff internal
     out_pos, in_pos = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
@@ -202,9 +203,10 @@ def _blocks(S, C, i_out, i_in, perm, e_out, e_in):
     quadrant = 2 * (rows >= k) + (cols >= k)    # S_ii, S_ie, S_ei, S_ee
     ii, ie, ei, ee = np.split(np.argsort(quadrant, kind="stable"),
                               np.cumsum(np.bincount(quadrant, minlength=4))[:3])
-    loop = sparse.csc_array((np.concatenate([np.ones(k), -values.take(ii)]),
-                             (np.concatenate([np.arange(k), rows.take(ii)]),
-                              np.concatenate([perm, cols.take(ii)]))), shape=(k, k))
+    compressed = matkit._Compressed.of_entries
+    loop = compressed("csc", np.concatenate([np.arange(k), rows.take(ii)]),
+                      np.concatenate([perm, cols.take(ii)]),
+                      np.concatenate([np.ones(k), -values.take(ii)]), (k, k))
     flat = np.flatnonzero(nonzero[1])
     c_rows, c_cols = np.divmod(flat, n_m)
     c_rows = out_pos.take(c_rows)
@@ -215,9 +217,8 @@ def _blocks(S, C, i_out, i_in, perm, e_out, e_in):
     rhs[c_rows, n_e + c_cols] = c_values
     S_ee = np.zeros((n_e, n_e), dtype=complex)
     S_ee[rows.take(ee) - k, cols.take(ee) - k] = values.take(ee)
-    return (loop, rhs, sparse.csr_array((c_values, (c_rows, c_cols)), shape=(k, n_m)),
-            sparse.csr_array((values.take(ei), (rows.take(ei) - k, cols.take(ei))),
-                             shape=(n_e, k)), S_ee)
+    return (loop, rhs, compressed("csc", c_cols, c_rows, c_values.conj(), (n_m, k)),
+            compressed("csr", rows.take(ei) - k, cols.take(ei), values.take(ei), (n_e, k)), S_ee)
 
 
 def feedback_reduce(pc: PartitionedComponent) -> LinearComponent:

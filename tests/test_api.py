@@ -60,7 +60,8 @@ def test_network_does_not_import_transfer():
 
 
 def test_small_jobs_load_no_sparse_solver_and_build_no_formatter_tables():
-    # scipy.sparse.linalg is imported by large feedback reductions only, and
+    # SciPy's SuperLU and sparsetools files are loaded by large feedback
+    # reductions only, scipy.sparse by none, and
     # the canonical-number tables are built by the first array formatted
     src = os.path.dirname(os.path.dirname(slhnet.__file__))
     code = textwrap.dedent("""
@@ -79,6 +80,7 @@ def test_small_jobs_load_no_sparse_solver_and_build_no_formatter_tables():
         commuting_form(cav)
         strat_to_ito(ito_to_strat(cav))
         assert "scipy.sparse.linalg" not in sys.modules
+        assert not {"slhnet._superlu", "slhnet._sparsetools"} & set(sys.modules)
         assert slhnet.netfile._tables.cache_info().currsize == 0
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

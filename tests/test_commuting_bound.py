@@ -2,7 +2,7 @@
 
 The all-pass sum may differ from Xi on the imaginary axis by at most
 4‖Γ⁻¹RΓ⁻¹‖₂ + ‖Γ⁻¹CC† − I‖₂ to first order (see ``commuting_form``), so
-an accepted form must match ``eval_transfer`` within ``recon_tol`` on a
+an accepted form must match ``eval_transfer`` within ``RECON_TOL`` on a
 grid dense around every resonance −ε_k, not only at probe points.  The
 probe-based decision is kept as the oracle ``reference_commuting_form``.
 """
@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slhnet import LinearComponent, commuting_form, eval_transfer, matkit, transfer
-from slhnet.transfer import SIGMA_MIN, NotCommuting, SingularAtS, ZeroModeAmbiguity
+from slhnet.transfer import (RECON_TOL, SIGMA_MIN, NotCommuting, SingularAtS,
+                             ZeroModeAmbiguity)
 
 from support import haar_unitary, random_hermitian, reference_commuting_form
 
-RECON_TOL = 1e-8
 # a non-scalar hermitian 2×2 block of spectral norm 1
 NON_SCALAR = np.array([[1.0, 1j], [-1j, -1.0]]) / np.sqrt(2)
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from slhnet import matkit
+from slhnet import matkit, network
 
 from support import haar_unitary, random_hermitian
 
@@ -241,6 +242,164 @@ class TestSparseFactor:
         lu = matkit.factor(sparse.csc_array((0, 0)))
         assert lu.rcond() == 1.0 and lu.inverse_norm() == 0.0
         assert lu.solve(np.zeros((0, 2))).shape == (0, 2)
+
+
+def _loop_entries(seed: int, k: int, delta: float | None):
+    """(rows, cols, values) of η − S, η a random k×k permutation and S about three random
+    entries a column, η's entries first.  With ``delta``, row 0 of S holds 1 − δ at η's
+    entry and nothing else, so the loop is δ from singular, as a splitter loop that
+    returns almost all of its light."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(k)
+    rows, cols = np.divmod(np.unique(rng.integers(0, k * k, 3 * k)), k)
+    values = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    if delta is not None:
+        kept = rows != 0
+        rows, cols = np.r_[0, rows[kept]], np.r_[perm[0], cols[kept]]
+        values = np.r_[1 - delta, values[kept]]
+    return np.r_[np.arange(k), rows], np.r_[perm, cols], np.r_[np.ones(k), -values]
+
+
+def _reference_sparse_factor(m, rhs):
+    """The verdict of SuperLU through SciPy's Python layers (splu, onenormest over a
+    LinearOperator, U.diagonal()) on a csc_array M, gated as matkit.factor gates: the
+    condition it is rejected with, or ‖M‖₁, rcond, ‖M⁻¹‖₁ and the bytes of M⁻¹RHS and M⁻ᵀRHS."""
+    n = m.shape[0]
+    anorm = float(abs(m).sum(axis=0).max())
+    try:
+        lu = splu(m)
+    except RuntimeError:
+        return "singular", np.inf
+    if np.abs(lu.U.diagonal()).min() <= matkit.PIVOT_REL * anorm:
+        return "singular", np.inf
+    inverse = LinearOperator((n, n), matvec=lu.solve, matmat=lu.solve, dtype=complex,
+                             rmatvec=lambda x: lu.solve(x, "H"),
+                             rmatmat=lambda x: lu.solve(x, "H"))
+    alternating = np.linspace(1, 2, n, dtype=complex) * (-1) ** np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = float(np.max([onenormest(inverse, t=1),
+                            2 * np.abs(lu.solve(alternating)).sum() / (3 * n)]))
+    rcond = 1 / (anorm * est) if est < np.inf else 0.0
+    if not rcond > matkit.PIVOT_REL:
+        return "singular", 1 / rcond if rcond else np.inf
+    return (anorm, rcond, 1 / (rcond * anorm), lu.solve(rhs).tobytes(),
+            lu.solve(rhs, "T").tobytes())
+
+
+def _verdict(m, rhs):
+    """matkit.factor's verdict on M in the terms of _reference_sparse_factor."""
+    try:
+        lu = matkit.factor(m)
+    except matkit.SingularMatrix as exc:
+        return "singular", exc.condition
+    return (lu.anorm, lu.rcond(), lu.inverse_norm(), lu.solve(rhs).tobytes(),
+            lu.solve(rhs, 1).tobytes())
+
+
+class TestSparseBackendEquivalence:
+    """The internal CSC, SuperLU called directly and the ported 1-norm estimate give
+    SciPy's arrays, solves, estimates and decisions bit for bit."""
+
+    NEAR_SINGULAR = st.none() | st.sampled_from([1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 300), delta=NEAR_SINGULAR)
+    @settings(max_examples=150, deadline=None)
+    def test_factor_matches_scipy_python_layers(self, seed, k, delta):
+        rows, cols, values = _loop_entries(seed, k, delta)
+        ours = matkit._Compressed.of_entries("csc", rows, cols, values, (k, k))
+        theirs = sparse.csc_array((values, (rows, cols)), shape=(k, k))
+        assert ours.data.tobytes() == theirs.data.tobytes()
+        assert ours.indices.dtype == ours.indptr.dtype == np.intc
+        assert np.array_equal(ours.indices, theirs.indices)
+        assert np.array_equal(ours.indptr, theirs.indptr)
+        rhs = np.random.default_rng(seed).normal(size=(k, 2)) + 0j
+        want = _reference_sparse_factor(theirs, rhs)
+        assert _verdict(ours, rhs) == want
+        assert _verdict(theirs, rhs) == want
+        if want[0] == "singular":
+            message = f"(eta - S_ii) is singular (condition estimate {want[1]:.3e})"
+            S = -sparse.csc_array((values[k:], (rows[k:], cols[k:])), shape=(k, k)).toarray()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(matkit, "SPARSE_MIN", 1)
+                mp.setattr(matkit, "SPARSE_FILL", 1.0)
+                with pytest.raises(network.AlgebraicLoop) as info:
+                    network._eliminate(S, np.zeros((k, 1), dtype=complex), np.zeros((1, 1)),
+                                       np.arange(k), np.arange(k), cols[:k],
+                                       np.arange(0), np.arange(0))
+            assert str(info.value) == message
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 300), delta=NEAR_SINGULAR)
+    @settings(max_examples=100, deadline=None)
+    def test_estimate_is_onenormest(self, seed, k, delta):
+        rows, cols, values = _loop_entries(seed, k, delta)
+        try:
+            lu = splu(sparse.csc_array((values, (rows, cols)), shape=(k, k)))
+        except RuntimeError:    # exactly singular
+            return
+        inverse = LinearOperator((k, k), matvec=lu.solve, matmat=lu.solve, dtype=complex,
+                                 rmatvec=lambda x: lu.solve(x, "H"),
+                                 rmatmat=lambda x: lu.solve(x, "H"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ported = matkit._onenormest(lu.solve, k)
+            want = onenormest(inverse, t=1)
+        assert np.float64(ported).tobytes() == np.float64(want).tobytes()
+
+    # integer operators, found by a random search: on the first the column to try next
+    # is tied (SciPy takes the last of the largest), on the second the estimate falls on
+    # the second product (SciPy keeps the first, 5.000000000000001), on the third the
+    # signs repeat; on the others it takes 4, 5 and 6 products with A (6 is onenormest's
+    # limit), where random operators take 2 or 3
+    @pytest.mark.parametrize("a, products", [
+        ([[-3, 3, -2, -1, -1], [0, -1, 1, -1, 2], [3, -2, -3, -2, -2], [2, 2, 0, 3, 3],
+          [3, 0, 0, -1, -2]], 2),
+        ([[-3, -3, -1], [3, 0, 3], [-1, 2, 1]], 2),
+        ([[1, 2, 3, -1], [0, 0, 3, -2], [0, -3, -1, 3], [1, -1, 3, 1]], 2),
+        ([[-5, 9, -2], [-9, 8, -7], [-4, 0, 7]], 4),
+        ([[6j, -4 + 1j, -4 - 3j], [-8 + 9j, 6 - 8j, 8 - 9j], [9 + 3j, -1 + 5j, -6 + 1j]], 4),
+        ([[0, 1, -4, -7], [9, -9, 8, 0], [-3, -7, -2, 4], [3, 0, 0, -5]], 5),
+        ([[-2 + 4j, -1 - 3j, -9, 9 - 8j], [8 + 4j, -4 - 3j, -7 + 4j, -2 - 5j],
+          [-8 - 1j, 1 - 1j, 6 - 5j, -1 + 5j], [-3 + 3j, 8 - 4j, -7, 6 - 4j]], 5),
+        ([[3, -7, 1, -3, 8], [-9, -7, -1, 8, 3], [1, 6, -9, 1, -7], [7, -9, 0, -6, 7],
+          [0, -6, -6, -9, 9]], 6)])
+    def test_estimate_is_onenormest_where_it_iterates(self, a, products):
+        # the same products with A and A† in the same order, and the same estimate
+        a = np.array(a, dtype=complex)
+        ours, theirs = [], []
+
+        def solve(x, trans="N"):
+            ours.append(trans)
+            return a @ x if trans == "N" else a.conj().T @ x
+
+        operator = LinearOperator(a.shape, dtype=complex, matvec=lambda x: a @ x,
+                                  matmat=lambda x: theirs.append("N") or a @ x,
+                                  rmatmat=lambda x: theirs.append("H") or a.conj().T @ x)
+        assert np.float64(matkit._onenormest(solve, len(a))).tobytes() == np.float64(
+            onenormest(operator, t=1)).tobytes()
+        assert ours == theirs and ours.count("N") == products
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.tuples(st.integers(0, 40), st.integers(0, 40)), n_vecs=st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_products_match_scipy(self, seed, shape, n_vecs):
+        # entries over 400 decades, so that some products overflow, and signed zeros
+        rng = np.random.default_rng(seed)
+        flat = rng.choice(shape[0] * shape[1], size=min(2 * shape[0], shape[0] * shape[1]),
+                          replace=False)
+        rows, cols = np.divmod(flat, max(shape[1], 1))
+        values = (rng.normal(size=len(flat)) + 1j * rng.normal(size=len(flat))) * 10.0 ** (
+            rng.integers(-200, 200, len(flat)))
+        values[rng.random(len(flat)) < 0.2] = -0.0
+        ours = matkit._Compressed.of_entries("csr", rows, cols, values, shape)
+        theirs = sparse.csr_array((values, (rows, cols)), shape=shape)
+        assert ours.data.tobytes() == theirs.data.tobytes()
+        assert np.array_equal(ours.indices, theirs.indices)
+        assert np.array_equal(ours.indptr, theirs.indptr)
+        ours_h = matkit._Compressed.of_entries("csc", cols, rows, values.conj(), shape[::-1])
+        for a, b in ((ours, theirs), (ours_h, theirs.conj().T)):
+            y = rng.normal(size=(a.shape[1], n_vecs)) + 1j * rng.normal(size=(a.shape[1], n_vecs))
+            y[rng.random(y.shape) < 0.2] = -0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert (a @ y).tobytes() == (b @ y).tobytes()
 
 
 class TestEigHermitian:

@@ -707,8 +707,8 @@ class TestLongBadRows:
 def test_accepted_text_is_never_walked_token_by_token(monkeypatch):
     """Only an error walks tokens, however many rows and statements a text has.
 
-    A valid document takes no ``_Parser.peek`` call; matrix assignments take
-    one, to find the end of the file.
+    Neither a valid document nor valid matrix assignments take a
+    ``_Parser.peek`` call.
     """
     calls = []
     peek = netfile._Parser.peek
@@ -728,7 +728,7 @@ def test_accepted_text_is_never_walked_token_by_token(monkeypatch):
         calls.clear()
         parse_matrix_assignments(format_matrix_assignments([("C", big.C), ("K", big.Omega)]))
         counts.append(len(calls))
-    assert counts == [0, 1] * 3
+    assert counts == [0, 0] * 3
 
 
 def test_bad_last_entry_walks_only_its_row(monkeypatch):

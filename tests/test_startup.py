@@ -1,10 +1,15 @@
 """Start-up: importing slhnet loads numpy and scipy's LAPACK wrapper file, not scipy.
 
 matkit binds zgetrf, zgetrs and zgecon from ``scipy/linalg/_flapack``,
-loaded by path under the private name ``slhnet._flapack``, and falls back
-to ``scipy.linalg.get_lapack_funcs`` when ``scipy.linalg`` is already
-imported or the file is not found.  Either way the routines, and every
-factor, solve, estimate and decision made with them, are the same.
+loaded by path under the private name ``slhnet._flapack``, and takes them
+from SciPy's own ``scipy.linalg._flapack``, the module behind
+``get_lapack_funcs``, when ``scipy.linalg`` is already imported or the file
+is not found.  Either way the routines, and every
+factor, solve, estimate and decision made with them, are the same.  The
+first sparse factorization loads SciPy's SuperLU and sparsetools files the
+same way, as ``slhnet._superlu`` and ``slhnet._sparsetools``, and imports
+no SciPy module; where the files are not found, the same modules are
+imported by their usual names, with the same output bytes and exit codes.
 
 The command line's main() fixes glibc's mmap and trim thresholds, so a
 command's arrays stay in the heap from one call to the next.
@@ -41,11 +46,16 @@ def _python(code: str, *args: str) -> str:
 # names of NOT_LOADED that are loaded.  With "hidden" as the first argument
 # the locator finds no scipy, as where scipy's file layout differs.  Each of
 # netfile's patterns is compiled by the first parse that needs it: the import
-# compiles none, a valid file not those of the error walks, and an error _TOKEN.
+# compiles none, a valid file not those of the error walks, a valid strat2ito
+# file neither, and an error _TOKEN.
 _DENSE_COMMANDS = """
+    import contextlib
     import importlib.util
+    import io
+    import os
     import re
     import sys
+    import tempfile
     hidden, path, names = sys.argv[1] == "hidden", sys.argv[2], sys.argv[3:]
     compiled, compile = [], re.compile
     def recording_compile(pattern, *args, **kwargs):
@@ -62,13 +72,22 @@ _DENSE_COMMANDS = """
     assert ("slhnet._flapack" in sys.modules) != hidden
     netfile = slhnet.netfile
     def compiled_patterns():
-        return {name for name in ("_HEAD", "_ENTRY", "_CLOSE", "_STATEMENT", "_COMMENT", "_TOKEN",
-                                  "_LEXABLE", "_ROWS") if getattr(netfile, name) in compiled}
+        names = ("_HEAD", "_ENTRY", "_CLOSE", "_EOF", "_STATEMENT", "_COMMENT", "_TOKEN",
+                 "_LEXABLE", "_ROWS")
+        return {name for name in names if getattr(netfile, name, None) in compiled}
     assert compiled_patterns() == set()
     assert slhnet.cli.main(["reduce", path]) == 0
     assert slhnet.cli.main(["freqresp", path, "--grid", "-2:2:9"]) == 0
     assert {"_HEAD", "_ENTRY", "_CLOSE"} <= compiled_patterns()
     assert not {"_TOKEN", "_LEXABLE", "_ROWS"} & compiled_patterns()
+    with tempfile.TemporaryDirectory() as tmp:
+        gen = os.path.join(tmp, "gen.txt")
+        with open(gen, "w") as f:
+            f.write("E = [[0,0.5],[0.5,0]];\\nF = [[1],[1i]];\\nK = [[0.25]];  # end\\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert slhnet.cli.main(["strat2ito", gen]) == 0
+    assert not {"_TOKEN", "_LEXABLE", "_ROWS"} & compiled_patterns()
+    assert "_EOF" in compiled_patterns()
     try:
         netfile.parse("component c {")
     except netfile.ParseError:
@@ -152,7 +171,7 @@ def test_routines_from_the_file_are_bit_equal_to_get_lapack_funcs(n, monkeypatch
 
 def test_scipy_linalg_imported_first_lends_its_routines(monkeypatch):
     assert "scipy.linalg" in sys.modules
-    monkeypatch.setattr(matkit, "_flapack_file", lambda: pytest.fail("the file was looked up"))
+    monkeypatch.setattr(matkit, "_scipy_file", lambda path: pytest.fail("the file was looked up"))
     assert matkit._lapack() == tuple(get_lapack_funcs(("getrf", "getrs", "gecon"),
                                                       dtype=complex))
 
@@ -164,7 +183,8 @@ def test_hidden_file_falls_back_to_get_lapack_funcs():
         from slhnet import matkit
         assert "slhnet._flapack" in sys.modules and "scipy.linalg" not in sys.modules
         by_file = matkit._lapack()
-        matkit._flapack_file = lambda: None          # no file where scipy's layout puts it
+        matkit._scipy_file = lambda path: None       # no file where scipy's layout puts it
+        del sys.modules["slhnet._flapack"]
         fallback = matkit._lapack()
         from scipy.linalg import _flapack
         assert fallback == (_flapack.zgetrf, _flapack.zgetrs, _flapack.zgecon)
@@ -215,30 +235,50 @@ def _chain(units: int, algebraic: bool) -> str:
     return serialize(doc)
 
 
+# Runs cli.main with sys.argv[2:] and prints its exit code, stdout and stderr.
+# Every factorization must be given the sparse operand.  SciPy's SuperLU file,
+# and after a solved loop its sparsetools file, are loaded by path, and no
+# module of SciPy's is imported; with "hidden" as the first argument the
+# locator finds neither file, so they are imported by their usual names, as
+# where scipy's file layout differs.
+_SPARSE_COMMAND = """
+    import contextlib
+    import io
+    import sys
+    import slhnet.cli
+    from slhnet import matkit
+    hidden, argv = sys.argv[1] == "hidden", sys.argv[2:]
+    if hidden:
+        scipy_file = matkit._scipy_file
+        matkit._scipy_file = lambda path: None if path.startswith("sparse/") else scipy_file(path)
+    factored = []
+    factor = matkit.factor
+    matkit.factor = lambda m: factored.append(isinstance(m, matkit._Compressed)) or factor(m)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = slhnet.cli.main(argv)
+    assert factored and all(factored), factored
+    by_path = {"slhnet._superlu", "slhnet._sparsetools"} if code == 0 else {"slhnet._superlu"}
+    if hidden:
+        assert "scipy.sparse.linalg._dsolve._superlu" in sys.modules
+        assert not {"slhnet._superlu", "slhnet._sparsetools"} & set(sys.modules)
+    else:
+        assert by_path <= set(sys.modules)
+        assert not [name for name in sys.modules if name.startswith("scipy")]
+    print(repr((code, out.getvalue(), err.getvalue())))
+"""
+
+
 @pytest.mark.parametrize("algebraic", [False, True])
 def test_first_sparse_reduction_in_a_fresh_process_decides_the_same(algebraic, tmp_path,
                                                                      capsys):
     path = tmp_path / "chain.qnet"
     path.write_text(_chain(400, algebraic))
-    want = (cli.main(["reduce", str(path)]), *capsys.readouterr())
-    assert want[0] == (3 if algebraic else 0)
-    out = _python("""
-        import contextlib
-        import io
-        import sys
-        import slhnet.cli
-        from slhnet import matkit
-        factored = []
-        factor = matkit.factor
-        matkit.factor = lambda m: factored.append(type(m).__module__) or factor(m)
-        assert "scipy.sparse" not in sys.modules
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = slhnet.cli.main(["reduce", sys.argv[1]])
-        assert factored and all(name.startswith("scipy.sparse") for name in factored), factored
-        print(repr((code, out.getvalue(), err.getvalue())))
-    """, str(path))
-    assert out == repr(want) + "\n"
+    for argv in (["reduce", str(path)], ["freqresp", str(path), "--grid", "-2:2:9"]):
+        want = (cli.main(argv), *capsys.readouterr())
+        assert want[0] == (3 if algebraic else 0)
+        for where in ("file", "hidden"):
+            assert _python(_SPARSE_COMMAND, where, *argv) == repr(want) + "\n", (argv, where)
 
 
 # Runs cli.main, then prints, for a block of 8 MiB and one of 40 MiB, whether
