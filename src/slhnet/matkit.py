@@ -60,16 +60,18 @@ def _scipy_file(path: str) -> str | None:
 
 def _extension(path: str):
     """SciPy's compiled module ``path``, loaded from its file as ``slhnet.<name>``; imported
-    by its usual name, as ``scipy.linalg._flapack``, when the file is not found."""
+    by its usual name, as ``scipy.linalg._flapack``, when the file is not found, and kept
+    as ``slhnet.<name>`` too, so that the file is looked for once."""
     name = "slhnet." + path.rpartition("/")[2]
     module = sys.modules.get(name)
     if module is None:
         file = _scipy_file(path)
         if file is None:
-            return importlib.import_module("scipy." + path.replace("/", "."))
-        spec = importlib.util.spec_from_file_location(name, file)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+            module = importlib.import_module("scipy." + path.replace("/", "."))
+        else:
+            spec = importlib.util.spec_from_file_location(name, file)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
         sys.modules[name] = module
     return module
 
@@ -170,9 +172,9 @@ def factor(m) -> LU:
     """LU-factor M once, with partial pivoting, and decide whether M can be solved.
 
     This is the one singularity gate of the package.  A sparse M, a
-    ``_Compressed`` CSC or a ``scipy.sparse`` matrix, is factored by
-    SuperLU (as ``splu`` factors it, with its fill-reducing column order;
-    Li, ACM TOMS 31:302, 2005), any other M densely by LAPACK (zgetrf).
+    ``_Compressed`` CSC, is factored by SuperLU (as ``splu`` factors it,
+    with its fill-reducing column order; Li, ACM TOMS 31:302, 2005), any
+    other M densely by LAPACK (zgetrf).
     Raises ValueError on a non-square or non-finite M, and SingularMatrix
     when a pivot (a diagonal entry of U) falls below ``PIVOT_REL`` times
     the largest column 1-norm of M, ‖M‖₁, or when the estimate of 1/κ₁(M)
@@ -182,19 +184,13 @@ def factor(m) -> LU:
     a sparse one, :func:`_onenormest` and the alternative estimate that
     ends zgecon's iteration.  M itself is left unchanged.
     """
-    if isinstance(m, _Compressed):
-        return _factor_sparse(m)
-    sparse = sys.modules.get("scipy.sparse")    # no scipy.sparse M exists before it is imported
-    if sparse is not None and sparse.issparse(m):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        m = m.tocsc().astype(complex)    # a copy, so that summing duplicates leaves M unchanged
-        m.sum_duplicates()
-        return _factor_sparse(_Compressed("csc", m.data, m.indices.astype(np.intc),
-                                          m.indptr.astype(np.intc), m.shape))
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    sparse = isinstance(m, _Compressed)
+    if not sparse:
+        m = np.asarray(m, dtype=complex)
+    if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if sparse:
+        return _factor_sparse(m)
     if m.size == 0:
         return LU(m, None, 0.0, 1.0)
     if not np.isfinite(m).all():

@@ -526,29 +526,48 @@ def parse(source: str) -> NetDocument:
 # ---------------------------------------------------------------------------
 # canonical numbers
 #
-# _number_words writes each number into _WORDS uint64 words, NUL-padded;
-# _text drops the NULs.  In byte order the words hold:
+# _number_words gives each number _WORDS = 3 uint64 words, 24 bytes, enough
+# for the longest "%.17g" text ("-1.2345678901234567e+100"), NUL-padded;
+# _text drops the NULs.  Byte 0 holds the sign, or NUL.  Then, by layout:
 #
-#   word 0      the sign (byte 0, NUL when there is none), "0." and up to three
-#               leading zeros; the first digit (byte 6)
-#   words 1-2   the digits after the first up to the decimal point; the point (byte 15)
-#   words 3-4   the digits after the point, up to the last nonzero one
-#   word 5      "e" and the signed exponent, in scientific notation
+#   0.000d...   "0." and up to three zeros from byte 1, the first digit in
+#               byte 6, the other digits from byte 7
+#   d.ddd       (E = 0) the first digit in byte 5, the point in byte 6 and the
+#               other digits from byte 7
+#   dd.dd       (E = 1..16) the first digit in byte 5, the digits before the
+#               point from byte 6, the point, and the digits after it, each in
+#               the byte it has in the line above
+#   d.ddde±xx   the first digit in byte 1, the point in byte 2, the other digits
+#               from byte 3, and "e" and the exponent in bytes 19-23
+#
+# The 16 digits after the first are laid out once, in two words, and placed
+# by shifting those words down 1 or 5 bytes (the digits after the first, or
+# after the point) and 2 bytes (the digits before the point): no byte is
+# moved on its own.  Masks by layout keep the digits of each copy up to the
+# last nonzero one, and set the point.
 #
 # An entry (_entry_words) is the words of its real part, then those of its
-# imaginary part, then a tail word; a part that is not printed is all NUL.
-# So the conjugate entry differs in one byte, byte 0 of the imaginary part.
+# imaginary part, then a tail word: 7 words, 56 bytes, for the 41.5 bytes of
+# text of a typical entry of a reduced Omega.  A part that is not printed is
+# all NUL.  The tail word holds the "i" of a printed imaginary part in byte 0
+# and, once _row_pieces has set it, the separator after the entry.  So the
+# conjugate entry differs in one byte, byte 0 of the imaginary part.
 #
 # The digits are the integer D nearest |x|·10^(16-E), E = ⌊log10 |x|⌋,
 # from Dekker's double-double product (Numer. Math. 18:224, 1971) with
 # the exact table of 10^k, built with the others on first use by _tables():
 # the fraction that decides the rounding is off by less than 5e-15, far
 # inside _TIE.
+#
+# A pass formats _CHUNK entries, 2·_CHUNK numbers, so each float64 or int64
+# temporary of a full pass is 125 KiB: under glibc's initial mmap threshold
+# of 128 KiB, above which a library caller's allocator maps and faults in a
+# temporary afresh on every pass.
 
-_CHUNK = 8192            # entries per pass: bounds the temporaries, not the text
+_CHUNK = 8000            # entries per pass: bounds the temporaries, not the text
 _VECTOR_MIN = 128        # fewer numbers than this are formatted one by one
 _TIE = 1e-9              # a fraction this close to ½ is left to "%"
-_WORDS = 6
+_WORDS = 3
 _K_MIN, _K_MAX = -275, 308     # 10^(16-E) for every E of |x| in [1e-290, 1e290)
 _E = np.arange(16 - _K_MAX, 18 - _K_MIN)     # those E, and E + 1 after a rounding carry
 
@@ -563,7 +582,7 @@ def _ascii_words(texts) -> np.ndarray:
     return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
 
 
-_I = _ascii_words([b"\0" * 7 + b"i"])[0]     # after any number, in its last byte
+_I = _ascii_words([b"i"])[0]     # byte 0 of a tail word
 
 
 def _pow10_table() -> np.ndarray:
@@ -594,12 +613,11 @@ class _Tables(NamedTuple):
     P10: np.ndarray           # _pow10_table()
     QUAD: np.ndarray          # the 4 ASCII digits of n < 10000, as one uint32
     SIGNIFICANT: np.ndarray   # row k, group n: digits up to the group's last nonzero one
-    SPLIT: np.ndarray         # by E: digits after the first that precede the point
-    PREFIX: np.ndarray        # by sign and E: the sign or NUL, and "0.000" for a small E
-    FIRST: np.ndarray         # by digit: that digit in byte 6 of word 0
-    EXPONENT: np.ndarray      # by E: "e" and the exponent, in scientific notation
-    MASKS: np.ndarray         # by split and significant digits: masks of words 1-4, one item
-    POINT: np.ndarray         # by split and significant digits: the point in word 2, or 0
+    LAYOUT: np.ndarray        # by E: 0-16 digits before the point, 17 "0.000d...", 18 scientific
+    SHIFT: np.ndarray         # by E: bits the digits after the first are shifted down
+    HEAD: np.ndarray          # by sign, E and first digit: the sign, "0.000" and the first digit
+    EXPONENT: np.ndarray      # by E: "e" and the exponent in bytes 3-7, in scientific notation
+    MASKS: np.ndarray         # by layout and significant digits: 9 words, one item (see below)
 
 
 @functools.cache
@@ -614,24 +632,28 @@ def _tables() -> _Tables:
     significant = np.where(last > 0, last + np.arange(0, 16, 4, dtype=np.uint8)[:, None], 0
                            ).astype(np.uint8)
     sci = (_E < -4) | (_E > 16)
-    # 17 for "0.000d...", whose point is in word 0
-    split = np.where(sci, 0, np.where(_E < 0, 17, np.minimum(_E, 16)))
+    layout = np.where(sci, 18, np.where(_E < 0, 17, np.minimum(_E, 16)))
     prefix = _ascii_words([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
                            for sign in (b"\0", b"-") for e in _E.tolist()])
-    first = _ascii_words([b"\0" * 6 + bytes([48 + d]) for d in range(10)])
-    exponent = _ascii_words([b"e%+03d" % e if s else b""
+    first_at = np.where(sci, 1, np.where(_E < 0, 6, 5)).astype(np.uint64) * np.uint64(8)
+    first = np.arange(48, 58, dtype=np.uint64) << first_at[:, None]
+    exponent = _ascii_words([b"\0\0\0" + b"e%+03d" % e if s else b""
                              for e, s in zip(_E.tolist(), sci.tolist())])
-    # by (split, significant digits): masks of words 1-2 and 3-4, and the point for word 2
-    head = np.tril(np.full((17, 16), 255, np.uint8), -1).view(np.uint64)   # row j: first j bytes
-    masks = np.zeros((18, 17, 5), np.uint64)
-    masks[:17, :, :2] = head[:, None]
-    masks[:17, :, 2:4] = head[None, :] & ~head[:, None]
-    masks[:17, :, 4] = np.where(n[:17] > n[:17, None], _ascii_words([b"\0" * 7 + b"."])[0], 0)
-    masks[17, :, 2:4] = head                   # "0.000d...": no digits before the point
-    masks = masks.reshape(-1, 5)
-    tables = _Tables(_pow10_table(), quad.view(np.uint32).ravel(), significant, split, prefix,
-                     first, exponent, _items(np.ascontiguousarray(masks[:, :4])),
-                     masks[:, 4].copy())
+    # by (layout, significant digits t), 3 words each of: the mask of the digits
+    # before the point (shifted down 2 bytes), the mask of the other digits
+    # (shifted down 1 byte, or 5 in scientific notation), and the point
+    kind, t, byte = np.arange(19)[:, None, None], np.arange(17)[:, None], np.arange(24)
+    split = np.where(kind <= 16, kind, 0)
+    after = np.where(kind == 18, 3, 7) + split           # byte of the digit after the point
+    masks = np.stack(np.broadcast_arrays((byte >= 6) & (byte < 6 + split),
+                                         (byte >= after) & (byte < after - split + t),
+                                         (byte == after - 1) & (t > split) & (kind != 17)),
+                     axis=2)
+    masks = (masks * np.array([255, 255, ord(".")], np.uint8)[:, None]).astype(np.uint8)
+    tables = _Tables(_pow10_table(), quad.view(np.uint32).ravel(), significant, layout,
+                     np.where(sci, 40, 8).astype(np.uint64),
+                     (prefix.reshape(2, -1, 1) | first).ravel(), exponent,
+                     _items(masks.view(np.uint64).reshape(-1, 3 * _WORDS)))
     for table in tables:                       # shared by every caller from now on
         table.flags.writeable = False
     return tables
@@ -658,9 +680,9 @@ def _scalar_words(x: np.ndarray) -> np.ndarray:
 
 
 def _number_words(x: np.ndarray) -> np.ndarray:
-    """(len(x), _WORDS) words of "%.17g" % x[i]."""
+    """(_WORDS, len(x)) words of "%.17g" % x[i]: word k of every number, then word k + 1."""
     if len(x) < _VECTOR_MIN:
-        return _scalar_words(x)
+        return _scalar_words(x).T
     t = _tables()
     a = np.abs(x)
     fast = (a >= 1e-290) & (a < 1e290)          # not 0, subnormal, inf or nan
@@ -684,53 +706,63 @@ def _number_words(x: np.ndarray) -> np.ndarray:
     low = D - top * 10**8
     first = top // 10**8
     mid = top - first * 10**8
-    quads = np.empty((len(x), 8), np.uint32)          # the 16 digits, for words 1-2 and 3-4
+    quads = np.empty((4, len(x)), np.uint32)          # the 16 digits after the first
     significant = np.zeros(len(x), np.int64)
     g1, g3 = mid // 10**4, low // 10**4
     for k, g in enumerate((g1, mid - g1 * 10**4, g3, low - g3 * 10**4)):
-        quads[:, k] = quads[:, k + 4] = t.QUAD.take(g)
+        quads[k] = t.QUAD.take(g)
         np.maximum(significant, t.SIGNIFICANT[k].take(g), out=significant)
+    lo = quads[0] | quads[1].astype(np.uint64) << 32
+    hi = quads[2] | quads[3].astype(np.uint64) << 32
     e = E - _E[0]
-    layout = t.SPLIT.take(e) * 17 + significant
-    digits = t.MASKS.take(layout).view(np.uint64).reshape(-1, 4)
-    digits &= quads.view(np.uint64)
-    digits[:, 1] |= t.POINT.take(layout)
+    masks = t.MASKS.take(t.LAYOUT.take(e) * 17 + significant).view(np.uint64).reshape(-1, 9)
+    down = t.SHIFT.take(e)
+    up = 64 - down
     sign = np.signbit(x).astype(np.intp)             # "", "-"
-    words = np.empty((len(x), _WORDS), np.uint64)
-    words[:, 0] = t.PREFIX.take(sign * len(_E) + e) | t.FIRST.take(first)
-    _items(words[:, 1:5])[:] = _items(digits)
-    words[:, 5] = t.EXPONENT.take(e)
+    words = np.empty((_WORDS, len(x)), np.uint64)
+    # each word: the digits before the point, the other digits, the point
+    words[0] = (lo << 48) & masks[:, 0]
+    words[0] |= (lo << up) & masks[:, 3]
+    words[0] |= masks[:, 6] | t.HEAD.take((sign * len(_E) + e) * 10 + first)
+    words[1] = ((lo >> 16) | (hi << 48)) & masks[:, 1]
+    words[1] |= ((lo >> down) | (hi << up)) & masks[:, 4]
+    words[1] |= masks[:, 7]
+    words[2] = (hi >> 16) & masks[:, 2]
+    words[2] |= (hi >> down) & masks[:, 5]
+    words[2] |= masks[:, 8] | t.EXPONENT.take(e)
     slow = np.flatnonzero(~(fast | zero))
     if len(slow):
-        words[slow] = _scalar_words(x[slow])
+        words[:, slow] = _scalar_words(x[slow]).T
     return words
 
 
 def _entry_words(z: np.ndarray) -> np.ndarray:
-    """Words of canonical complex entries, plus one tail word each, left unset.
+    """Words of canonical complex entries, each with its tail word: "i" or NUL in byte 0.
 
     An entry is its real part alone when the imaginary part is zero, its
     imaginary part and "i" alone when only the real part is zero, and
     otherwise both, the imaginary part with its sign.
     """
     n = len(z)
-    has_im = z.imag != 0.0
-    has_re = (z.real != 0.0) | ~has_im
-    parts = _number_words(np.concatenate([z.real, z.imag]))   # one call: half the fixed cost
-    sign = parts[n:].view(np.uint8)[:, 0]     # of each imaginary part: "-" or NUL
-    sign[has_re & (sign == 0)] = ord("+")     # "%+.17g" after a printed real part
-    parts[np.concatenate([~has_re, ~has_im])] = 0
-    parts[n:, -1] |= has_im * _I
+    x = np.ascontiguousarray(z).view(np.float64)
+    has_im = x[1::2] != 0.0
+    has_re = (x[0::2] != 0.0) | ~has_im
+    parts = _number_words(x)           # both parts in one call: half the fixed cost
+    im_sign = parts[0, 1::2]           # byte 0: "-" or NUL
+    im_sign |= (has_re & (im_sign & 0xFF == 0)) * np.uint64(ord("+"))   # "%+.17g"
     words = np.empty((n, 2 * _WORDS + 1), np.uint64)
-    _items(words[:, :_WORDS])[:] = _items(parts[:n])
-    _items(words[:, _WORDS:-1])[:] = _items(parts[n:])
+    for k in range(_WORDS):
+        np.multiply(parts[k, 0::2], has_re, out=words[:, k])
+        np.multiply(parts[k, 1::2], has_im, out=words[:, _WORDS + k])
+    np.multiply(has_im, _I, out=words[:, -1])
     return words
 
 
 def _real_words(x: np.ndarray) -> np.ndarray:
-    """Words of canonical real numbers, plus one tail word each, left unset."""
+    """Words of canonical real numbers, each with a NUL tail word."""
     words = np.empty((len(x), _WORDS + 1), np.uint64)
-    words[:, :-1] = _number_words(x)
+    words[:, :-1] = _number_words(x).T
+    words[:, -1] = 0
     return words
 
 
@@ -742,8 +774,8 @@ def _row_pieces(size: int, cols: int, chunks, tails: np.ndarray) -> list[str]:
     """Text of ``size`` entries in rows of ``cols``, one piece per chunk.
 
     ``chunks`` yields the entries' words in order, each with a last tail
-    word that is set here: tails[0] inside a row, tails[1] after a row and
-    tails[2] after the last one.
+    word whose bytes 1-7 are NUL; the separator set there is tails[0]
+    inside a row, tails[1] after a row and tails[2] after the last one.
     """
     pieces = []
     start = 0
@@ -753,14 +785,14 @@ def _row_pieces(size: int, cols: int, chunks, tails: np.ndarray) -> list[str]:
         end[(cols - 1 - start) % cols::cols] = 1
         if stop == size:
             end[-1] = 2
-        words[:, -1] = tails.take(end)
+        words[:, -1] |= tails.take(end)
         pieces.append(_text(words))
         start = stop
     return pieces
 
 
-_MATRIX_TAILS = _ascii_words([b",", b"],[", b"]]"])
-_TABLE_TAILS = _ascii_words([b",", b"\n", b"\n"])
+_MATRIX_TAILS = _ascii_words([b"\0,", b"\0],[", b"\0]]"])
+_TABLE_TAILS = _ascii_words([b"\0,", b"\0\n", b"\0\n"])
 _NA = _ascii_words([b"NA"] + [b""] * (_WORDS - 1))
 
 
@@ -790,30 +822,32 @@ def _hermitian_chunks(m: np.ndarray):
     """Entry words of a matrix that passed _is_hermitian, in blocks of whole rows.
 
     Only the (n² + n)/2 entries on and above the diagonal are formatted.
-    Their words, without the tail word, go into one store, row by row; an
-    entry below the diagonal takes the words of its mirror entry from the
-    store, conjugated.  The store is the only array that outlives a block,
-    and it is freed after the last one.
+    Their words go into one store, row by row; an entry below the diagonal
+    takes the words of its mirror entry from the store, conjugated.  The
+    store is the only array that outlives a block, and it is freed after
+    the last one.
     """
     n = len(m)
     rows = max(1, _CHUNK // n)
     r = np.arange(n + 1)
     start = r * n - r * (r - 1) // 2                    # where row r starts in the store
-    store = np.empty((start[n], 2 * _WORDS), np.uint64)
+    store = np.empty((start[n], 2 * _WORDS + 1), np.uint64)
     triangle = np.triu(np.ones((rows, n), dtype=bool))
     for a in range(0, n, rows):
         b = min(a + rows, n)
         upper = triangle[:b - a, :n - a]
-        new = _entry_words(m[a:b, a:][upper])
-        store[start[a]:start[b]] = new[:, :-1]
+        new = store[start[a]:start[b]]
+        new[:] = _entry_words(m[a:b, a:][upper])
         words = np.empty((b - a, n, 2 * _WORDS + 1), np.uint64)
         _items(words)[:, a:][upper] = _items(new)
-        # entry (i, j) below the diagonal mirrors (j, i), stored at start[j] + i - j
-        i, j = np.arange(a, b)[:, None], np.arange(b)
-        lower = j < i
-        mirrored = store[(start[:b] + i - j)[lower]]
-        _conjugate(mirrored)
-        _items(words[:, :b, :-1])[lower] = _items(mirrored)
+        # entry (i, j) below the diagonal mirrors (j, i), stored at start[j] + i - j:
+        # for each column j < b, the rows i of the block are one run of the store
+        runs = store.take((start[:b] - r[:b])[:, None] + r[a:b], axis=0)     # [j, i - a]
+        _conjugate(runs)
+        runs = _items(runs).T                                                # [i - a, j]
+        _items(words)[:, :a] = runs[:, :a]
+        lower = r[a:b, None] > r[a:b]
+        _items(words)[:, a:b][lower] = runs[:, a:][lower]
         yield words.reshape(-1, 2 * _WORDS + 1)
 
 
@@ -841,9 +875,7 @@ def _matrix_pieces(m) -> list[str]:
 
 def format_cnum(z: complex) -> str:
     """Canonical complex number, as one matrix entry."""
-    words = _entry_words(np.array([complex(z)]))
-    words[:, -1] = 0
-    return _text(words)
+    return _text(_entry_words(np.array([complex(z)])))
 
 
 def format_matrix(m: np.ndarray) -> str:

@@ -1,6 +1,8 @@
 """Unit tests for the QNET parser, serializer and network assembly."""
 
 import contextlib
+import math
+import re
 import signal
 
 import numpy as np
@@ -812,6 +814,11 @@ _ANY_FLOAT = st.one_of(
         lambda nk: (2 * nk[0] + 1) / 2**nk[1]),                            # many-digit dyadics, ties
 )
 _ARRAY_LENGTH = 2 * netfile._CHUNK + 7      # three chunks, the last one short
+# The longest texts a number's record holds, 23 and 24 bytes, and E = 15, 16
+# and 17: 16 digits before the point and one after, 17 digits and no point,
+# and the first scientific one.
+_LONGEST = [-0.00012345678901234567, -1.2345678901234567e+100]
+_E_15_16_17 = [1234567890123456.8, 12345678901234568.0, 1.2345678901234566e+17]
 
 
 def _assert_same_text(got: str, want: str):
@@ -838,6 +845,8 @@ class TestCanonicalNumbers:
     @example([1e-5, 1e-4])                         # scientific and fixed
     @example([26215 / 2**18])                      # 17 digits end on an exact tie
     @example([np.inf, -np.inf, np.nan])            # the residual column can read inf
+    @example(_LONGEST)
+    @example(_E_15_16_17)
     def test_matches_percent_format(self, values):
         x = np.resize(np.array(values), _ARRAY_LENGTH)
         text = format_table(x[:, None], np.zeros(len(x), dtype=bool))
@@ -847,6 +856,8 @@ class TestCanonicalNumbers:
            st.integers(1, 300))
     @settings(max_examples=10, deadline=None)
     @example([complex(0.5, -0.0), complex(-0.0, 3.0), complex(1e300, -1e-300)], 97)
+    @example([complex(v, v) for v in _LONGEST + _E_15_16_17], 5)
+    @example([complex(-0.00012345678901234567, -1.2345678901234567e-100)], 1)   # then "],["
     def test_matrix_spanning_chunks_matches_entrywise_join(self, entries, cols):
         m = np.resize(np.array(entries), (_ARRAY_LENGTH // cols + 1, cols))
         _assert_same_text(format_matrix(m), entrywise_format_matrix(m))
@@ -872,8 +883,8 @@ _MIRROR_PARTS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -3e-320, 1e300, -1e300, 26215 / 2**18, 1e17, 0.1]),
     st.floats(allow_nan=False, allow_infinity=False))
 # 1×1; every number of the upper triangle on the "%" route (n ≤ 8); the
-# array route; and 8281 entries, more than one _CHUNK
-_MIRROR_SIZES = [1, 2, 5, 12, 91]
+# array route; and more than _CHUNK entries, so that the rows span two blocks
+_MIRROR_SIZES = [1, 2, 5, 12, math.isqrt(netfile._CHUNK) + 1]
 # an edit of an exactly hermitian matrix, and whether every mirror pair
 # still prints as a conjugate pair afterwards
 _MIRROR_EDITS = {"none": True, "real ulp": False, "imag ulp": False, "signed zero real": False,
@@ -884,6 +895,15 @@ _MIRROR_EDITS = {"none": True, "real ulp": False, "imag ulp": False, "signed zer
 def _ulp_off(x: float) -> float:
     """A neighbour of x: one ulp toward zero, which cannot overflow, or 5e-324 at ±0."""
     return float(np.nextafter(x, 0.0)) if x else 5e-324
+
+
+def _hermitian(entries, n: int) -> np.ndarray:
+    """The n×n matrix of the entries, repeated, with its lower triangle mirrored."""
+    m = np.resize(np.array(entries, dtype=complex), (n, n))
+    rows, cols = np.triu_indices(n, 1)
+    m[cols, rows] = m[rows, cols].conj()
+    m.imag[np.diag_indices(n)] = 0.0
+    return m
 
 
 @st.composite
@@ -950,6 +970,8 @@ class TestMirrorRoute:
     @example((np.array([[complex(0.5, -0.0)]]), True))
     @example((np.array([[1.0, complex(np.nan, 1)], [complex(np.nan, -1), 1.0]]), True))
     @example((np.array([[1.0, complex(1, np.nan)], [complex(1, np.nan), 1.0]]), False))
+    @example((_hermitian([complex(v, -v) for v in _LONGEST + _E_15_16_17], 12), True))
+    @example((_hermitian([1.0, complex(0.5, -1.2345678901234567e+100)], 2), True))   # then "],["
     def test_matches_entrywise_join(self, case):
         m, mirrored = case
         assert netfile._is_hermitian(m) == mirrored
@@ -990,6 +1012,54 @@ class TestMatrixAssignments:
     def test_empty_matrix(self):
         found = parse_matrix_assignments("K = [];\n")
         assert found["K"].shape == (0, 0)
+
+
+# A matrix entry as _CNUM accepts it, after _TO_NUMPY: a sign, a "+" too, then a
+# number with any digits, point and exponent, including ones that round to a
+# subnormal, to zero or past the largest float; alone, imaginary, or with an
+# imaginary part.
+_DIGIT_RUN = st.text("0123456789", min_size=1, max_size=25)
+_MANTISSA = st.one_of(
+    st.tuples(_DIGIT_RUN, st.none() | st.text("0123456789", max_size=25)).map(
+        lambda p: p[0] if p[1] is None else f"{p[0]}.{p[1]}"),
+    _DIGIT_RUN.map(lambda d: "." + d))
+_EXPONENT = st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                      st.integers(0, 400).map(str)).map("".join)
+_UNSIGNED = st.one_of(
+    st.tuples(_MANTISSA, st.just("") | _EXPONENT).map("".join),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "0.0", "5e-324", "2.4703282292062327e-324",
+                     "2.4703282292062328e-324", "1e-400", "1e309", "1.7976931348623159e308"]))
+
+
+@st.composite
+def _cnum_text(draw):
+    real = draw(st.sampled_from(["", "+", "-"])) + draw(_UNSIGNED)
+    form = draw(st.sampled_from(["real", "imaginary", "complex"]))
+    if form == "complex":
+        return real + draw(st.sampled_from("+-")) + draw(_UNSIGNED) + "i"
+    return real + ("i" if form == "imaginary" else "")
+
+
+class TestNumpyConversion:
+    """Converting the entries' texts one by one gives fromstring's values, bit for bit.
+
+    netfile._matrix converts with np.fromstring; a conversion of the split
+    texts would be the other route.  Both hold to the whole accepted language,
+    so either may be chosen by speed alone.
+    """
+
+    @given(st.lists(_cnum_text(), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    @example(["-0", "-0i", "-0-0i", "+0-0i", "-0+0i", "+.5E+3-2.5e-310i"])
+    @example(["1e309", "-1e309i", "2.4703282292062327e-324", "2.4703282292062328e-324"])
+    def test_split_texts_convert_as_fromstring(self, entries):
+        text = ",".join(entries)
+        assert re.fullmatch(rf"{netfile._CNUM}(?:,{netfile._CNUM})*", text)
+        text = text.translate(netfile._TO_NUMPY)
+        got = np.array(text.split(","), dtype=complex)
+        want = np.fromstring(text, dtype=complex, sep=",")
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_format_cnum_forms():

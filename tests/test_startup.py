@@ -69,7 +69,8 @@ _DENSE_COMMANDS = """
     import slhnet.cli
     if hidden:
         importlib.util.find_spec = find_spec
-    assert ("slhnet._flapack" in sys.modules) != hidden
+    flapack = sys.modules.get("slhnet._flapack")
+    assert (flapack is sys.modules.get("scipy.linalg._flapack")) == hidden
     netfile = slhnet.netfile
     def compiled_patterns():
         names = ("_HEAD", "_ENTRY", "_CLOSE", "_EOF", "_STATEMENT", "_COMMENT", "_TOKEN",
@@ -240,7 +241,7 @@ def _chain(units: int, algebraic: bool) -> str:
 # and after a solved loop its sparsetools file, are loaded by path, and no
 # module of SciPy's is imported; with "hidden" as the first argument the
 # locator finds neither file, so they are imported by their usual names, as
-# where scipy's file layout differs.
+# where scipy's file layout differs, and the locator runs once per module.
 _SPARSE_COMMAND = """
     import contextlib
     import io
@@ -248,9 +249,11 @@ _SPARSE_COMMAND = """
     import slhnet.cli
     from slhnet import matkit
     hidden, argv = sys.argv[1] == "hidden", sys.argv[2:]
+    looked_up = []
     if hidden:
         scipy_file = matkit._scipy_file
-        matkit._scipy_file = lambda path: None if path.startswith("sparse/") else scipy_file(path)
+        matkit._scipy_file = lambda path: looked_up.append(path) or (
+            None if path.startswith("sparse/") else scipy_file(path))
     factored = []
     factor = matkit.factor
     matkit.factor = lambda m: factored.append(isinstance(m, matkit._Compressed)) or factor(m)
@@ -260,8 +263,13 @@ _SPARSE_COMMAND = """
     assert factored and all(factored), factored
     by_path = {"slhnet._superlu", "slhnet._sparsetools"} if code == 0 else {"slhnet._superlu"}
     if hidden:
-        assert "scipy.sparse.linalg._dsolve._superlu" in sys.modules
-        assert not {"slhnet._superlu", "slhnet._sparsetools"} & set(sys.modules)
+        for name in by_path:
+            usual = "scipy.sparse." + ("linalg._dsolve._superlu" if name == "slhnet._superlu"
+                                       else "_sparsetools")
+            assert sys.modules[name] is sys.modules[usual]
+        assert sorted(looked_up) == sorted(
+            {"slhnet._superlu": "sparse/linalg/_dsolve/_superlu",
+             "slhnet._sparsetools": "sparse/_sparsetools"}[name] for name in by_path)
     else:
         assert by_path <= set(sys.modules)
         assert not [name for name in sys.modules if name.startswith("scipy")]
