@@ -534,17 +534,17 @@ def parse(source: str) -> NetDocument:
 #               byte 6, the other digits from byte 7
 #   d.ddd       (E = 0) the first digit in byte 5, the point in byte 6 and the
 #               other digits from byte 7
-#   dd.dd       (E = 1..16) the first digit in byte 5, the digits before the
-#               point from byte 6, the point, and the digits after it, each in
-#               the byte it has in the line above
+#   dd.dd       (E = 1..16) the first digit in byte 5, the E digits before the
+#               point from byte 6, the point in byte 6 + E, and the digits after
+#               it from byte 7 + E, where d.ddd has them too
 #   d.ddde±xx   the first digit in byte 1, the point in byte 2, the other digits
 #               from byte 3, and "e" and the exponent in bytes 19-23
 #
-# The 16 digits after the first are laid out once, in two words, and placed
-# by shifting those words down 1 or 5 bytes (the digits after the first, or
-# after the point) and 2 bytes (the digits before the point): no byte is
-# moved on its own.  Masks by layout keep the digits of each copy up to the
-# last nonzero one, and set the point.
+# The 16 digits after the first are laid out once, in two words (bytes 8-23),
+# and placed by shifting those words down: 2 bytes for the digits before the
+# point, and 1 byte, or 5 in scientific notation, for the others.  No digit
+# is moved on its own; masks by layout keep the digits of each copy, up to
+# the last nonzero one, and set the point.
 #
 # An entry (_entry_words) is the words of its real part, then those of its
 # imaginary part, then a tail word: 7 words, 56 bytes, for the 41.5 bytes of
@@ -617,7 +617,7 @@ class _Tables(NamedTuple):
     SHIFT: np.ndarray         # by E: bits the digits after the first are shifted down
     HEAD: np.ndarray          # by sign, E and first digit: the sign, "0.000" and the first digit
     EXPONENT: np.ndarray      # by E: "e" and the exponent in bytes 3-7, in scientific notation
-    MASKS: np.ndarray         # by layout and significant digits: 9 words, one item (see below)
+    MASKS: np.ndarray         # by layout and significant digits: 9 words, one item
 
 
 @functools.cache
@@ -749,7 +749,7 @@ def _entry_words(z: np.ndarray) -> np.ndarray:
     has_re = (x[0::2] != 0.0) | ~has_im
     parts = _number_words(x)           # both parts in one call: half the fixed cost
     im_sign = parts[0, 1::2]           # byte 0: "-" or NUL
-    im_sign |= (has_re & (im_sign & 0xFF == 0)) * np.uint64(ord("+"))   # "%+.17g"
+    im_sign |= (has_re & ((im_sign & 0xFF) == 0)) * np.uint64(ord("+"))   # "%+.17g"
     words = np.empty((n, 2 * _WORDS + 1), np.uint64)
     for k in range(_WORDS):
         np.multiply(parts[k, 0::2], has_re, out=words[:, k])

@@ -971,7 +971,8 @@ class TestMirrorRoute:
     @example((np.array([[1.0, complex(np.nan, 1)], [complex(np.nan, -1), 1.0]]), True))
     @example((np.array([[1.0, complex(1, np.nan)], [complex(1, np.nan), 1.0]]), False))
     @example((_hermitian([complex(v, -v) for v in _LONGEST + _E_15_16_17], 12), True))
-    @example((_hermitian([1.0, complex(0.5, -1.2345678901234567e+100)], 2), True))   # then "],["
+    # the last entry of every upper row: a 3-digit exponent, then "],["
+    @example((_hermitian([1.0] * 11 + [complex(0.5, -1.2345678901234567e+100)], 12), True))
     def test_matches_entrywise_join(self, case):
         m, mirrored = case
         assert netfile._is_hermitian(m) == mirrored
@@ -1044,9 +1045,9 @@ def _cnum_text(draw):
 class TestNumpyConversion:
     """Converting the entries' texts one by one gives fromstring's values, bit for bit.
 
-    netfile._matrix converts with np.fromstring; a conversion of the split
-    texts would be the other route.  Both hold to the whole accepted language,
-    so either may be chosen by speed alone.
+    netfile._matrix converts with np.fromstring; converting the split texts
+    is the other route.  They agree over the whole accepted language, so the
+    choice between them rests on speed alone.
     """
 
     @given(st.lists(_cnum_text(), min_size=1, max_size=20))
