@@ -579,7 +579,7 @@ def _items(words: np.ndarray) -> np.ndarray:
 
 def _ascii_words(texts) -> np.ndarray:
     """One uint64 word per text of at most 8 bytes, NUL-padded."""
-    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
+    return np.array(list(texts), dtype="S8").view(np.uint64)
 
 
 _I = _ascii_words([b"i"])[0]     # byte 0 of a tail word
@@ -623,14 +623,13 @@ class _Tables(NamedTuple):
 @functools.cache
 def _tables() -> _Tables:
     """The tables of the array route, built on its first use, not at import."""
-    n = np.arange(10000, dtype=np.uint16)
-    quad = (np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + 48
-            ).astype(np.uint8)
+    digit = np.arange(48, 58, dtype=np.uint8)
+    quad = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)
     # row k, for group k of the 16 digits after the first: how many of those 16
     # run up to its last nonzero digit, 0 for a group 0000
-    last = ((quad != 48) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
-    significant = np.where(last > 0, last + np.arange(0, 16, 4, dtype=np.uint8)[:, None], 0
-                           ).astype(np.uint8)
+    n = np.arange(10000)
+    last = np.count_nonzero([n, n % 1000, n % 100, n % 10], axis=0)
+    significant = np.where(last > 0, last + np.arange(0, 16, 4)[:, None], 0).astype(np.uint8)
     sci = (_E < -4) | (_E > 16)
     layout = np.where(sci, 18, np.where(_E < 0, 17, np.minimum(_E, 16)))
     prefix = _ascii_words([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
